@@ -30,8 +30,10 @@ from .exprs import (
 )
 from .integral import (
     BasisMatrix,
+    GlobalRun,
     ShiftSpace,
     global_integral_basis,
+    iteration_cap_override,
     local_integral_basis,
 )
 from .ore import anchored_basis
@@ -146,6 +148,19 @@ def _verified_points_of(basis: BasisMatrix, points) -> List[str]:
     return out
 
 
+def _notice_skipped_orbits(run: GlobalRun, zspec: ZSpec) -> None:
+    """Name on stderr every orbit whose right bound lies left of its left
+    edge, so that no point of it was processed."""
+    for entry in run.processed:
+        key = entry.orbit.orbit_key()
+        bound = zspec.bound_for(key)
+        edge = entry.analysis.left_edge()
+        if bound is not None and bound < edge:
+            print(f"notice: right bound {key}={bound} lies left of the left edge "
+                  f"{edge} of orbit {key}; no point of this orbit was processed",
+                  file=sys.stderr)
+
+
 def _basis_lines(basis: BasisMatrix, verified: List[str]) -> List[str]:
     lines = [f"B_{i + 1} = {element_str(row.coords)}"
              for i, row in enumerate(basis.rows)]
@@ -173,6 +188,7 @@ def _cmd_global_basis(args) -> int:
         raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
     zspec = _parse_bounds(args.right_bound)
     run = global_integral_basis(operator, zspec)
+    _notice_skipped_orbits(run, zspec)
     points = [(entry.orbit.shifted(n), entry.analysis)
               for entry in run.processed for n in entry.points]
     verified = _verified_points_of(run.basis, points)
@@ -202,6 +218,7 @@ def _cmd_verify(args) -> int:
     else:
         zspec = _parse_bounds(args.right_bound)
         run = global_integral_basis(operator, zspec)
+        _notice_skipped_orbits(run, zspec)
         for entry in run.processed:
             space = ShiftSpace(entry.analysis)
             for n in entry.points:
@@ -236,6 +253,16 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--at", default=None, help="verify a local basis at this point")
     p.add_argument("--right-bound", action="append", metavar="ORBIT=R")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
@@ -294,6 +321,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        iteration_cap_override()  # reject a bad PRECINT_MAX_ITER before any work
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -251,19 +251,44 @@ class ToySpace:
 # ---------------------------------------------------------------------------
 
 
+def iteration_cap_override() -> Optional[int]:
+    """The cap set by PRECINT_MAX_ITER, or None when it is unset; the value
+    must be an integer >= 0."""
+    raw = os.environ.get(ITERATION_CAP_ENV)
+    if raw is None:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise PrecintError(f"{ITERATION_CAP_ENV} must be an integer >= 0, got {raw!r}")
+    return cap
+
+
 def _iteration_cap(space, rows: Sequence[QuotientElement],
-                   point: AlgebraicPoint) -> int:
-    override = os.environ.get(ITERATION_CAP_ENV)
-    if override is not None:
-        return int(override)
+                   point: AlgebraicPoint) -> Tuple[int, int]:
+    """The cap on updates at the point, and the discriminant of `rows`.
+
+    One determinant serves both: that of the rows rescaled to value zero,
+    which bounds the number of combines.  Rescaling a row by norm^(-v)
+    moves the discriminant by exactly -v, because the uniformizer norm has
+    a simple zero at the point; the local loop checks this on every
+    normalize it performs.
+    """
+    override = iteration_cap_override()
     norm = RationalFunction(space.uniformizer_norm(point))
     normalized = []
+    shift = 0
     for row in rows:
         v = space.val(row, point)
         if v is INFINITY:
             raise PrecintError("basis contains the zero element")
         normalized.append(row if v == 0 else row.scaled(norm ** (-v)))
-    return max(space.discriminant(normalized, point), 0) + _CAP_MARGIN
+        shift += v
+    disc = space.discriminant(normalized, point)
+    cap = max(disc, 0) + _CAP_MARGIN if override is None else override
+    return cap, disc + shift
 
 
 def local_integral_basis(space, basis: BasisMatrix,
@@ -276,32 +301,37 @@ def local_integral_basis(space, basis: BasisMatrix,
     sum_i Tr(alpha_i/(x-z)) B_i as long as constants alpha exist that push
     the value of the combination positive.  Each such replacement lowers
     the discriminant by exactly one, which bounds the loop.
+
+    The discriminant is carried from one update to the next: each update
+    starts from the previous update's result and computes only its own
+    result, on the freshly evaluated new row, so a point costs one
+    determinant plus one per update.
     """
     rows = list(basis.rows)
     if len(rows) != space.dimension:
         raise PrecintError("basis size does not match the space dimension")
     point_key = str(point)
     log: List[UpdateRecord] = []
-    cap = _iteration_cap(space, rows, point)
+    cap, disc = _iteration_cap(space, rows, point)
     norm = RationalFunction(space.uniformizer_norm(point))
     iterations = 0
     for d in range(1, space.dimension + 1):
         row = rows[d - 1]
         v = space.val(row, point)
-        if v is INFINITY:
-            raise PrecintError("basis contains the zero element")
         if v != 0:
-            disc_before = space.discriminant(rows, point)
-            row = row.scaled(norm ** (-v))
-            rows[d - 1] = row
-            disc_after = space.discriminant(rows, point)
+            rows[d - 1] = row.scaled(norm ** (-v))
+            disc_before, disc = disc, space.discriminant(rows, point)
+            if disc != disc_before - v:
+                raise PrecintError(
+                    f"discriminant moved from {disc_before} to {disc} when "
+                    f"rescaling by a power {-v} of the uniformizer norm"
+                )
             log.append(UpdateRecord("normalize", d, point_key, exponent=-v,
-                                    disc_before=disc_before, disc_after=disc_after))
+                                    disc_before=disc_before, disc_after=disc))
         while True:
             alphas = space.find_alpha(rows[:d - 1], rows[d - 1], point)
             if alphas is None:
                 break
-            disc_before = space.discriminant(rows, point)
             one = space.constants_one(point)
             new_row = rows[d - 1].scaled(space.galois_sum(one, point))
             for alpha, prev in zip(alphas, rows[:d - 1]):
@@ -311,17 +341,17 @@ def local_integral_basis(space, basis: BasisMatrix,
             if new_row.is_zero:
                 raise PrecintError("basis update collapsed a row to zero")
             rows[d - 1] = new_row
-            disc_after = space.discriminant(rows, point)
-            if disc_after != disc_before - 1:
+            disc_before, disc = disc, space.discriminant(rows, point)
+            if disc != disc_before - 1:
                 raise PrecintError(
-                    f"discriminant moved from {disc_before} to {disc_after}; "
+                    f"discriminant moved from {disc_before} to {disc}; "
                     "expected a drop of exactly 1"
                 )
             if space.val(new_row, point) < 0:
                 raise PrecintError("basis update produced a non-integral row")
             log.append(UpdateRecord("combine", d, point_key,
                                     alphas=tuple(alphas),
-                                    disc_before=disc_before, disc_after=disc_after))
+                                    disc_before=disc_before, disc_after=disc))
             iterations += 1
             if iterations > cap:
                 raise IterationCapError(

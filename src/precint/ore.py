@@ -325,8 +325,15 @@ class SolutionBasis:
 
     Solution j takes the value delta_{i,j} at positions anchor + i - 1 for
     i = 1..r; values elsewhere are filled on demand by solving the deformed
-    recurrence for the unknown end.  The memo table belongs to a single
-    analysis context and is not safe for unsynchronized concurrent writers.
+    recurrence for the unknown end.
+
+    The memo of `apply_element_all` lives here too, keyed by (element,
+    offset) with the immutable, hashable QuotientElement.  Like the values
+    it lives as long as this object, that is as long as the one analysis
+    that owns it, and no other analysis shares it; it holds one r-tuple per
+    distinct (row, offset) pair asked for and is never evicted.  Both memos
+    belong to a single analysis context and are not safe for unsynchronized
+    concurrent writers.
     """
 
     def __init__(self, modulus: OreOperator, orbit: AlgebraicPoint,
@@ -342,6 +349,7 @@ class SolutionBasis:
         self._ell = modulus.polynomial_coeffs()
         self._ell_at: Dict[Tuple[int, int], RationalFunction] = {}
         self._values: Dict[Tuple[int, int], QRational] = {}
+        self._actions: Dict[Tuple[QuotientElement, int], Tuple[QRational, ...]] = {}
         self._lo: Dict[int, int] = {}
         self._hi: Dict[int, int] = {}
         one = RationalFunction.one()
@@ -415,22 +423,20 @@ def solution_value(basis: SolutionBasis, j: int, n: int) -> QRational:
     return basis.value(j, n)
 
 
-def apply_element(element: QuotientElement, basis: SolutionBasis, j: int,
-                  n: int) -> QRational:
-    """(B . b_j)(z + n): coefficients evaluated at z + n + q against the
-    solution values at positions n, n+1, ..."""
-    z = basis.point_value(n)
-    acc = RationalFunction.zero()
-    for i, c in enumerate(element.coords):
-        if c.is_zero:
-            continue
-        acc = acc + c.shift(z) * basis.value(j, n + i)
-    return acc
-
-
 def apply_element_all(element: QuotientElement, basis: SolutionBasis,
                       n: int) -> Tuple[QRational, ...]:
-    """(B . b_j)(z + n) for every j at once; shares coefficient evaluations."""
+    """(B . b_j)(z + n) for j = 1..r: coefficients evaluated at z + n + q
+    against the solution values at positions n, n+1, ...
+
+    Memoised on the solution basis under the key (element, n), so each row
+    is evaluated once per offset for the lifetime of the basis (one
+    analysis); the memo grows by one r-tuple per distinct (row, offset)
+    pair of the run and is dropped with the basis.
+    """
+    key = (element, n)
+    cached = basis._actions.get(key)
+    if cached is not None:
+        return cached
     z = basis.point_value(n)
     shifted = [(i, c.shift(z)) for i, c in enumerate(element.coords) if not c.is_zero]
     out = []
@@ -439,4 +445,5 @@ def apply_element_all(element: QuotientElement, basis: SolutionBasis,
         for i, cz in shifted:
             acc = acc + cz * basis.value(j, n + i)
         out.append(acc)
-    return tuple(out)
+    cached = basis._actions[key] = tuple(out)
+    return cached

@@ -153,6 +153,45 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("bound", ["Z=0", "Z=-50"])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bad_iteration_cap_is_a_usage_error(capsys, monkeypatch, value, bound):
+    monkeypatch.setenv("PRECINT_MAX_ITER", value)
+    code, out, err = run_cli(
+        capsys, "global-basis", "--operator", CUBIC, "--right-bound", bound,
+    )
+    assert code == 2
+    assert out == ""
+    assert "PRECINT_MAX_ITER must be an integer >= 0" in err
+    assert "Traceback" not in err
+
+
+def test_right_bound_left_of_the_orbit_is_noticed(capsys):
+    code, out, err = run_cli(
+        capsys, "global-basis", "--operator", CUBIC, "--right-bound", "Z=-50",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["verified_points"] == []
+    assert "Z=-50" in err
+    assert "left edge -2 of orbit Z" in err
+    code, out, err = run_cli(
+        capsys, "verify", "--operator", CUBIC, "--right-bound", "Z=-50",
+        "--samples", "1",
+    )
+    assert code == 0
+    assert "verification passed" in out
+    assert "left edge -2 of orbit Z" in err
+
+
+def test_bound_inside_the_orbit_has_no_notice(capsys):
+    code, _, err = run_cli(
+        capsys, "global-basis", "--operator", CUBIC, "--right-bound", "Z=0",
+    )
+    assert code == 0
+    assert err == ""
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -175,6 +214,17 @@ def test_verify_local_mode(capsys):
     )
     assert code == 0
     assert "verification passed" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_rejects_sample_counts_below_one(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--operator", CUBIC, "--right-bound", "Z=0",
+                  "--samples", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples: must be an integer >= 1" in captured.err
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -138,6 +138,57 @@ def test_iteration_cap_override(cubic, orbit_z, monkeypatch):
                              pt("0"))
 
 
+def test_discriminant_is_carried_from_update_to_update(cubic, orbit_z,
+                                                      monkeypatch):
+    """One determinant for the point, then one per update; each update
+    starts where the previous one ended."""
+    calls = []
+    real = ShiftSpace.discriminant
+
+    def counted(self, rows, point):
+        calls.append(point)
+        return real(self, rows, point)
+
+    monkeypatch.setattr(ShiftSpace, "discriminant", counted)
+    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
+    result = local_integral_basis(ShiftSpace(analysis), BasisMatrix.standard(3),
+                                  pt("0"))
+    assert len(calls) == 1 + len(result.provenance)
+    for prev, u in zip(result.provenance, result.provenance[1:]):
+        assert u.disc_before == prev.disc_after
+
+
+def test_stale_action_for_an_updated_row_fails_the_drop_check(cubic, orbit_z,
+                                                             monkeypatch):
+    """The drop-by-one check reads a freshly evaluated row: handing the loop
+    the pre-update row's values for the row a combine built must fail it."""
+    real_find = ShiftSpace.find_alpha
+    real_disc = ShiftSpace.discriminant
+    pending = {}
+
+    def find_alpha(self, prefix, candidate, point):
+        alphas = real_find(self, prefix, candidate, point)
+        if alphas is not None:
+            pending["row"] = (len(prefix), candidate)
+        return alphas
+
+    def discriminant(self, rows, point):
+        if "row" in pending:
+            d, old = pending["row"]
+            if rows[d] != old:  # evaluated after the update
+                del pending["row"]
+                rows = list(rows)
+                rows[d] = old
+        return real_disc(self, rows, point)
+
+    monkeypatch.setattr(ShiftSpace, "find_alpha", find_alpha)
+    monkeypatch.setattr(ShiftSpace, "discriminant", discriminant)
+    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
+    with pytest.raises(PrecintError, match="expected a drop of exactly 1"):
+        local_integral_basis(ShiftSpace(analysis), BasisMatrix.standard(3),
+                             pt("0"))
+
+
 # -- find_alpha -----------------------------------------------------------------
 
 

@@ -9,12 +9,13 @@ import pytest
 
 from precint import (
     AlgebraicPoint,
+    OrbitAnalysis,
     OreOperator,
     Poly,
     QuotientElement,
     RationalFunction,
     anchored_basis,
-    apply_element,
+    apply_element_all,
     default_anchor,
     eval_shifted,
     ore_multiply,
@@ -22,6 +23,7 @@ from precint import (
     parse_operator,
     reduce_mod,
     solution_value,
+    val_at,
 )
 from conftest import CUBIC, CUBIC_SHIFTED, coeff, el, op, pt, random_rf
 
@@ -167,13 +169,13 @@ def test_solution_values_on_algebraic_orbit():
 def test_apply_element_examples(cubic, orbit_z):
     basis = anchored_basis(cubic, orbit_z)
     s = el("S", 3)
-    assert apply_element(s, basis, 3, 0) == qrf("(-x+2)/x")
+    assert apply_element_all(s, basis, 0)[3 - 1] == qrf("(-x+2)/x")
     one = el("1", 3)
     for j in (1, 2, 3):
         for n in (-2, 0, 2):
-            assert apply_element(one, basis, j, n) == basis.value(j, n)
+            assert apply_element_all(one, basis, n)[j - 1] == basis.value(j, n)
     scaled = el("(1/x)*S", 3)
-    assert apply_element(scaled, basis, 1, 0) == qrf("-1")
+    assert apply_element_all(scaled, basis, 0)[1 - 1] == qrf("-1")
 
 
 def _apply_operator_directly(operator: OreOperator, basis, j: int, n: int):
@@ -198,7 +200,42 @@ def test_action_factors_through_the_quotient(seed, cubic, orbit_z):
         for j in (1, 2, 3):
             for n in (-1, 0, 1):
                 direct = _apply_operator_directly(raw, basis, j, n)
-                assert apply_element(reduced, basis, j, n) == direct
+                assert apply_element_all(reduced, basis, n)[j - 1] == direct
+
+
+@pytest.mark.parametrize("operator, point, elements", [
+    (CUBIC, "0", ("1", "S", "(x-2)/x^2 + (1/x)*S", "-2/x + S^2")),
+    ("x^2 - 2 + S^2", "root(x^2-2)", ("1", "S", "x + (1/(x-1))*S")),
+])
+def test_memoised_action_matches_a_fresh_table(operator, point, elements):
+    """Repeated (row, offset) lookups return the memoised tuple, and it
+    equals the action computed directly on a freshly anchored table."""
+    modulus = op(operator)
+    orbit = pt(point).orbit()
+    basis = anchored_basis(modulus, orbit)
+    rows = [el(text, modulus.order) for text in elements]
+    for _ in range(2):
+        for row in rows:
+            for n in range(-2, 3):
+                values = apply_element_all(row, basis, n)
+                assert apply_element_all(row, basis, n) is values
+                fresh = anchored_basis(modulus, orbit)
+                direct = tuple(
+                    _apply_operator_directly(OreOperator(row.coords), fresh, j, n)
+                    for j in range(1, modulus.order + 1))
+                assert values == direct
+
+
+def test_two_analyses_share_no_memo(cubic, orbit_z):
+    first = OrbitAnalysis.analyze(cubic, orbit_z)
+    second = OrbitAnalysis.analyze(cubic, orbit_z)
+    row = el("S", 3)
+    assert val_at(row, pt("0"), first) == -1
+    assert (row, 0) in first.basis._actions
+    assert (row, 0) not in second.basis._actions
+    assert val_at(row, pt("0"), second) == -1
+    assert (first.basis._actions[(row, 0)]
+            is not second.basis._actions[(row, 0)])
 
 
 def test_shifted_variant_reproduces_table_one_position_over(orbit_z):
