@@ -26,11 +26,10 @@ from .fields import (
     galois_trace_sum,
     integer_shift,
     is_irreducible,
-    nf_invert,
     nu_at_factor,
     nu_infinity,
 )
-from .qvalues import QExpansion, QRational, eval_shifted, nu_q, q_coefficient, q_expand
+from .qvalues import QRational, nu_q, q_coefficient
 from .ore import (
     OreOperator,
     QuotientElement,
@@ -38,9 +37,7 @@ from .ore import (
     anchored_basis,
     apply_element_all,
     default_anchor,
-    ore_multiply,
     reduce_mod,
-    solution_value,
 )
 from .valuation import (
     OrbitAnalysis,
@@ -55,8 +52,6 @@ from .integral import (
     GlobalRun,
     ShiftSpace,
     ToySpace,
-    discriminant,
-    find_alpha,
     global_integral_basis,
     local_integral_basis,
 )
@@ -97,7 +92,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "PrecintError",
-    "QExpansion",
     "QRational",
     "QuotientElement",
     "Rational",
@@ -113,11 +107,8 @@ __all__ = [
     "brute_val",
     "certificate",
     "default_anchor",
-    "discriminant",
     "element_str",
-    "eval_shifted",
     "factor",
-    "find_alpha",
     "galois_norm_uniformizer",
     "galois_trace_sum",
     "global_integral_basis",
@@ -125,25 +116,21 @@ __all__ = [
     "is_irreducible",
     "local_integral_basis",
     "module_equal_at",
-    "nf_invert",
     "nu_at_factor",
     "nu_infinity",
     "nu_q",
     "operator_str",
-    "ore_multiply",
     "parse_element",
     "parse_operator",
     "parse_point",
     "parse_poly",
     "poly_str",
     "q_coefficient",
-    "q_expand",
     "random_operator",
     "random_operators",
     "reduce_mod",
     "rf_str",
     "singular_points",
-    "solution_value",
     "val_at",
     "valuation_growth",
     "worklist",

@@ -1,12 +1,13 @@
 """Exact Gaussian elimination over any of the package's fields.
 
 Entries may be Fractions, number-field elements, or rational functions;
-all that is required is +, -, *, / and a zero test.
+all that is required is +, -, *, / and a zero test.  One forward
+elimination and one back-substitution serve all three routines.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 def _is_zero(entry) -> bool:
@@ -16,54 +17,56 @@ def _is_zero(entry) -> bool:
     return entry == 0
 
 
-def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
-    """Solve A*y = b exactly, returning the reduced-echelon solution with all
-    free variables set to zero, or None when the system is inconsistent."""
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    nrows = len(rows)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots = []
-    rank = 0
+def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], int]:
+    """Bring the first `ncols` columns of `rows` to echelon form in place,
+    taking the first nonzero entry of each column as its pivot and clearing
+    only below it.  Returns the pivot columns and the number of row swaps."""
+    pivots: List[int] = []
+    swaps = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if not _is_zero(rows[i][col]):
-                pivot_row = i
-                break
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(rows))
+                          if not _is_zero(rows[i][col])), None)
         if pivot_row is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [entry / inv for entry in rows[rank]]
-        for i in range(nrows):
-            if i == rank:
-                continue
+        if pivot_row != rank:
+            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            swaps += 1
+        pivot = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
             c = rows[i][col]
             if _is_zero(c):
                 continue
-            rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+            factor = c / pivot
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if not _is_zero(rows[i][ncols]):
-            return None
-    solution = [None] * ncols
-    zero = None
-    for row, col in zip(rows, pivots):
-        solution[col] = row[ncols]
-        if zero is None:
-            zero = row[ncols] - row[ncols]
-    if zero is None:
-        # no pivots at all; synthesize a zero from the rhs if possible
-        for b in rhs:
-            zero = b - b
-            break
-    for col in range(ncols):
-        if solution[col] is None:
-            solution[col] = zero
-    return solution
+    return pivots, swaps
+
+
+def _back_substitute(rows: Sequence[Sequence], pivots: Sequence[int],
+                     ncols: int, rhs_col: int, zero) -> List:
+    """The solution of an echelon system against column `rhs_col`, with
+    every non-pivot variable set to `zero`."""
+    y = [zero] * ncols
+    for i in reversed(range(len(pivots))):
+        row = rows[i]
+        acc = row[rhs_col]
+        for k in pivots[i + 1:]:
+            acc = acc - row[k] * y[k]
+        y[pivots[i]] = acc / row[pivots[i]]
+    return y
+
+
+def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
+    """Solve A*y = b exactly, returning the solution with all free variables
+    set to zero, or None when the system is inconsistent."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0]) if rows else 0
+    pivots, _ = _eliminate(rows, ncols)
+    if any(not _is_zero(row[ncols]) for row in rows[len(pivots):]):
+        return None
+    zero = rhs[0] - rhs[0] if rhs else None
+    return _back_substitute(rows, pivots, ncols, ncols, zero)
 
 
 def determinant(matrix: Sequence[Sequence]):
@@ -72,68 +75,27 @@ def determinant(matrix: Sequence[Sequence]):
     if n == 0:
         raise ValueError("empty matrix")
     rows = [list(r) for r in matrix]
-    sign_flips = 0
-    det = None
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if not _is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return rows[0][0] - rows[0][0]  # zero of the entry field
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign_flips += 1
-        pivot = rows[col][col]
-        det = pivot if det is None else det * pivot
-        for i in range(col + 1, n):
-            c = rows[i][col]
-            if _is_zero(c):
-                continue
-            factor = c / pivot
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    if sign_flips % 2:
-        det = -det
-    return det
+    pivots, swaps = _eliminate(rows, n)
+    if len(pivots) < n:
+        return rows[0][0] - rows[0][0]  # zero of the entry field
+    det = rows[0][0]
+    for i in range(1, n):
+        det = det * rows[i][i]
+    return -det if swaps % 2 else det
 
 
 def invert(matrix: Sequence[Sequence]) -> Optional[List[List]]:
     """Exact inverse, or None for a singular matrix."""
     n = len(matrix)
-    rows = [list(r) for r in matrix]
-    aug = []
-    one = None
-    for i in range(n):
-        for entry in rows[i]:
-            if not _is_zero(entry):
-                one = entry / entry
-                break
-        if one is not None:
-            break
+    one = next((entry / entry for row in matrix for entry in row
+                if not _is_zero(entry)), None)
     if one is None:
         return None
     zero = one - one
-    for i in range(n):
-        aug.append(rows[i] + [one if j == i else zero for j in range(n)])
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, n):
-            if not _is_zero(aug[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [entry / inv for entry in aug[rank]]
-        for i in range(n):
-            if i == rank:
-                continue
-            c = aug[i][col]
-            if _is_zero(c):
-                continue
-            aug[i] = [a - c * b for a, b in zip(aug[i], aug[rank])]
-        rank += 1
-    return [row[n:] for row in aug]
+    aug = [list(row) + [one if j == i else zero for j in range(n)]
+           for i, row in enumerate(matrix)]
+    pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
+    columns = [_back_substitute(aug, pivots, n, n + j, zero) for j in range(n)]
+    return [list(row) for row in zip(*columns)]

@@ -36,7 +36,7 @@ from .integral import (
     iteration_cap_override,
     local_integral_basis,
 )
-from .ore import anchored_basis
+from .ore import OreOperator, anchored_basis
 from .valuation import OrbitAnalysis, ZSpec, val_at
 from .verify import certificate, module_equal_at
 
@@ -81,15 +81,21 @@ def _parse_bounds(pairs: Optional[List[str]]) -> ZSpec:
     return ZSpec(bounds)
 
 
+def _modulus(args) -> OreOperator:
+    """The operator of --operator, normalized and checked as a modulus."""
+    operator = parse_operator(args.operator).normalized()
+    if not operator.is_valid_modulus:
+        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    return operator
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_solutions(args) -> int:
-    operator = parse_operator(args.operator).normalized()
-    if not operator.is_valid_modulus:
-        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    operator = _modulus(args)
     orbit = parse_point(args.orbit).orbit()
     start, stop = args.start, args.stop
     if start > stop:
@@ -119,9 +125,7 @@ def _cmd_solutions(args) -> int:
 
 
 def _cmd_val(args) -> int:
-    operator = parse_operator(args.operator).normalized()
-    if not operator.is_valid_modulus:
-        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    operator = _modulus(args)
     element = parse_element(args.element, operator.order)
     point = parse_point(args.at)
     analysis = OrbitAnalysis.analyze(operator, point.orbit())
@@ -148,17 +152,18 @@ def _verified_points_of(basis: BasisMatrix, points) -> List[str]:
     return out
 
 
-def _notice_skipped_orbits(run: GlobalRun, zspec: ZSpec) -> None:
-    """Name on stderr every orbit whose right bound lies left of its left
+def _skipped_orbits(run: GlobalRun, zspec: ZSpec) -> List[str]:
+    """One message for every orbit whose right bound lies left of its left
     edge, so that no point of it was processed."""
+    out = []
     for entry in run.processed:
         key = entry.orbit.orbit_key()
         bound = zspec.bound_for(key)
         edge = entry.analysis.left_edge()
         if bound is not None and bound < edge:
-            print(f"notice: right bound {key}={bound} lies left of the left edge "
-                  f"{edge} of orbit {key}; no point of this orbit was processed",
-                  file=sys.stderr)
+            out.append(f"right bound {key}={bound} lies left of the left edge "
+                       f"{edge} of orbit {key}")
+    return out
 
 
 def _basis_lines(basis: BasisMatrix, verified: List[str]) -> List[str]:
@@ -170,9 +175,7 @@ def _basis_lines(basis: BasisMatrix, verified: List[str]) -> List[str]:
 
 
 def _cmd_local_basis(args) -> int:
-    operator = parse_operator(args.operator).normalized()
-    if not operator.is_valid_modulus:
-        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    operator = _modulus(args)
     point = parse_point(args.at)
     analysis = OrbitAnalysis.analyze(operator, point.orbit())
     basis = local_integral_basis(ShiftSpace(analysis),
@@ -183,12 +186,12 @@ def _cmd_local_basis(args) -> int:
 
 
 def _cmd_global_basis(args) -> int:
-    operator = parse_operator(args.operator).normalized()
-    if not operator.is_valid_modulus:
-        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    operator = _modulus(args)
     zspec = _parse_bounds(args.right_bound)
     run = global_integral_basis(operator, zspec)
-    _notice_skipped_orbits(run, zspec)
+    for message in _skipped_orbits(run, zspec):
+        print(f"notice: {message}; no point of this orbit was processed",
+              file=sys.stderr)
     points = [(entry.orbit.shifted(n), entry.analysis)
               for entry in run.processed for n in entry.points]
     verified = _verified_points_of(run.basis, points)
@@ -198,9 +201,7 @@ def _cmd_global_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    operator = parse_operator(args.operator).normalized()
-    if not operator.is_valid_modulus:
-        raise PrecintError("operator must have order >= 1 and nonzero trailing coefficient")
+    operator = _modulus(args)
     reports = []
     module_checks = []
     if args.at is not None:
@@ -218,7 +219,9 @@ def _cmd_verify(args) -> int:
     else:
         zspec = _parse_bounds(args.right_bound)
         run = global_integral_basis(operator, zspec)
-        _notice_skipped_orbits(run, zspec)
+        skipped = _skipped_orbits(run, zspec)
+        if skipped:
+            raise PrecintError(f"{skipped[0]}; no point of this orbit would be verified")
         for entry in run.processed:
             space = ShiftSpace(entry.analysis)
             for n in entry.points:

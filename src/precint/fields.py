@@ -607,11 +607,6 @@ class NFElem:
         return sum(c * self.field.power_trace(k) for k, c in enumerate(self.coords))
 
 
-def nf_invert(a: NFElem) -> NFElem:
-    """Inverse in Q[t]/(m); raises ZeroDivisionError on zero input."""
-    return a.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -692,10 +687,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __bool__(self):
         return not self.is_zero

@@ -1,11 +1,15 @@
 """Local and global integral bases over an abstract valued-space interface.
 
-The local routine runs on any space exposing a value function, a
-constant-coefficient improvement solver, a uniformizer norm, and Galois
-sums; two instantiations live here.  ShiftSpace is the recurrence case:
-values come from q-valuations of anchored solutions, improvements from an
-exact linear system on the order-zero q-coefficients.  ToySpace is the
-weighted coordinate-minimum space used to exercise the generic algorithm.
+A valued space supplies four things: its `dimension`, a value function
+`val(row, point)`, a residue map `residues(row, point)` whose vanishing on a
+row of value >= 0 means value > 0, and a `discriminant(rows, point)`.
+Everything else is generic: the improvement step (`_find_alpha`) solves for
+constants that cancel the residues, and the local loop rescales by the
+uniformizer norm and recombines with Galois traces.  Two instantiations
+live here.  ShiftSpace is the recurrence case: values come from
+q-valuations of anchored solutions, residues are the order-zero
+q-coefficients of the element's action on them.  ToySpace is the weighted
+coordinate-minimum space used to exercise the generic algorithm.
 
 Updates at a point z always go through the full conjugate set: rows are
 rescaled by the minimal polynomial of z (not x - z) and recombined with
@@ -21,12 +25,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .errors import IterationCapError, MissingRightBoundError, PrecintError
+from .errors import IterationCapError, PrecintError
 from .fields import (
     INFINITY,
     AlgebraicPoint,
-    NFElem,
-    Poly,
     RationalFunction,
     Valuation,
     galois_norm_uniformizer,
@@ -72,8 +74,42 @@ class BasisMatrix:
     def coord_matrix(self) -> List[List[RationalFunction]]:
         return [list(row.coords) for row in self.rows]
 
-    def updates_at(self, point_key: str) -> Tuple[UpdateRecord, ...]:
-        return tuple(rec for rec in self.provenance if rec.point == point_key)
+
+# ---------------------------------------------------------------------------
+# The improvement step, shared by every space
+# ---------------------------------------------------------------------------
+
+
+def _find_alpha(space, prefix: Sequence[QuotientElement],
+                candidate: QuotientElement,
+                point: AlgebraicPoint) -> Optional[List]:
+    """Constants alpha with val(sum alpha_i B_i + candidate) > 0, or None.
+
+    One linear condition per residue coordinate: the space's residue vector
+    of the combination at the point must vanish.  Inputs of value >= 0 have
+    no terms below the residue layer, so this single layer of conditions is
+    exactly the improvement condition; the enclosing while loop of the
+    local algorithm supplies repetition.
+    """
+    for row in prefix:
+        if space.val(row, point) < 0:
+            raise PrecintError("prefix element is not integral at the point")
+    if space.val(candidate, point) < 0:
+        raise PrecintError("candidate must have nonnegative value")
+    cols = [space.residues(row, point) for row in prefix]
+    rhs = [-c for c in space.residues(candidate, point)]
+    matrix = [[col[j] for col in cols] for j in range(len(rhs))]
+    solution = _linalg.solve_with_free_zero(matrix, rhs)
+    if solution is None:
+        return None
+    combo = candidate
+    for alpha, row in zip(solution, prefix):
+        combo = combo + row.scaled(RationalFunction.constant(alpha))
+    if combo.is_zero:
+        raise PrecintError(
+            "candidate lies in the span of the earlier basis elements"
+        )
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +121,8 @@ class ShiftSpace:
     """Valued-space interface for the quotient module of a shift operator,
     restricted to one orbit."""
 
+    find_alpha = _find_alpha
+
     def __init__(self, analysis: OrbitAnalysis):
         self.analysis = analysis
 
@@ -95,16 +133,9 @@ class ShiftSpace:
     def val(self, row: QuotientElement, point: AlgebraicPoint) -> Valuation:
         return val_at(row, point, self.analysis)
 
-    def uniformizer_norm(self, point: AlgebraicPoint) -> Poly:
-        return galois_norm_uniformizer(point)
-
-    def galois_sum(self, alpha, point: AlgebraicPoint) -> RationalFunction:
-        return galois_trace_sum(alpha, point)
-
-    def constants_one(self, point: AlgebraicPoint):
-        return Fraction(1)
-
-    def _q0_vector(self, row: QuotientElement, point: AlgebraicPoint) -> List:
+    def residues(self, row: QuotientElement, point: AlgebraicPoint) -> List:
+        """The order-zero q-coefficient of the row's action on each anchored
+        solution at the point."""
         values = apply_element_all(row, self.analysis.basis, point.offset)
         out = []
         for v in values:
@@ -112,41 +143,6 @@ class ShiftSpace:
                 raise PrecintError("order-zero extraction on an element of negative value")
             out.append(q_coefficient(v, 0))
         return out
-
-    def find_alpha(self, prefix: Sequence[QuotientElement],
-                   candidate: QuotientElement,
-                   point: AlgebraicPoint) -> Optional[List]:
-        """Constants making the prefixed combination have positive value.
-
-        One linear condition per anchored solution: the order-zero
-        q-coefficient of the combination evaluated at the point must vanish.
-        Inputs of value >= 0 have no lower-order terms, so this single layer
-        of conditions is exactly the improvement condition; the enclosing
-        while loop supplies repetition.
-        """
-        for row in prefix:
-            if self.val(row, point) < 0:
-                raise PrecintError("prefix element is not integral at the point")
-        if self.val(candidate, point) < 0:
-            raise PrecintError("candidate must have nonnegative value")
-        cols = [self._q0_vector(row, point) for row in prefix]
-        rhs_vec = self._q0_vector(candidate, point)
-        r = self.dimension
-        matrix = [[cols[i][j] for i in range(len(prefix))] for j in range(r)]
-        rhs = [-rhs_vec[j] for j in range(r)]
-        solution = _linalg.solve_with_free_zero(matrix, rhs) if prefix else (
-            [] if all(v == 0 for v in rhs_vec) else None
-        )
-        if solution is None:
-            return None
-        combo = candidate
-        for alpha, row in zip(solution, prefix):
-            combo = combo + row.scaled(RationalFunction.constant(alpha))
-        if combo.is_zero:
-            raise PrecintError(
-                "candidate lies in the span of the earlier basis elements"
-            )
-        return list(solution)
 
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
@@ -170,6 +166,8 @@ class ToySpace:
     against its distinguished basis; the standard example of a value
     function on coordinates."""
 
+    find_alpha = _find_alpha
+
     def __init__(self, weights: Sequence[int]):
         self.weights = tuple(int(w) for w in weights)
 
@@ -178,7 +176,7 @@ class ToySpace:
         return len(self.weights)
 
     def val(self, row: QuotientElement, point: AlgebraicPoint) -> Valuation:
-        norm = self.uniformizer_norm(point)
+        norm = galois_norm_uniformizer(point)
         best = INFINITY
         for w, c in zip(self.weights, row.coords):
             v = w + nu_at_factor(c, norm)
@@ -186,64 +184,28 @@ class ToySpace:
                 best = v
         return best
 
-    def uniformizer_norm(self, point: AlgebraicPoint) -> Poly:
-        return galois_norm_uniformizer(point)
-
-    def galois_sum(self, alpha, point: AlgebraicPoint) -> RationalFunction:
-        return galois_trace_sum(alpha, point)
-
-    def constants_one(self, point: AlgebraicPoint):
-        return Fraction(1)
-
-    def _leading_coeff(self, f: RationalFunction, order: int,
-                       point: AlgebraicPoint):
-        if f.is_zero:
-            return Fraction(0)
-        norm = self.uniformizer_norm(point)
-        g = f * RationalFunction(norm) ** (-order)
-        if nu_at_factor(g, norm) < 0:
-            raise PrecintError("element has a pole deeper than its weight allows")
+    def residues(self, row: QuotientElement, point: AlgebraicPoint) -> List:
+        """The leading coefficient of each coordinate at the order its weight
+        allows: that of norm^(-w_c) in the c-th coordinate."""
+        norm = galois_norm_uniformizer(point)
         z = point.value()
-        return g.num.eval(z) / g.den.eval(z)
-
-    def find_alpha(self, prefix: Sequence[QuotientElement],
-                   candidate: QuotientElement,
-                   point: AlgebraicPoint) -> Optional[List]:
-        for row in prefix:
-            if self.val(row, point) < 0:
-                raise PrecintError("prefix element is not integral at the point")
-        if self.val(candidate, point) < 0:
-            raise PrecintError("candidate must have nonnegative value")
-        matrix = []
-        rhs = []
-        rhs_raw = []
-        for c in range(self.dimension):
-            order = -self.weights[c]
-            matrix.append([self._leading_coeff(row.coords[c], order, point)
-                           for row in prefix])
-            lead = self._leading_coeff(candidate.coords[c], order, point)
-            rhs.append(-lead)
-            rhs_raw.append(lead)
-        solution = _linalg.solve_with_free_zero(matrix, rhs) if prefix else (
-            [] if all(v == 0 for v in rhs_raw) else None
-        )
-        if solution is None:
-            return None
-        combo = candidate
-        for alpha, row in zip(solution, prefix):
-            combo = combo + row.scaled(RationalFunction.constant(alpha))
-        if combo.is_zero:
-            raise PrecintError(
-                "candidate lies in the span of the earlier basis elements"
-            )
-        return list(solution)
+        out = []
+        for w, f in zip(self.weights, row.coords):
+            if f.is_zero:
+                out.append(Fraction(0))
+                continue
+            g = f * RationalFunction(norm) ** w
+            if nu_at_factor(g, norm) < 0:
+                raise PrecintError("element has a pole deeper than its weight allows")
+            out.append(g.num.eval(z) / g.den.eval(z))
+        return out
 
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
         det = _linalg.determinant([list(row.coords) for row in rows])
         if det.is_zero:
             raise PrecintError("discriminant of a degenerate basis")
-        return nu_at_factor(det, self.uniformizer_norm(point)) + sum(self.weights)
+        return nu_at_factor(det, galois_norm_uniformizer(point)) + sum(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +239,7 @@ def _iteration_cap(space, rows: Sequence[QuotientElement],
     normalize it performs.
     """
     override = iteration_cap_override()
-    norm = RationalFunction(space.uniformizer_norm(point))
+    norm = RationalFunction(galois_norm_uniformizer(point))
     normalized = []
     shift = 0
     for row in rows:
@@ -313,7 +275,7 @@ def local_integral_basis(space, basis: BasisMatrix,
     point_key = str(point)
     log: List[UpdateRecord] = []
     cap, disc = _iteration_cap(space, rows, point)
-    norm = RationalFunction(space.uniformizer_norm(point))
+    norm = RationalFunction(galois_norm_uniformizer(point))
     iterations = 0
     for d in range(1, space.dimension + 1):
         row = rows[d - 1]
@@ -332,12 +294,11 @@ def local_integral_basis(space, basis: BasisMatrix,
             alphas = space.find_alpha(rows[:d - 1], rows[d - 1], point)
             if alphas is None:
                 break
-            one = space.constants_one(point)
-            new_row = rows[d - 1].scaled(space.galois_sum(one, point))
+            new_row = rows[d - 1].scaled(galois_trace_sum(Fraction(1), point))
             for alpha, prev in zip(alphas, rows[:d - 1]):
                 if alpha == 0:
                     continue
-                new_row = new_row + prev.scaled(space.galois_sum(alpha, point))
+                new_row = new_row + prev.scaled(galois_trace_sum(alpha, point))
             if new_row.is_zero:
                 raise PrecintError("basis update collapsed a row to zero")
             rows[d - 1] = new_row
@@ -361,19 +322,6 @@ def local_integral_basis(space, basis: BasisMatrix,
     return BasisMatrix(tuple(rows), basis.provenance + tuple(log))
 
 
-def find_alpha(space, prefix: Sequence[QuotientElement],
-               candidate: QuotientElement,
-               point: AlgebraicPoint) -> Optional[List]:
-    """Constants alpha with val(sum alpha_i B_i + candidate) > 0, or None."""
-    return space.find_alpha(prefix, candidate, point)
-
-
-def discriminant(basis: BasisMatrix, point: AlgebraicPoint,
-                 analysis: OrbitAnalysis) -> int:
-    """The shift-case discriminant of a basis at a point of the orbit."""
-    return ShiftSpace(analysis).discriminant(basis.rows, point)
-
-
 # ---------------------------------------------------------------------------
 # The global algorithm
 # ---------------------------------------------------------------------------
@@ -391,13 +339,6 @@ class ProcessedOrbit:
 class GlobalRun:
     basis: BasisMatrix
     processed: Tuple[ProcessedOrbit, ...]
-
-    def all_points(self) -> List[AlgebraicPoint]:
-        out = []
-        for entry in self.processed:
-            for n in entry.points:
-                out.append(entry.orbit.shifted(n))
-        return out
 
 
 def global_integral_basis(modulus: OreOperator,

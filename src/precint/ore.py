@@ -201,11 +201,6 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def ore_multiply(a: OreOperator, b: OreOperator) -> OreOperator:
-    """The noncommutative product in C(x)[S]."""
-    return a * b
-
-
 class QuotientElement:
     """Coordinates of a residue class against the standard basis of
     C(x)[S]/<L>, for an operator of order len(coords)."""
@@ -417,10 +412,6 @@ def anchored_basis(modulus: OreOperator, orbit: AlgebraicPoint,
     """The solution basis anchored (by default) at the leftmost offset where
     the trailing or leading coefficient vanishes on the orbit."""
     return SolutionBasis(modulus, orbit, anchor)
-
-
-def solution_value(basis: SolutionBasis, j: int, n: int) -> QRational:
-    return basis.value(j, n)
 
 
 def apply_element_all(element: QuotientElement, basis: SolutionBasis,

@@ -1,18 +1,17 @@
-"""Exact arithmetic in K(q) with the q-adic valuation and bounded expansions.
+"""Exact arithmetic in K(q): the q-adic valuation and single Laurent
+coefficients.
 
 Sequence values produced by the deformed recurrence are always exact
 rational functions of q (divisions only ever hit nonzero polynomials), so
-no truncated series are needed; a Laurent expansion at q = 0 is computed on
-demand and to any requested order.
+no truncated series are needed; the one coefficient the improvement step
+reads is computed on demand by power-series division at q = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
 
-from .fields import INFINITY, Poly, RationalFunction, Valuation, _Infinity
+from .fields import INFINITY, RationalFunction, Valuation
 
 # The values of sequence solutions: rational functions in q over the
 # constant field of the orbit.  Negative q-valuation (a pole at q = 0) is
@@ -27,62 +26,22 @@ def nu_q(f: QRational) -> Valuation:
     return f.num.order_at_zero() - f.den.order_at_zero()
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    """A finite slice of the Laurent expansion at q = 0.
-
-    ``coeffs[k]`` is the coefficient of ``q^(valuation + k)``; the slice
-    covers exponents up to ``order`` inclusive.
-    """
-
-    valuation: Union[int, _Infinity]
-    coeffs: Tuple
-    order: int
-
-
-def q_expand(f: QRational, upto: int) -> QExpansion:
-    """Exact Laurent coefficients of f from q^nu_q(f) through q^upto."""
-    if f.is_zero:
-        return QExpansion(INFINITY, (), upto)
-    a = f.num.order_at_zero()
-    b = f.den.order_at_zero()
-    v = a - b
-    if upto < v:
-        return QExpansion(v, (), upto)
-    n0 = f.num.coeffs[a:]
-    d0 = f.den.coeffs[b:]
-    count = upto - v + 1
-    inv_lead = 1 / d0[0]
-    out = []
-    for k in range(count):
-        acc = n0[k] if k < len(n0) else Fraction(0)
-        for i in range(max(0, k - len(d0) + 1), k):
-            acc = acc - out[i] * d0[k - i]
-        out.append(acc * inv_lead)
-    return QExpansion(v, tuple(out), upto)
-
-
 def q_coefficient(f: QRational, n: int):
     """The single Laurent coefficient of q^n in f."""
     if f.is_zero:
         return Fraction(0)
-    v = nu_q(f)
+    a = f.num.order_at_zero()
+    b = f.den.order_at_zero()
+    v = a - b
     if n < v:
         return Fraction(0)
-    exp = q_expand(f, n)
-    return exp.coeffs[n - v]
-
-
-def eval_shifted(f: RationalFunction, z) -> QRational:
-    """Substitute x -> z + q into a rational function of x.
-
-    The result is canonical in K(q); its q-valuation equals the
-    multiplicity of (x - z) in f, which ties the q-adic valuation to the
-    valuation at the point z.
-    """
-    return f.shift(z)
-
-
-def q_degree(f: QRational) -> int:
-    """Size diagnostic: the larger of numerator and denominator degree."""
-    return max(f.num.degree, f.den.degree)
+    n0 = f.num.coeffs[a:]
+    d0 = f.den.coeffs[b:]
+    inv_lead = 1 / d0[0]
+    out = []
+    for k in range(n - v + 1):
+        acc = n0[k] if k < len(n0) else Fraction(0)
+        for i in range(max(0, k - len(d0) + 1), k):
+            acc = acc - out[i] * d0[k - i]
+        out.append(acc * inv_lead)
+    return out[-1]

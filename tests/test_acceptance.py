@@ -24,11 +24,11 @@ from precint import (
     anchored_basis,
     brute_val,
     certificate,
+    galois_norm_uniformizer,
     global_integral_basis,
     local_integral_basis,
     module_equal_at,
     nu_q,
-    solution_value,
     val_at,
 )
 from conftest import CUBIC, coeff, el, op, pt, random_poly, random_rf
@@ -99,7 +99,7 @@ def test_criterion_1_solution_table(cubic, orbit_z):
         (3, 2): "(x^2-3*x+2)/(x*(x+1))",
     }
     for (j, n), text in expected.items():
-        assert solution_value(basis, j, n) == coeff(text)
+        assert basis.value(j, n) == coeff(text)
     _report(1, "solution table")
 
 
@@ -238,7 +238,7 @@ def test_criterion_8_idempotence_and_discriminant(cubic, orbit_z):
         if not combines:
             continue
         start_rows = []
-        norm = RationalFunction(space.uniformizer_norm(point))
+        norm = RationalFunction(galois_norm_uniformizer(point))
         for row in BasisMatrix.standard(3).rows:
             v = space.val(row, point)
             start_rows.append(row if v == 0 else row.scaled(norm ** (-v)))

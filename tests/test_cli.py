@@ -175,12 +175,14 @@ def test_right_bound_left_of_the_orbit_is_noticed(capsys):
     assert json.loads(out)["verified_points"] == []
     assert "Z=-50" in err
     assert "left edge -2 of orbit Z" in err
+    # verify would check nothing there, so it fails instead of passing
     code, out, err = run_cli(
         capsys, "verify", "--operator", CUBIC, "--right-bound", "Z=-50",
         "--samples", "1",
     )
-    assert code == 0
-    assert "verification passed" in out
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: right bound Z=-50 lies left of the left edge")
     assert "left edge -2 of orbit Z" in err
 
 

@@ -20,8 +20,8 @@ from precint import (
     ShiftSpace,
     ToySpace,
     ZSpec,
-    discriminant,
-    find_alpha,
+    galois_norm_uniformizer,
+    galois_trace_sum,
     global_integral_basis,
     local_integral_basis,
     module_equal_at,
@@ -79,7 +79,7 @@ def test_combine_count_is_bounded_by_normalized_discriminant(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
     space = ShiftSpace(analysis)
     point = pt("0")
-    norm = RationalFunction(space.uniformizer_norm(point))
+    norm = RationalFunction(galois_norm_uniformizer(point))
     normalized = []
     for row in BasisMatrix.standard(3).rows:
         v = space.val(row, point)
@@ -114,16 +114,16 @@ def test_every_update_preserves_the_span(cubic, orbit_z):
     point = pt("0")
     result = local_integral_basis(space, BasisMatrix.standard(3), point)
     rows = list(BasisMatrix.standard(3).rows)
-    norm = RationalFunction(space.uniformizer_norm(point))
+    norm = RationalFunction(galois_norm_uniformizer(point))
     for u in result.provenance:
         d = u.row - 1
         if u.kind == "normalize":
             rows[d] = rows[d].scaled(norm ** u.exponent)
         else:
-            new_row = rows[d].scaled(space.galois_sum(Fraction(1), point))
+            new_row = rows[d].scaled(galois_trace_sum(Fraction(1), point))
             for alpha, prev in zip(u.alphas, rows[:d]):
                 if alpha != 0:
-                    new_row = new_row + prev.scaled(space.galois_sum(alpha, point))
+                    new_row = new_row + prev.scaled(galois_trace_sum(alpha, point))
             rows[d] = new_row
         det = _linalg.determinant([list(r.coords) for r in rows])
         assert not det.is_zero
@@ -197,21 +197,21 @@ def test_find_alpha_solves_the_recorded_combination(cubic, orbit_z):
     space = ShiftSpace(analysis)
     prefix = [el("1", 3)]
     candidate = el("x*S", 3)
-    assert find_alpha(space, prefix, candidate, pt("0")) == [Fraction(-2)]
+    assert space.find_alpha(prefix, candidate, pt("0")) == [Fraction(-2)]
 
 
 def test_find_alpha_rejects_dependent_candidates(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
     space = ShiftSpace(analysis)
     with pytest.raises(PrecintError):
-        find_alpha(space, [el("1", 3)], el("1", 3), pt("0"))
+        space.find_alpha([el("1", 3)], el("1", 3), pt("0"))
 
 
 def test_find_alpha_none_on_finished_basis(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
     space = ShiftSpace(analysis)
     rows = _known_local().rows
-    assert find_alpha(space, list(rows[:2]), rows[2], pt("0")) is None
+    assert space.find_alpha(list(rows[:2]), rows[2], pt("0")) is None
 
 
 # -- the weighted toy space --------------------------------------------------------
@@ -240,7 +240,24 @@ def test_toy_space_find_alpha_none_on_unit_basis():
     x = RationalFunction.x()
     rows = [QuotientElement.standard(2, 0).scaled(x ** -1),
             QuotientElement.standard(2, 1)]
-    assert find_alpha(space, rows[:1], rows[1], pt("0")) is None
+    assert space.find_alpha(rows[:1], rows[1], pt("0")) is None
+
+
+def test_toy_space_combines_at_a_rational_point():
+    space = ToySpace((0, 0))
+    basis = BasisMatrix((el("1", 2), el("1 + x*S", 2)))
+    result = local_integral_basis(space, basis, pt("0"))
+    assert [(u.kind, u.disc_before, u.disc_after)
+            for u in result.provenance] == [("combine", 1, 0)]
+    assert result.rows == (el("1", 2), el("S", 2))
+
+
+def test_toy_space_combines_at_an_algebraic_point():
+    space = ToySpace((0, 0))
+    basis = BasisMatrix((el("1", 2), el("1 + (x^2-2)*S", 2)))
+    result = local_integral_basis(space, basis, pt("root(x^2-2)"))
+    assert [u.kind for u in result.provenance] == ["combine"]
+    assert result.rows == (el("1", 2), el("2*x*S", 2))
 
 
 def test_toy_space_val_is_weighted_minimum():
@@ -263,7 +280,8 @@ def test_toy_space_at_nonzero_point():
 
 def test_discriminant_of_standard_basis(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
-    assert discriminant(BasisMatrix.standard(3), pt("0"), analysis) == 1
+    assert ShiftSpace(analysis).discriminant(BasisMatrix.standard(3).rows,
+                                             pt("0")) == 1
 
 
 def test_discriminant_shifts_by_one_under_row_scaling(cubic, orbit_z):
@@ -271,12 +289,12 @@ def test_discriminant_shifts_by_one_under_row_scaling(cubic, orbit_z):
     rows = list(BasisMatrix.standard(3).rows)
     rows[1] = rows[1].scaled(RationalFunction.x())
     scaled = BasisMatrix(tuple(rows))
-    assert discriminant(scaled, pt("0"), analysis) == 2
+    assert ShiftSpace(analysis).discriminant(scaled.rows, pt("0")) == 2
 
 
 def test_discriminant_of_known_local_basis_is_nonnegative(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
-    value = discriminant(_known_local(), pt("0"), analysis)
+    value = ShiftSpace(analysis).discriminant(_known_local().rows, pt("0"))
     assert 0 <= value <= 3  # bounded by the normalized standard basis value
 
 

@@ -17,12 +17,9 @@ from precint import (
     anchored_basis,
     apply_element_all,
     default_anchor,
-    eval_shifted,
-    ore_multiply,
     parse_element,
     parse_operator,
     reduce_mod,
-    solution_value,
     val_at,
 )
 from conftest import CUBIC, CUBIC_SHIFTED, coeff, el, op, pt, random_rf
@@ -58,9 +55,9 @@ def test_ore_multiply_associative_and_distributive(seed):
 
     for _ in range(8):
         a, b, c = random_operator(), random_operator(), random_operator()
-        assert ore_multiply(ore_multiply(a, b), c) == ore_multiply(a, ore_multiply(b, c))
-        assert ore_multiply(a, b + c) == ore_multiply(a, b) + ore_multiply(a, c)
-        assert ore_multiply(a + b, c) == ore_multiply(a, c) + ore_multiply(b, c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
 
 
 def test_normalized_clears_denominators_and_content():
@@ -134,11 +131,11 @@ def test_anchor_on_rootless_algebraic_orbit():
 
 def test_solution_table_values(cubic, orbit_z):
     basis = anchored_basis(cubic, orbit_z)
-    assert solution_value(basis, 1, 1) == qrf("-x")
-    assert solution_value(basis, 1, 2) == qrf("x*(x-1)/(x+1)")
-    assert solution_value(basis, 2, 2) == qrf("-x-1")
-    assert solution_value(basis, 3, 1) == qrf("(-x+2)/x")
-    assert solution_value(basis, 3, 2) == qrf("(x^2-3*x+2)/(x*(x+1))")
+    assert basis.value(1, 1) == qrf("-x")
+    assert basis.value(1, 2) == qrf("x*(x-1)/(x+1)")
+    assert basis.value(2, 2) == qrf("-x-1")
+    assert basis.value(3, 1) == qrf("(-x+2)/x")
+    assert basis.value(3, 2) == qrf("(x^2-3*x+2)/(x*(x+1))")
 
 
 def test_every_cached_window_satisfies_the_recurrence(cubic, orbit_z):
@@ -185,7 +182,7 @@ def _apply_operator_directly(operator: OreOperator, basis, j: int, n: int):
     for i, c in enumerate(operator.coeffs):
         if c.is_zero:
             continue
-        acc = acc + eval_shifted(c, z) * basis.value(j, n + i)
+        acc = acc + c.shift(z) * basis.value(j, n + i)
     return acc
 
 

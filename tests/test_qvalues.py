@@ -1,4 +1,5 @@
-"""The q-adic valuation, bounded expansions, and the x -> z + q substitution."""
+"""The q-adic valuation, single Laurent coefficients, and the x -> z + q
+substitution."""
 
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ from precint import (
     INFINITY,
     Poly,
     RationalFunction,
-    eval_shifted,
     nu_at_factor,
     nu_q,
-    q_expand,
+    q_coefficient,
 )
 from conftest import random_poly, random_rf
 
@@ -33,29 +33,29 @@ def test_nu_q_sees_poles():
 
 
 def test_q_expand_geometric_series():
-    exp = q_expand(RationalFunction(Poly.one(), Poly([1, 1])), 2)
-    assert exp.valuation == 0
-    assert exp.coeffs == (1, -1, 1)
-    assert exp.order == 2
+    f = RationalFunction(Poly.one(), Poly([1, 1]))
+    assert nu_q(f) == 0
+    assert tuple(q_coefficient(f, k) for k in range(3)) == (1, -1, 1)
 
 
 def test_q_expand_with_pole():
-    exp = q_expand(RationalFunction(Poly([2, -1]), Q), 0)
-    assert exp.valuation == -1
-    assert exp.coeffs == (2, -1)
+    f = RationalFunction(Poly([2, -1]), Q)
+    assert nu_q(f) == -1
+    assert (q_coefficient(f, -1), q_coefficient(f, 0)) == (2, -1)
+    assert q_coefficient(f, -2) == 0
 
 
 def test_q_expand_zero_is_empty():
-    exp = q_expand(RationalFunction.zero(), 5)
-    assert exp.valuation is INFINITY
-    assert exp.coeffs == ()
+    zero = RationalFunction.zero()
+    assert nu_q(zero) is INFINITY
+    assert all(q_coefficient(zero, k) == 0 for k in range(-2, 6))
 
 
 def test_eval_shifted_examples():
     square = RationalFunction(Poly([1, 1]) ** 2)
-    assert eval_shifted(square, Fraction(-1)) == RationalFunction(Q ** 2)
-    assert eval_shifted(RationalFunction.x(), Fraction(0)) == RationalFunction(Q)
-    inv = eval_shifted(RationalFunction(Poly.one(), Poly.x()), Fraction(0))
+    assert square.shift(Fraction(-1)) == RationalFunction(Q ** 2)
+    assert RationalFunction.x().shift(Fraction(0)) == RationalFunction(Q)
+    inv = RationalFunction(Poly.one(), Poly.x()).shift(Fraction(0))
     assert inv == RationalFunction(Poly.one(), Q)
     assert nu_q(inv) == -1
 
@@ -81,17 +81,15 @@ def test_q_expand_of_product_is_convolution(seed):
     for _ in range(10):
         f = random_rf(rng, nonzero=True)
         g = random_rf(rng, nonzero=True)
-        ef, eg = q_expand(f, order + 2), q_expand(g, order + 2)
-        ep = q_expand(f * g, order)
-        assert ep.valuation == ef.valuation + eg.valuation
-        for k in range(order - ep.valuation + 1):
+        vf, vg, vp = nu_q(f), nu_q(g), nu_q(f * g)
+        assert vp == vf + vg
+        for k in range(order - vp + 1):
             conv = sum(
-                (ef.coeffs[i] * eg.coeffs[k - i]
-                 for i in range(k + 1)
-                 if i < len(ef.coeffs) and k - i < len(eg.coeffs)),
+                (q_coefficient(f, vf + i) * q_coefficient(g, vg + k - i)
+                 for i in range(k + 1)),
                 Fraction(0),
             )
-            assert ep.coeffs[k] == conv
+            assert q_coefficient(f * g, vp + k) == conv
 
 
 @pytest.mark.parametrize("seed", [45, 46])
@@ -101,7 +99,7 @@ def test_eval_shifted_is_multiplicative(seed):
         f = random_rf(rng)
         g = random_rf(rng)
         z = Fraction(rng.randint(-3, 3))
-        assert eval_shifted(f * g, z) == eval_shifted(f, z) * eval_shifted(g, z)
+        assert (f * g).shift(z) == f.shift(z) * g.shift(z)
 
 
 @pytest.mark.parametrize("seed", [47, 48])
@@ -111,4 +109,4 @@ def test_eval_shifted_links_q_valuation_to_point_multiplicity(seed):
         f = random_rf(rng, nonzero=True)
         z = Fraction(rng.randint(-2, 2))
         pole = Poly([-z, 1])
-        assert nu_q(eval_shifted(f, z)) == nu_at_factor(f, pole)
+        assert nu_q(f.shift(z)) == nu_at_factor(f, pole)

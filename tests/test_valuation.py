@@ -22,7 +22,6 @@ from precint import (
     nu_at_factor,
     nu_q,
     singular_points,
-    solution_value,
     val_at,
     valuation_growth,
     worklist,
