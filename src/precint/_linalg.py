@@ -1,13 +1,20 @@
 """Exact Gaussian elimination over any of the package's fields.
 
-Entries may be Fractions, number-field elements, or rational functions;
-all that is required is +, -, *, / and a zero test.  One forward
-elimination and one back-substitution serve all three routines.
+Entries may be Fractions, number-field elements, rational functions, or
+truncated q-series; all that is required is +, -, *, / and a zero test.
+One forward elimination and one back-substitution serve all three
+routines.  Over q-series the pivot of a column is an entry of least
+valuation among those whose leading term is known; entries that are zero
+only to working precision are carried through the row updates, and a
+column in which no entry has a known leading term, but not every entry is
+exactly zero, raises PrecisionLoss.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
+
+from .qvalues import PrecisionLoss, QSeries
 
 
 def _is_zero(entry) -> bool:
@@ -17,16 +24,37 @@ def _is_zero(entry) -> bool:
     return entry == 0
 
 
+def _pivot_row(rows: Sequence[Sequence], start: int, col: int) -> Optional[int]:
+    """The row at or below `start` holding the pivot of column `col`: the
+    first nonzero entry, or over q-series the first of least valuation
+    among the entries with a known leading term.  None when every entry is
+    exactly zero."""
+    best = None
+    unknown = False
+    for i in range(start, len(rows)):
+        entry = rows[i][col]
+        if _is_zero(entry):
+            continue
+        if not isinstance(entry, QSeries):
+            return i
+        if not entry.known:
+            unknown = True
+        elif best is None or entry.val < rows[best][col].val:
+            best = i
+    if best is None and unknown:
+        raise PrecisionLoss(f"no entry of column {col} has a known leading term")
+    return best
+
+
 def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], int]:
     """Bring the first `ncols` columns of `rows` to echelon form in place,
-    taking the first nonzero entry of each column as its pivot and clearing
-    only below it.  Returns the pivot columns and the number of row swaps."""
+    taking the pivot of each column from `_pivot_row` and clearing only
+    below it.  Returns the pivot columns and the number of row swaps."""
     pivots: List[int] = []
     swaps = 0
     for col in range(ncols):
         rank = len(pivots)
-        pivot_row = next((i for i in range(rank, len(rows))
-                          if not _is_zero(rows[i][col])), None)
+        pivot_row = _pivot_row(rows, rank, col)
         if pivot_row is None:
             continue
         if pivot_row != rank:
@@ -70,14 +98,16 @@ def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[
 
 
 def determinant(matrix: Sequence[Sequence]):
-    """Determinant by fraction-producing Gaussian elimination with pivoting."""
+    """Determinant by fraction-producing Gaussian elimination with pivoting;
+    over q-series its valuation is exact, as that of a product of pivots
+    with known leading terms."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     rows = [list(r) for r in matrix]
     pivots, swaps = _eliminate(rows, n)
     if len(pivots) < n:
-        return rows[0][0] - rows[0][0]  # zero of the entry field
+        return rows[0][0] * 0  # zero of the entry field
     det = rows[0][0]
     for i in range(1, n):
         det = det * rows[i][i]

@@ -311,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certificates and module-equality checks")
     add_common(p)
-    p.add_argument("--at", default=None, help="verify a local basis at this point")
-    p.add_argument("--right-bound", action="append", metavar="ORBIT=R")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--at", default=None, help="verify a local basis at this point")
+    where.add_argument("--right-bound", action="append", metavar="ORBIT=R",
+                       help="right bound for a global run (not with --at)")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

@@ -36,7 +36,7 @@ from .fields import (
     nu_at_factor,
 )
 from .ore import OreOperator, QuotientElement, apply_element_all
-from .qvalues import nu_q, q_coefficient
+from .qvalues import nu_q
 from .valuation import OrbitAnalysis, ZSpec, detect_orbits, val_at, worklist_points
 
 ITERATION_CAP_ENV = "PRECINT_MAX_ITER"
@@ -136,21 +136,26 @@ class ShiftSpace:
     def residues(self, row: QuotientElement, point: AlgebraicPoint) -> List:
         """The order-zero q-coefficient of the row's action on each anchored
         solution at the point."""
-        values = apply_element_all(row, self.analysis.basis, point.offset)
-        out = []
-        for v in values:
-            if nu_q(v) < 0:
-                raise PrecintError("order-zero extraction on an element of negative value")
-            out.append(q_coefficient(v, 0))
-        return out
+        basis = self.analysis.basis
+
+        def compute() -> List:
+            out = []
+            for v in apply_element_all(row, basis, point.offset):
+                if nu_q(v) < 0:
+                    raise PrecintError("order-zero extraction on an element of negative value")
+                out.append(v.coefficient(0))
+            return out
+
+        return basis.with_enough_precision(compute)
 
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
-        """q-valuation of the determinant of the solution-evaluation matrix."""
-        matrix = [apply_element_all(row, self.analysis.basis, point.offset)
-                  for row in rows]
-        det = _linalg.determinant(matrix)
-        v = nu_q(det)
+        """q-valuation of the determinant of the solution-evaluation matrix,
+        eliminated over q-series; a determinant that is exactly zero means
+        the rows are dependent."""
+        basis = self.analysis.basis
+        v = basis.with_enough_precision(lambda: nu_q(_linalg.determinant(
+            [apply_element_all(row, basis, point.offset) for row in rows])))
         if v is INFINITY:
             raise PrecintError("discriminant of a degenerate basis")
         return v

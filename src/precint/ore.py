@@ -5,13 +5,15 @@ fixed operator L of order r, residue classes modulo L are coordinate
 vectors against the standard basis 1, S, ..., S^(r-1).  Solutions of L are
 sequences on an orbit rho + Z with values in K(q), obtained by evaluating
 coefficients at z + q; anchoring the initial window left of every
-coefficient root makes every division hit a nonzero polynomial in q.
+coefficient root makes every division hit a nonzero polynomial in q.  The
+table of these values is exact; the action of an element on it is a
+truncated q-series (see qvalues).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
 from .errors import PrecintError
 from .fields import (
@@ -23,7 +25,13 @@ from .fields import (
     integer_shift,
     poly_gcd,
 )
-from .qvalues import QRational
+from .qvalues import PrecisionLoss, QRational, QSeries, ZERO, q_series, shifted_series
+
+T = TypeVar("T")
+
+# Coefficients each table value and row coordinate is expanded to at first;
+# a solution basis doubles it whenever a read needs more (see qvalues).
+START_PRECISION = 4
 
 
 def _as_rf(c) -> RationalFunction:
@@ -322,13 +330,15 @@ class SolutionBasis:
     i = 1..r; values elsewhere are filled on demand by solving the deformed
     recurrence for the unknown end.
 
-    The memo of `apply_element_all` lives here too, keyed by (element,
-    offset) with the immutable, hashable QuotientElement.  Like the values
-    it lives as long as this object, that is as long as the one analysis
-    that owns it, and no other analysis shares it; it holds one r-tuple per
-    distinct (row, offset) pair asked for and is never evicted.  Both memos
-    belong to a single analysis context and are not safe for unsynchronized
-    concurrent writers.
+    The values stay exact.  Series memos sit beside them: `series(j, n)`
+    expands a value once per working precision, and the memo of
+    `apply_element_all` is keyed by (element, offset) with the immutable,
+    hashable QuotientElement.  They live as long as this object, that is as
+    long as the one analysis that owns it, and no other analysis shares
+    them; the action memo holds one r-tuple per distinct (row, offset) pair
+    asked for.  `double_precision` empties both series memos.  All memos
+    belong to a single analysis context and are not safe for
+    unsynchronized concurrent writers.
     """
 
     def __init__(self, modulus: OreOperator, orbit: AlgebraicPoint,
@@ -344,7 +354,9 @@ class SolutionBasis:
         self._ell = modulus.polynomial_coeffs()
         self._ell_at: Dict[Tuple[int, int], RationalFunction] = {}
         self._values: Dict[Tuple[int, int], QRational] = {}
-        self._actions: Dict[Tuple[QuotientElement, int], Tuple[QRational, ...]] = {}
+        self._series: Dict[Tuple[int, int], QSeries] = {}
+        self._actions: Dict[Tuple[QuotientElement, int], Tuple[QSeries, ...]] = {}
+        self.precision = START_PRECISION
         self._lo: Dict[int, int] = {}
         self._hi: Dict[int, int] = {}
         one = RationalFunction.one()
@@ -385,6 +397,33 @@ class SolutionBasis:
             self._lo[j] = w
         return self._values[(j, n)]
 
+    def series(self, j: int, n: int) -> QSeries:
+        """b_j at orbit position n as a q-series at working precision."""
+        key = (j, n)
+        cached = self._series.get(key)
+        if cached is None:
+            cached = self._series[key] = q_series(self.value(j, n), self.precision)
+        return cached
+
+    def double_precision(self) -> None:
+        """Double the working precision and drop every series memo."""
+        self.precision *= 2
+        self._series.clear()
+        self._actions.clear()
+
+    def with_enough_precision(self, compute: Callable[[], T]) -> T:
+        """compute(), redone at double precision for as long as it reads a
+        series that is zero to working precision.
+
+        The doubling ends: a series that is zero past the degree bound of
+        its exact value is exactly zero and reads as such (see qvalues).
+        """
+        while True:
+            try:
+                return compute()
+            except PrecisionLoss:
+                self.double_precision()
+
     def point_value(self, n: int):
         """The constant rho + n used when evaluating coefficients at this
         position."""
@@ -415,26 +454,32 @@ def anchored_basis(modulus: OreOperator, orbit: AlgebraicPoint,
 
 
 def apply_element_all(element: QuotientElement, basis: SolutionBasis,
-                      n: int) -> Tuple[QRational, ...]:
-    """(B . b_j)(z + n) for j = 1..r: coefficients evaluated at z + n + q
-    against the solution values at positions n, n+1, ...
+                      n: int) -> Tuple[QSeries, ...]:
+    """(B . b_j)(z + n) for j = 1..r as q-series at the basis's working
+    precision: the coordinates expanded at z + n + q by truncated Taylor
+    shifts, against the series of the solution values at positions n,
+    n+1, ...
 
-    Memoised on the solution basis under the key (element, n), so each row
-    is evaluated once per offset for the lifetime of the basis (one
-    analysis); the memo grows by one r-tuple per distinct (row, offset)
-    pair of the run and is dropped with the basis.
+    An entry is exactly ZERO only when that is proven (see qvalues); one
+    that is zero to working precision makes nu_q and coefficient raise
+    PrecisionLoss, which `basis.with_enough_precision` answers by doubling
+    the precision.  Memoised on the solution basis under the key (element, n), so each row
+    is evaluated once per offset and precision for the lifetime of the
+    basis (one analysis).
     """
     key = (element, n)
     cached = basis._actions.get(key)
     if cached is not None:
         return cached
     z = basis.point_value(n)
-    shifted = [(i, c.shift(z)) for i, c in enumerate(element.coords) if not c.is_zero]
+    terms = basis.precision
+    shifted = [(i, shifted_series(c, z, terms))
+               for i, c in enumerate(element.coords) if not c.is_zero]
     out = []
     for j in range(1, basis.order + 1):
-        acc = RationalFunction.zero()
+        acc = ZERO
         for i, cz in shifted:
-            acc = acc + cz * basis.value(j, n + i)
+            acc = acc + cz * basis.series(j, n + i)
         out.append(acc)
     cached = basis._actions[key] = tuple(out)
     return cached

@@ -1,47 +1,250 @@
-"""Exact arithmetic in K(q): the q-adic valuation and single Laurent
-coefficients.
+"""The q side of the value function: the q-adic valuation of exact values
+in K(q), and truncated Laurent series in q for what the main path computes
+from them.
 
-Sequence values produced by the deformed recurrence are always exact
-rational functions of q (divisions only ever hit nonzero polynomials), so
-no truncated series are needed; the one coefficient the improvement step
-reads is computed on demand by power-series division at q = 0.
+The anchored solution tables stay exact rational functions of q.  What the
+local loop reads from an element's action on them is small: a valuation,
+the q^0 coefficient, and the valuation of one r x r determinant.  So the
+action and everything computed from it is a `QSeries`: a valuation, the
+coefficients known from there on, and an absolute precision, under the
+usual rules of precision tracking (Caruso, Roe and Vaccon, *Tracking p-adic
+precision*, 2014): a sum is known up to the smaller precision, a product
+of a and b up to min(prec_a + v_b, prec_b + v_a), and a quotient by a
+series with a known leading term keeps the smaller relative precision.
+
+A series that is zero to its precision has no valuation and no
+coefficients from its precision on; reading one raises `PrecisionLoss`,
+and the caller redoes that one computation at double precision (extension
+on demand, after van der Hoeven, *Relax, but don't be too lazy*, 2002).
+Such a series is never read as a large valuation.  What ends the doubling
+is a proof: every series carries a height (dn, dd, od) saying that its
+exact value is P/D with deg P <= dn, deg D <= dd and ord_0 D >= od, so a
+nonzero exact value has valuation at most dn - od.  A result that is zero
+to a precision past that bound is exactly zero, and becomes `ZERO`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import List, Sequence, Tuple
 
-from .fields import INFINITY, RationalFunction, Valuation
+from .fields import INFINITY, Poly, RationalFunction, Valuation
 
 # The values of sequence solutions: rational functions in q over the
 # constant field of the orbit.  Negative q-valuation (a pole at q = 0) is
 # legal; canonical form is the same coprime/monic-denominator one.
 QRational = RationalFunction
 
+Height = Tuple[int, int, int]
 
-def nu_q(f: QRational) -> Valuation:
-    """The q-adic valuation: order at q = 0 of num minus den; INFINITY at 0."""
+
+class PrecisionLoss(ArithmeticError):
+    """A valuation, coefficient or pivot was asked of a series that is zero
+    to working precision; the computation must be redone at a higher one."""
+
+
+class QSeries:
+    """A truncated Laurent series in q: the coefficients of q^val, ...,
+    q^(prec-1), the first of them nonzero, plus O(q^prec).
+
+    Three states: a known leading term (`coeffs` nonempty), zero to
+    precision `prec` (`coeffs` empty, `val == prec`), and exactly zero
+    (`ZERO`, with `val` and `prec` INFINITY).  Treat instances as
+    immutable.
+    """
+
+    __slots__ = ("val", "coeffs", "prec", "height")
+
+    def __init__(self, val: int, coeffs: List, prec: int, height: Height):
+        lead = 0
+        while lead < len(coeffs) and not coeffs[lead]:
+            lead += 1
+        if lead:
+            coeffs = coeffs[lead:]
+        if not coeffs:
+            val = prec
+            if prec is not INFINITY and prec > height[0] - height[2]:
+                val = prec = INFINITY  # zero past the bound: exactly zero
+        else:
+            val += lead
+        self.val = val
+        self.coeffs = coeffs
+        self.prec = prec
+        self.height = height
+
+    def __repr__(self):
+        if self.prec is INFINITY:
+            return "QSeries(0)"
+        terms = " + ".join(f"({c})*q^{self.val + k}"
+                           for k, c in enumerate(self.coeffs))
+        return f"QSeries({terms} + O(q^{self.prec}))" if terms else \
+            f"QSeries(O(q^{self.prec}))"
+
+    # -- queries --------------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        """Exactly zero (not merely zero to working precision)."""
+        return self.prec is INFINITY
+
+    @property
+    def known(self) -> bool:
+        """Whether the leading term, hence the valuation, is known."""
+        return bool(self.coeffs)
+
+    @property
+    def valuation(self) -> Valuation:
+        if self.coeffs:
+            return self.val
+        if self.prec is INFINITY:
+            return INFINITY
+        raise PrecisionLoss(f"valuation of a series that is O(q^{self.prec})")
+
+    def coefficient(self, n: int):
+        """The coefficient of q^n; raises PrecisionLoss past the precision."""
+        if n < self.val:
+            return Fraction(0)
+        if n >= self.prec:
+            raise PrecisionLoss(f"coefficient of q^{n} of a series known "
+                                f"to O(q^{self.prec})")
+        return self.coeffs[n - self.val]
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        if self.prec is INFINITY:
+            return other
+        if other.prec is INFINITY:
+            return self
+        ha, hb = self.height, other.height
+        height = (max(ha[0] + hb[1], hb[0] + ha[1]), ha[1] + hb[1], ha[2] + hb[2])
+        prec = min(self.prec, other.prec)
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        if a.val >= prec:  # neither operand has a coefficient below prec
+            return QSeries(prec, [], prec, height)
+        out = a.coeffs[:prec - a.val]
+        off = b.val - a.val
+        for k, c in enumerate(b.coeffs[:max(0, prec - b.val)]):
+            out[off + k] = out[off + k] + c
+        return QSeries(a.val, out, prec, height)
+
+    def __neg__(self) -> "QSeries":
+        if self.prec is INFINITY:
+            return self
+        return QSeries(self.val, [-c for c in self.coeffs], self.prec, self.height)
+
+    def __sub__(self, other: "QSeries") -> "QSeries":
+        return self + (-other)
+
+    def __mul__(self, other) -> "QSeries":
+        if not isinstance(other, QSeries):  # a constant of the field
+            if not other:
+                return ZERO
+            if self.prec is INFINITY:
+                return self
+            return QSeries(self.val, [c * other for c in self.coeffs],
+                           self.prec, self.height)
+        if self.prec is INFINITY or other.prec is INFINITY:
+            return ZERO
+        ha, hb = self.height, other.height
+        height = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
+        if not (self.coeffs and other.coeffs):
+            # val is a lower bound on the valuation in every state
+            prec = min(self.prec + other.val, other.prec + self.val)
+            return QSeries(prec, [], prec, height)
+        a, b = self.coeffs, other.coeffs
+        val = self.val + other.val
+        n = min(len(a), len(b))
+        out = []
+        for k in range(n):
+            acc = a[0] * b[k]
+            for i in range(1, k + 1):
+                acc = acc + a[i] * b[k - i]
+            out.append(acc)
+        return QSeries(val, out, val + n, height)
+
+    def __truediv__(self, other: "QSeries") -> "QSeries":
+        if other.prec is INFINITY:
+            raise ZeroDivisionError("series division by zero")
+        if not other.coeffs:
+            raise PrecisionLoss(f"division by a series that is O(q^{other.prec})")
+        if self.prec is INFINITY:
+            return ZERO
+        ha, hb = self.height, other.height
+        height = (ha[0] + hb[1], ha[1] + hb[0], max(0, ha[2] + hb[2] + other.val))
+        if not self.coeffs:
+            prec = self.prec - other.val
+            return QSeries(prec, [], prec, height)
+        n = min(len(self.coeffs), len(other.coeffs))
+        return _quotient(self.coeffs, other.coeffs, self.val - other.val, n, height)
+
+
+ZERO = QSeries(0, [], INFINITY, (0, 0, 0))
+
+
+def _quotient(num: Sequence, den: Sequence, val: int, terms: int,
+              height: Height) -> QSeries:
+    """q^val * num/den to `terms` coefficients, for coefficient lists whose
+    denominator has a nonzero constant term; missing entries are zero."""
+    inv = 1 / den[0]
+    out: List = []
+    for k in range(terms):
+        acc = num[k] if k < len(num) else 0
+        for i in range(max(0, k - len(den) + 1), k):
+            acc = acc - out[i] * den[k - i]
+        out.append(acc * inv)
+    return QSeries(val, out, val + terms, height)
+
+
+def q_series(f: QRational, terms: int) -> QSeries:
+    """The expansion of an exact f in K(q) at q = 0, with `terms`
+    coefficients from its valuation on."""
+    if f.is_zero:
+        return ZERO
+    a = f.num.order_at_zero()
+    b = f.den.order_at_zero()
+    return _quotient(f.num.coeffs[a:], f.den.coeffs[b:], a - b, terms,
+                     (f.num.degree, f.den.degree, b))
+
+
+def _taylor(p: Poly, z, terms: int) -> Tuple[int, List]:
+    """(a, t) with p(z + q) = q^a * (t[0] + t[1] q + ...), t[0] != 0, and
+    at most `terms` entries (fewer when p runs out: the rest are zero);
+    each coefficient is the remainder of one synthetic division by x - z."""
+    cs = list(p.coeffs)
+    order = 0
+    out: List = []
+    while cs and len(out) < terms:
+        rem = cs[-1]
+        quot = cs[:-1]
+        for i in range(len(cs) - 2, -1, -1):
+            quot[i] = rem
+            rem = rem * z + cs[i]
+        cs = quot
+        if out or rem:
+            out.append(rem)
+        else:
+            order += 1
+    return order, out
+
+
+def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
+    """f(z + q) for f in K(x), with `terms` coefficients from its valuation
+    on, by truncated Taylor shifts of its numerator and denominator (the
+    exact shifted rational function is never formed)."""
+    if f.is_zero:
+        return ZERO
+    a, num = _taylor(f.num, z, terms)
+    b, den = _taylor(f.den, z, terms)
+    return _quotient(num, den, a - b, terms, (f.num.degree, f.den.degree, b))
+
+
+def nu_q(f) -> Valuation:
+    """The q-adic valuation of an exact f in K(q) (order at q = 0 of num
+    minus den) or of a QSeries; INFINITY at 0.  A series that is zero to
+    working precision raises PrecisionLoss."""
+    if isinstance(f, QSeries):
+        return f.valuation
     if f.is_zero:
         return INFINITY
     return f.num.order_at_zero() - f.den.order_at_zero()
-
-
-def q_coefficient(f: QRational, n: int):
-    """The single Laurent coefficient of q^n in f."""
-    if f.is_zero:
-        return Fraction(0)
-    a = f.num.order_at_zero()
-    b = f.den.order_at_zero()
-    v = a - b
-    if n < v:
-        return Fraction(0)
-    n0 = f.num.coeffs[a:]
-    d0 = f.den.coeffs[b:]
-    inv_lead = 1 / d0[0]
-    out = []
-    for k in range(n - v + 1):
-        acc = n0[k] if k < len(n0) else Fraction(0)
-        for i in range(max(0, k - len(d0) + 1), k):
-            acc = acc - out[i] * d0[k - i]
-        out.append(acc * inv_lead)
-    return out[-1]

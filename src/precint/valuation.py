@@ -26,6 +26,12 @@ from .ore import (
 )
 from .qvalues import nu_q
 
+# The most offsets one orbit's worklist may hold.  The work per point grows
+# with the distance from the anchor (the cubic of the README takes seconds
+# for 23 points and minutes for 43); the widest case of the benchmark
+# corpus has 18 points.
+MAX_WORKLIST_POINTS = 100
+
 
 def singular_points(modulus: OreOperator,
                     orbit: AlgebraicPoint) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -126,13 +132,16 @@ def valuation_growth(analysis: OrbitAnalysis, j: int) -> int:
 def val_at(element: QuotientElement, point: AlgebraicPoint,
            analysis: OrbitAnalysis) -> Valuation:
     """Value of a residue class at a point of the analyzed orbit: the
-    minimum over the anchored solutions of nu_q((B . b_j)(point))."""
+    minimum over the anchored solutions of nu_q((B . b_j)(point)), each
+    read exactly (a series zero to working precision is recomputed at
+    double precision, never read as a large valuation)."""
     if not point.same_orbit(analysis.orbit):
         raise PrecintError("point does not lie in the analyzed orbit")
     if element.is_zero:
         return INFINITY
-    values = apply_element_all(element, analysis.basis, point.offset)
-    return min(nu_q(v) for v in values)
+    basis = analysis.basis
+    return basis.with_enough_precision(lambda: min(
+        nu_q(v) for v in apply_element_all(element, basis, point.offset)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,8 @@ def worklist_points(analysis: OrbitAnalysis, zspec: ZSpec) -> List[int]:
     Runs from the leftmost root of the extreme coefficients up to the
     rightmost singular offset (all growths zero) or the user's right bound
     (some growth nonzero; mandatory then).  Points inside the range that
-    need no update are processed as no-ops.
+    need no update are processed as no-ops.  A range of more than
+    MAX_WORKLIST_POINTS offsets is refused before it is built.
     """
     if not analysis.has_singularities:
         return []
@@ -185,6 +195,11 @@ def worklist_points(analysis: OrbitAnalysis, zspec: ZSpec) -> List[int]:
         hi = bound
     elif bound is not None:
         hi = min(hi, bound)
+    if hi - lo + 1 > MAX_WORKLIST_POINTS:
+        raise PrecintError(
+            f"orbit {key}: the worklist from {lo} to {hi} has {hi - lo + 1} "
+            f"offsets, more than the limit of {MAX_WORKLIST_POINTS}"
+        )
     return list(range(lo, hi + 1))
 
 

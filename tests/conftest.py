@@ -16,6 +16,7 @@ from precint import (
     parse_element,
     parse_operator,
     parse_point,
+    q_series,
 )
 
 # Order-3 operator whose integer orbit carries the full story: a double
@@ -71,3 +72,20 @@ def random_rf(rng: random.Random, max_degree: int = 2, height: int = 4,
     num = random_poly(rng, max_degree, height, nonzero=nonzero)
     den = random_poly(rng, max_degree, height, nonzero=True)
     return RationalFunction(num, den)
+
+
+def series_equals(compute, exact: RationalFunction, basis) -> bool:
+    """Whether the q-series `compute()` returns equals the exact value.
+
+    The precision of `basis` is doubled until the difference between the
+    series and the expansion of `exact` is either exactly zero, which the
+    series type only concludes past the degree bound of the difference, or
+    has a known leading term; so a True proves equality.
+    """
+    while True:
+        diff = compute() - q_series(exact, basis.precision)
+        if diff.is_zero:
+            return True
+        if diff.known:
+            return False
+        basis.double_precision()

@@ -287,3 +287,66 @@ def test_algebraic_right_bound_key_is_normalized(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verified_points"] == ["root(-2+x^2)", "root(-2+x^2)+1"]
+
+
+def test_verify_rejects_at_with_a_right_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--operator", CUBIC, "--at", "0",
+                  "--right-bound", "Z=-50", "--samples", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --right-bound: not allowed with argument --at" in captured.err
+
+
+def test_huge_right_bound_is_refused_before_any_work(capsys, monkeypatch):
+    import tracemalloc
+
+    from precint import integral
+
+    def no_local_pass(*args, **kwargs):
+        raise AssertionError("a point was processed")
+
+    monkeypatch.setattr(integral, "local_integral_basis", no_local_pass)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "global-basis", "--operator", CUBIC,
+            "--right-bound", f"Z={10 ** 15}",
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: orbit Z: the worklist from -2 to {10 ** 15} has "
+                   f"{10 ** 15 + 3} offsets, more than the limit of 100\n")
+    assert peak < 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("operator, bound", [
+    (CUBIC, "Z=4"),
+    ("(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2", "x^2-2=3"),
+])
+def test_precision_retries_leave_the_basis_unchanged(capsys, monkeypatch,
+                                                     operator, bound):
+    """Starting from one term per series, reads that are zero to working
+    precision are redone at double precision; the basis is the same."""
+    from precint import ore
+
+    argv = ("global-basis", "--operator", operator, "--right-bound", bound,
+            "--format", "json")
+    code, reference, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doublings = []
+    real = ore.SolutionBasis.double_precision
+
+    def counted(self):
+        doublings.append(self.precision)
+        real(self)
+
+    monkeypatch.setattr(ore, "START_PRECISION", 1)
+    monkeypatch.setattr(ore.SolutionBasis, "double_precision", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, reference, "")
+    assert doublings and doublings[0] == 1

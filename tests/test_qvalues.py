@@ -1,24 +1,40 @@
-"""The q-adic valuation, single Laurent coefficients, and the x -> z + q
-substitution."""
+"""The q-adic valuation, Laurent coefficients, the x -> z + q substitution,
+and truncated q-series: their arithmetic, precision and determinants."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precint import (
     INFINITY,
+    NumberField,
     Poly,
+    PrecisionLoss,
+    QSeries,
     RationalFunction,
+    _linalg,
     nu_at_factor,
     nu_q,
-    q_coefficient,
+    q_series,
+    shifted_series,
 )
 from conftest import random_poly, random_rf
 
 Q = Poly.x()  # the same dense representation serves the variable q
+
+
+def q_coefficient(f: RationalFunction, n: int):
+    """The coefficient of q^n of an exact f, read from an expansion that is
+    long enough to hold it."""
+    if f.is_zero:
+        return Fraction(0)
+    return q_series(f, max(1, n - nu_q(f) + 1)).coefficient(n)
 
 
 def test_nu_q_examples():
@@ -110,3 +126,202 @@ def test_eval_shifted_links_q_valuation_to_point_multiplicity(seed):
         z = Fraction(rng.randint(-2, 2))
         pole = Poly([-z, 1])
         assert nu_q(f.shift(z)) == nu_at_factor(f, pole)
+
+
+# -- truncated q-series ----------------------------------------------------------
+
+SQRT2 = NumberField(Poly([-2, 0, 1]))
+
+
+def _claims_hold(series: QSeries, exact: RationalFunction) -> None:
+    """Every coefficient the series claims is that of the exact value
+    P/D, the claimed valuation is exact, and only an exact zero is ZERO.
+
+    Checked with polynomial arithmetic alone: with T the claimed terms,
+    P - T*D must vanish to order prec + ord_0(D).  Everything is scaled by
+    q^s, s >= 0, so that T*q^s is a polynomial.
+    """
+    if series.is_zero:
+        assert exact.is_zero
+        return
+    s = max(0, -series.val)
+    terms = Poly.monomial(Fraction(1), series.val + s) * Poly(series.coeffs) \
+        if series.coeffs else Poly.zero()
+    residual = exact.num * Poly.monomial(Fraction(1), s) - terms * exact.den
+    assert residual.order_at_zero() >= series.prec + s + exact.den.order_at_zero()
+    if series.known:
+        assert nu_q(exact) == series.val
+
+
+def _laurent(c, k: int) -> RationalFunction:
+    """c * q^k for any integer k."""
+    if k >= 0:
+        return RationalFunction(Poly.monomial(c, k))
+    return RationalFunction(Poly((c,)), Poly.monomial(Fraction(1), -k))
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def q_values(draw, algebraic: bool):
+    """A random element of K(q), K = Q or Q(sqrt 2), with a zero or pole of
+    order up to 2 at q = 0."""
+    def coeff():
+        if algebraic:
+            return SQRT2.element([draw(small), draw(small)])
+        return Fraction(draw(small), draw(st.integers(1, 3)))
+
+    num = Poly([coeff() for _ in range(draw(st.integers(1, 3)))])
+    den = Poly([coeff() for _ in range(draw(st.integers(1, 3)))])
+    if den.is_zero:
+        den = Poly.one()
+    return RationalFunction(num, den) * _laurent(Fraction(1), draw(st.integers(-2, 2)))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two exact values and their expansions; the second is often the
+    negative of the first plus a high-order term, so sums cancel."""
+    algebraic = draw(st.integers(0, 3)) == 0
+    f = draw(q_values(algebraic))
+    g = draw(q_values(algebraic))
+    if draw(st.booleans()):
+        g = -f + g * _laurent(Fraction(1), draw(st.integers(0, 6)))
+    return f, g, q_series(f, draw(st.integers(1, 6))), q_series(g, draw(st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(operand_pairs())
+def test_series_arithmetic_keeps_its_claims(pair):
+    f, g, sf, sg = pair
+    _claims_hold(sf, f)
+    _claims_hold(sg, g)
+    total = sf + sg
+    _claims_hold(total, f + g)
+    if not total.is_zero:
+        assert total.prec == min(sf.prec, sg.prec)
+    difference = sf - sg
+    _claims_hold(difference, f - g)
+    product = sf * sg
+    _claims_hold(product, f * g)
+    assert product.prec == min(sf.prec + sg.val, sg.prec + sf.val)
+    chained = (sf + sg) * sg - sf
+    _claims_hold(chained, (f + g) * g - f)
+    if g.is_zero:
+        return
+    if not sg.known:
+        with pytest.raises(PrecisionLoss):
+            sf / sg
+        return
+    quotient = sf / sg
+    _claims_hold(quotient, f / g)
+    if not f.is_zero:
+        relative = min(sf.prec - sf.val, sg.prec - sg.val)
+        assert quotient.prec == sf.val - sg.val + relative
+
+
+def test_zero_to_precision_is_not_a_valuation():
+    f = RationalFunction(Poly([1, 1]), Poly([1, -1]))
+    g = RationalFunction(Poly([1, 1, 5]), Poly([1, -1]))
+    close = q_series(f, 2) - q_series(g, 2)
+    assert not close.is_zero and not close.known
+    assert close.prec == 2
+    with pytest.raises(PrecisionLoss):
+        nu_q(close)
+    assert close.coefficient(1) == 0
+    with pytest.raises(PrecisionLoss):
+        close.coefficient(2)
+    # past the degree bound of the difference the same cancellation is exact
+    assert (q_series(f, 8) - q_series(f, 8)).is_zero
+
+
+def test_zero_exactly_up_to_the_degree_bound_stays_unknown():
+    """1/(1-q) - (1 + q + ... + q^4) = q^5/(1-q) has valuation 5, which is
+    also its degree bound: known to O(q^5) it is not yet proven zero, nor is
+    any product or quotient of it by a unit."""
+    f = RationalFunction(Poly.one(), Poly([1, -1]))
+    head = RationalFunction(Poly([1] * 5))
+    tight = q_series(f, 5) - q_series(head, 5)
+    assert not tight.is_zero and tight.prec == 5
+    unit = q_series(RationalFunction(Poly([3, 1])), 4)
+    for derived in (tight * unit, unit * tight, tight / unit):
+        assert not derived.is_zero
+        with pytest.raises(PrecisionLoss):
+            nu_q(derived)
+    assert nu_q(q_series(f, 6) - q_series(head, 6)) == 5
+
+
+@pytest.mark.parametrize("seed", [81, 82])
+def test_shifted_series_is_the_expansion_of_the_shift(seed):
+    rng = random.Random(seed)
+    t = SQRT2.generator
+    for _ in range(20):
+        f = random_rf(rng, max_degree=3, nonzero=True)
+        z = rng.choice([Fraction(rng.randint(-3, 3)), t + rng.randint(-2, 2)])
+        terms = rng.randint(1, 6)
+        series = shifted_series(f, z, terms)
+        _claims_hold(series, f.shift(z))
+        assert series.prec - series.val == terms
+
+
+def _leibniz(matrix):
+    """The determinant as a signed sum over permutations."""
+    n = len(matrix)
+    total = RationalFunction.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = RationalFunction.one()
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@st.composite
+def q_matrices(draw):
+    """Square matrices of size 1-3 over Q(q).  Two in three of those of
+    size 2-3 have a last row that is a combination of the others, exactly
+    (singular) or up to a multiple of q^k (so entries cancel to high order
+    during the elimination)."""
+    n = draw(st.integers(1, 3))
+    rows = [[draw(q_values(False)) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.integers(0, 2))
+    if n > 1 and kind:
+        a, b = draw(q_values(False)), draw(q_values(False))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+        if kind == 2:
+            tail = _laurent(Fraction(1), draw(st.integers(1, 4)))
+            rows[-1] = [x + tail * draw(q_values(False)) for x in rows[-1]]
+    return rows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(q_matrices(), st.integers(1, 4))
+def test_series_determinant_has_the_exact_valuation(matrix, terms):
+    exact = _leibniz(matrix)
+    while True:
+        try:
+            det = _linalg.determinant([[q_series(e, terms) for e in row]
+                                       for row in matrix])
+            value = nu_q(det)
+            break
+        except PrecisionLoss:
+            terms *= 2
+    assert value == nu_q(exact)
+    _claims_hold(det, exact)
+
+
+def test_entries_zero_to_precision_are_carried_through_the_elimination():
+    """In [[q, 1], [c, 1]] with c = q^2 known only as O(q^2), c is no pivot
+    and its row is still updated: the determinant q - q^2 is claimed to
+    O(q^2), not as q + 0*q^2 + ... as if c were zero."""
+    a = RationalFunction(Poly.one(), Poly([1, -1]))
+    b = a - RationalFunction(Q ** 2)
+    c = q_series(a, 2) - q_series(b, 2)
+    assert not c.known and not c.is_zero
+    one = q_series(RationalFunction.one(), 4)
+    det = _linalg.determinant([[q_series(RationalFunction(Q), 4), one], [c, one]])
+    _claims_hold(det, RationalFunction(Q - Q ** 2))
+    assert (det.val, det.prec) == (1, 2)

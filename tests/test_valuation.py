@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from precint import ore
 from precint import (
     INFINITY,
     AlgebraicPoint,
@@ -19,6 +20,9 @@ from precint import (
     RationalFunction,
     ZSpec,
     anchored_basis,
+    apply_element_all,
+    brute_val,
+    galois_norm_uniformizer,
     nu_at_factor,
     nu_q,
     singular_points,
@@ -26,7 +30,7 @@ from precint import (
     valuation_growth,
     worklist,
 )
-from conftest import el, op, pt, random_poly, random_rf
+from conftest import CUBIC, el, op, pt, random_poly, random_rf
 
 
 # -- singular points -----------------------------------------------------------
@@ -217,3 +221,57 @@ def test_value_is_coordinate_minimum_on_clean_orbits(seed, orbit_z):
                                             for _ in range(2)))
             expected = min(nu_at_factor(c, pole) for c in element.coords)
             assert val_at(element, point, analysis) == expected
+
+
+# -- the series path against the oracle ---------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_action_that_cancels_exactly_reads_as_infinity(cubic, orbit_z, n):
+    """B = b_1(n+1)(x-n) - b_1(n)(x-n)*S annihilates b_1 at n by
+    cancellation between two nonzero terms: that entry of the action is
+    proven exactly zero after a bounded number of doublings, and the value
+    is that of the other solutions."""
+    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
+    basis = analysis.basis
+    shift = Fraction(-n)
+    row = QuotientElement((basis.value(1, n + 1).shift(shift),
+                           -basis.value(1, n).shift(shift), 0))
+    value = val_at(row, orbit_z.shifted(n), analysis)
+    action = apply_element_all(row, basis, n)
+    assert action[0].is_zero
+    assert value == min(nu_q(v) for v in action[1:])
+    assert value == brute_val(row, orbit_z.shifted(n), cubic, 9)
+    assert basis.precision <= 16 * ore.START_PRECISION
+
+
+DIFFERENTIAL = [
+    ("(x+1)*(x-2) + x*S", "0"),
+    ("x*(x-1) + (x+1)*S + (x-2)*S^2", "0"),
+    (CUBIC, "0"),
+    ("x*(x-1) + x*S + S^2 + S^3 + (x+3)*S^4", "0"),
+    ("x^2 - 2 + x*S + S^2", "root(x^2-2)"),
+]
+
+
+@pytest.mark.parametrize("operator, orbit", DIFFERENTIAL)
+def test_val_at_agrees_with_brute_val(operator, orbit):
+    """Seeded random elements, their coordinates scaled by powers of the
+    point's uniformizer norm, at points around the singular offsets, on
+    operators of order 1-4 and one orbit of degree 2: the series path
+    reads the same value as the exact, cache-free oracle."""
+    modulus = op(operator)
+    orbit = pt(orbit).orbit()
+    analysis = OrbitAnalysis.analyze(modulus, orbit)
+    r = modulus.order
+    left, right = analysis.left_edge(), analysis.right_edge()
+    window = r + right - left
+    rng = random.Random(f"{operator}@{orbit}")
+    for _ in range(4):
+        point = orbit.shifted(rng.randint(left - 1, right + 1))
+        norm = RationalFunction(galois_norm_uniformizer(point))
+        element = QuotientElement(tuple(
+            random_rf(rng, max_degree=1, height=2) * norm ** rng.randint(-1, 1)
+            for _ in range(r)))
+        assert val_at(element, point, analysis) == brute_val(element, point,
+                                                             modulus, window)
