@@ -136,10 +136,6 @@ def operator_str(op: OreOperator, compact: bool = False) -> str:
     return element_str(op.coeffs, compact)
 
 
-def point_str(point: AlgebraicPoint) -> str:
-    return str(point)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------

@@ -827,7 +827,13 @@ def nu_infinity(f: RationalFunction) -> Valuation:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# One operation factors a handful of polynomials (the extreme coefficients,
+# their factors and the minimal polynomials of its points); the bound keeps
+# a long-lived process from holding every polynomial it ever factored.
+FACTOR_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor_cached(coeffs: tuple):
     import sympy
 

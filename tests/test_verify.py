@@ -6,12 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precint import (
     INFINITY,
     AlgebraicPoint,
     BasisMatrix,
+    NumberField,
     OrbitAnalysis,
+    OreOperator,
     Poly,
     QuotientElement,
     RandomOperatorSpec,
@@ -21,13 +25,21 @@ from precint import (
     ZSpec,
     brute_val,
     certificate,
+    galois_norm_uniformizer,
     global_integral_basis,
     local_integral_basis,
     module_equal_at,
+    nu_q,
     random_operators,
     val_at,
 )
+from precint.fields import poly_gcd
+from precint.valuation import detect_orbits
+from precint.verify import _lazy_order, _term
 from conftest import el, op, pt, random_rf
+
+Q = Poly.x()  # the same dense representation serves the variable q
+SQRT2 = NumberField(Poly([-2, 0, 1]))
 
 
 def _known_local():
@@ -36,6 +48,109 @@ def _known_local():
         el("(x-2)/x^2 + (1/x)*S", 3),
         el("-2/x + S^2", 3),
     ))
+
+
+# -- the lazy q-order ---------------------------------------------------------------
+
+
+def _product(factors) -> Poly:
+    out = Poly.one()
+    for p in factors:
+        out = out * p
+    return out
+
+
+def _expanded(terms):
+    """The sum as (N, D), expanded over the product D of all denominators."""
+    num, den = Poly.zero(), Poly.one()
+    for nums, dens in terms:
+        term_den = _product(dens)
+        num = num * term_den + _product(nums) * den
+        den = den * term_den
+    return num, den
+
+
+def _exact_sum(terms) -> RationalFunction:
+    return RationalFunction(*_expanded(terms))
+
+
+def _lazy(terms):
+    return _lazy_order([_term(nums, dens) for nums, dens in terms])
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def q_sums(draw):
+    """Terms of a sum in K(q), K = Q or Q(sqrt 2), each a list of numerator
+    and denominator factors with zeros at q = 0.  The sum is often cancelled
+    by its negative written over a larger denominator, split in two terms,
+    leaving either nothing or a remainder of order up to 14."""
+    algebraic = draw(st.integers(0, 2)) == 0
+
+    def coeff():
+        if algebraic:
+            return SQRT2.element([draw(small), draw(small)])
+        return Fraction(draw(small), draw(st.integers(1, 3)))
+
+    def poly(nonzero: bool) -> Poly:
+        p = Poly([coeff() for _ in range(draw(st.integers(1, 3)))])
+        if nonzero and p.is_zero:
+            p = Poly.one()
+        return p * Q ** draw(st.integers(0, 2))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms.append(([poly(False) for _ in range(draw(st.integers(1, 2)))],
+                      [poly(True) for _ in range(draw(st.integers(0, 2)))]))
+    mode = draw(st.sampled_from(("free", "zero", "rest")))
+    if mode != "free":
+        num, den = _expanded(terms)
+        g = poly(True)
+        part = poly(False)
+        # -num/den = (part - num*g) / (den*g) - part / (den*g)
+        terms.append(([part - num * g], [den, g]))
+        terms.append(([-part], [den * g]))
+        if mode == "rest":
+            terms.append(([poly(True), Q ** draw(st.integers(3, 14))],
+                          [poly(True)]))
+    return terms
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(q_sums())
+def test_lazy_order_is_nu_q_of_the_exact_sum(terms):
+    assert _lazy(terms) == nu_q(_exact_sum(terms))
+
+
+def test_lazy_order_reads_exact_zeros_as_infinity():
+    u = Poly([1, 2])
+    assert _lazy([([u], [Q]), ([-u * Q], [Q * Q])]) is INFINITY
+    assert _lazy([([Poly.zero()], [u])]) is INFINITY
+    assert _lazy([]) is INFINITY
+    a = SQRT2.generator
+    assert _lazy([([Poly([a, 1])], [Poly([1, a])]),
+                  ([Poly([-a, -1])], [Poly([1, a])])]) is INFINITY
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_lazy_order_finds_the_last_coefficient_of_the_bound(k):
+    """1 - 1/(1 - q^k) = -q^k/(1 - q^k): the numerator's only coefficient
+    sits at the degree bound itself, so a bound one too low proves a false
+    zero."""
+    terms = [([Poly.one()], []),
+             ([Poly([-1])], [Poly.one() - Q ** k])]
+    assert _lazy(terms) == k
+    # the same cancellation with the poles and zeros spread over factors
+    terms = [([Q + 1], [Q ** 2]),
+             ([-(Q + 1), Q], [Q ** 3, Poly.one() - Q ** k])]
+    assert _lazy(terms) == k - 2
+
+
+def test_lazy_order_with_a_unique_minimum_reads_no_series():
+    terms = [([Poly([0, 3])], [Poly([0, 0, 1])]), ([Q ** 4], [Poly([1, 1])])]
+    assert _lazy(terms) == -1
 
 
 # -- brute-force valuation ------------------------------------------------------
@@ -178,6 +293,69 @@ def test_certificate_at_algebraic_point():
         assert report.passed
 
 
+# -- the main path against the oracle on wider operators -------------------------
+
+
+def _planted(order: int, coeff_degree: int, seed: int) -> OreOperator:
+    """An operator of the widened random shape with singular points planted
+    on Z: the trailing coefficient gains the root -1, the leading one the
+    root 1."""
+    spec = RandomOperatorSpec(order=order, coeff_degree=coeff_degree,
+                              height=2, seed=seed)
+    coeffs = list(random_operators(spec, 1)[0].coeffs)
+    coeffs[0] = coeffs[0] * RationalFunction(Poly([1, 1]))
+    coeffs[-1] = coeffs[-1] * RationalFunction(Poly([-1, 1]))
+    return OreOperator(tuple(coeffs)).normalized()
+
+
+# (order, coefficient degree, seed) -> whether l_0 and l_r share a root.
+# Both operators have two singular orbits: order 4 has Z and root(x^2-2),
+# with l_0 = x*(x+1)*(x^2-2) and l_r = x*(x-1); order 5 has Z and 1/2 + Z.
+WIDE = {(4, 3, 12): True, (5, 1, 0): False}
+
+
+def _wide(shape):
+    operator = _planted(*shape)
+    ell = operator.polynomial_coeffs()
+    assert operator.order == shape[0]
+    assert (poly_gcd(ell[0], ell[-1]).degree > 0) == WIDE[shape]
+    analyses = [OrbitAnalysis.analyze(operator, orbit)
+                for orbit in detect_orbits(operator)]
+    assert len(analyses) == 2
+    return operator, analyses
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE), ids=lambda s: f"order{s[0]}")
+def test_val_at_agrees_with_brute_val_on_wide_operators(shape):
+    operator, analyses = _wide(shape)
+    r = operator.order
+    rng = random.Random(repr(shape))
+    for analysis in analyses:
+        left, right = analysis.left_edge(), analysis.right_edge()
+        for _ in range(3):
+            point = analysis.orbit.shifted(rng.randint(left - 1, right + 1))
+            norm = RationalFunction(galois_norm_uniformizer(point))
+            element = QuotientElement(tuple(
+                random_rf(rng, max_degree=1, height=2) * norm ** rng.randint(-1, 1)
+                for _ in range(r)))
+            assert val_at(element, point, analysis) == brute_val(
+                element, point, operator, r + right - left)
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE), ids=lambda s: f"order{s[0]}")
+def test_certificates_pass_on_wide_global_bases(shape):
+    operator, analyses = _wide(shape)
+    zspec = ZSpec({a.orbit.orbit_key(): a.right_edge() for a in analyses})
+    run = global_integral_basis(operator, zspec)
+    assert len(run.processed) == 2
+    for entry in run.processed:
+        for n in entry.points:
+            point = entry.orbit.shifted(n)
+            report = certificate(operator, run.basis, point, samples=20,
+                                 seed=n)
+            assert report.passed, (str(point), report.violations[:3])
+
+
 # -- random operators -----------------------------------------------------------------
 
 
@@ -194,8 +372,10 @@ def test_random_operators_are_valid_and_deterministic():
 
 def test_random_operator_spec_validates_shape():
     with pytest.raises(ValueError):
-        RandomOperatorSpec(order=4)
+        RandomOperatorSpec(order=6)
     with pytest.raises(ValueError):
-        RandomOperatorSpec(coeff_degree=3)
+        RandomOperatorSpec(order=0)
+    with pytest.raises(ValueError):
+        RandomOperatorSpec(coeff_degree=4)
     with pytest.raises(ValueError):
         RandomOperatorSpec(height=0)
