@@ -77,7 +77,11 @@ def _parse_bounds(pairs: Optional[List[str]]) -> ZSpec:
             bound = int(value)
         except ValueError:
             raise ParseError("right bound must be an integer", pair, len(key) + 1)
-        bounds[parse_orbit_key(key)] = bound
+        orbit = parse_orbit_key(key)
+        if orbit in bounds:
+            raise PrecintError(f"orbit {orbit} has two right bounds, "
+                               f"{orbit}={bounds[orbit]} and {pair}")
+        bounds[orbit] = bound
     return ZSpec(bounds)
 
 

@@ -6,8 +6,10 @@ vectors against the standard basis 1, S, ..., S^(r-1).  Solutions of L are
 sequences on an orbit rho + Z with values in K(q), obtained by evaluating
 coefficients at z + q; anchoring the initial window left of every
 coefficient root makes every division hit a nonzero polynomial in q.  The
-table of these values is exact; the action of an element on it is a
-truncated q-series (see qvalues).
+table of these values is exact and fraction-free: a polynomial numerator
+in q per solution and position over one known denominator per position,
+the product of the extreme coefficients the recurrence divided by to reach
+it.  The action of an element on it is a truncated q-series (see qvalues).
 """
 
 from __future__ import annotations
@@ -17,21 +19,43 @@ from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
 from .errors import PrecintError
 from .fields import (
+    INFINITY,
     AlgebraicPoint,
-    NFElem,
     Poly,
     RationalFunction,
+    Valuation,
     factor,
     integer_shift,
     poly_gcd,
 )
-from .qvalues import PrecisionLoss, QRational, QSeries, ZERO, q_series, shifted_series
+from .qvalues import (
+    PrecisionLoss,
+    QRational,
+    QSeries,
+    ZERO,
+    fraction_series,
+    shifted_series,
+)
 
 T = TypeVar("T")
 
 # Coefficients each table value and row coordinate is expanded to at first;
 # a solution basis doubles it whenever a read needs more (see qvalues).
 START_PRECISION = 4
+
+# The most positions a solution table grows beyond either end of its
+# identity window.  A global basis anchors the table at its orbit's left
+# edge and refuses a worklist of more than 100 offsets
+# (valuation.MAX_WORKLIST_POINTS), so the element action at its last point
+# reads at most 99 positions right of the window; the growths read the r
+# positions right of the last singular offset, at most 100 when that offset
+# ends the worklist.  (An orbit whose singular offsets lie more than 100
+# apart fits that worklist only under a nearer right bound, yet its growths
+# still read past its last singular offset; it is refused here.)  Every
+# numerator step costs more than the last, since its degree grows with the
+# distance, so far reads are refused at once rather than left to run for
+# minutes.
+MAX_TABLE_REACH = 100
 
 
 def _as_rf(c) -> RationalFunction:
@@ -330,15 +354,27 @@ class SolutionBasis:
     i = 1..r; values elsewhere are filled on demand by solving the deformed
     recurrence for the unknown end.
 
-    The values stay exact.  Series memos sit beside them: `series(j, n)`
-    expands a value once per working precision, and the memo of
-    `apply_element_all` is keyed by (element, offset) with the immutable,
-    hashable QuotientElement.  They live as long as this object, that is as
-    long as the one analysis that owns it, and no other analysis shares
-    them; the action memo holds one r-tuple per distinct (row, offset) pair
-    asked for.  `double_precision` empties both series memos.  All memos
-    belong to a single analysis context and are not safe for
-    unsynchronized concurrent writers.
+    The table is fraction-free and exact: `_values[(j, p)]` holds a
+    numerator N in K[q] over a denominator `_dens[p]` in K[q] shared by all
+    solutions.  D is 1 on the identity window and gains one extreme
+    coefficient per step away from it, l_r(z+w+q) for each step right and
+    l_0(z+p+q) for each step left, so a new numerator is the recurrence sum
+    brought to the new denominator by Horner's rule over those steps: no
+    division and no gcd.  N/D need not be in lowest terms.  The q-order
+    (`valuation`) and the series (`series`) read N and D directly; only
+    `value` builds the canonical rational function, once per position.
+
+    Series memos sit beside the table: `series(j, n)` expands a value once
+    per working precision, and the memo of `apply_element_all` is keyed by
+    (element, offset) with the immutable, hashable QuotientElement.  They
+    live as long as this object, that is as long as the one analysis that
+    owns it, and no other analysis shares them; the action memo holds one
+    r-tuple per distinct (row, offset) pair asked for.  `double_precision`
+    empties both series memos.  All memos belong to a single analysis
+    context and are not safe for unsynchronized concurrent writers.
+
+    The table grows at most MAX_TABLE_REACH positions beyond either end of
+    its identity window; a read past that raises PrecintError.
     """
 
     def __init__(self, modulus: OreOperator, orbit: AlgebraicPoint,
@@ -352,57 +388,105 @@ class SolutionBasis:
         self.anchor = default_anchor(modulus, self.orbit) if anchor is None else anchor
         self._root = self.orbit.value()  # Fraction or number-field generator
         self._ell = modulus.polynomial_coeffs()
-        self._ell_at: Dict[Tuple[int, int], RationalFunction] = {}
-        self._values: Dict[Tuple[int, int], QRational] = {}
+        self._ell_at: Dict[Tuple[int, int], Poly] = {}
+        self._values: Dict[Tuple[int, int], Poly] = {}
+        self._dens: Dict[int, Poly] = {}
+        self._canonical: Dict[Tuple[int, int], QRational] = {}
         self._series: Dict[Tuple[int, int], QSeries] = {}
         self._actions: Dict[Tuple[QuotientElement, int], Tuple[QSeries, ...]] = {}
         self.precision = START_PRECISION
         self._lo: Dict[int, int] = {}
         self._hi: Dict[int, int] = {}
-        one = RationalFunction.one()
-        zero = RationalFunction.zero()
+        one, zero = Poly.one(), Poly.zero()
+        for i in range(1, self.order + 1):
+            self._dens[self.anchor + i - 1] = one
         for j in range(1, self.order + 1):
             for i in range(1, self.order + 1):
                 self._values[(j, self.anchor + i - 1)] = one if i == j else zero
             self._lo[j] = self.anchor
             self._hi[j] = self.anchor + self.order - 1
 
-    def _ell_eval(self, i: int, w: int) -> RationalFunction:
+    def _ell_eval(self, i: int, w: int) -> Poly:
+        """l_i(z + w + q) as a polynomial in q."""
         key = (i, w)
         cached = self._ell_at.get(key)
         if cached is None:
-            cached = RationalFunction(self._ell[i].shift(self._root + w))
-            self._ell_at[key] = cached
+            cached = self._ell_at[key] = self._ell[i].shift(self._root + w)
         return cached
 
-    def value(self, j: int, n: int) -> QRational:
-        """b_j at orbit position n (memoized, grows the table as needed)."""
+    def _step(self, p: int) -> Optional[Poly]:
+        """The factor D[p] has beyond D of its neighbour toward the identity
+        window; None inside the window."""
+        r = self.order
+        if p >= self.anchor + r:
+            return self._ell_eval(r, p - r)
+        if p < self.anchor:
+            return self._ell_eval(0, p)
+        return None
+
+    def _raised(self, acc: Poly, p: int) -> Poly:
+        step = self._step(p)
+        return acc if step is None else acc * step
+
+    def _numerator(self, j: int, n: int) -> Poly:
+        """N[j, n], growing solution j's table out to position n."""
         if not 1 <= j <= self.order:
             raise ValueError(f"solution index {j} out of range 1..{self.order}")
         r = self.order
+        last = self.anchor + r - 1
+        if not self.anchor - MAX_TABLE_REACH <= n <= last + MAX_TABLE_REACH:
+            raise PrecintError(
+                f"position {n} lies more than {MAX_TABLE_REACH} offsets outside "
+                f"the identity window {self.anchor}..{last} of the solution "
+                f"table anchored at {self.anchor}"
+            )
+        vals, dens = self._values, self._dens
         while self._hi[j] < n:
             p = self._hi[j] + 1
             w = p - r
-            acc = RationalFunction.zero()
-            for i in range(r):
-                acc = acc + self._ell_eval(i, w) * self._values[(j, w + i)]
-            self._values[(j, p)] = -acc / self._ell_eval(r, w)
+            acc = self._ell_eval(0, w) * vals[(j, w)]
+            for i in range(1, r):
+                acc = self._raised(acc, w + i) + self._ell_eval(i, w) * vals[(j, w + i)]
+            vals[(j, p)] = -acc
+            if p not in dens:
+                dens[p] = dens[p - 1] * self._step(p)
             self._hi[j] = p
         while self._lo[j] > n:
             w = self._lo[j] - 1
-            acc = RationalFunction.zero()
-            for i in range(1, r + 1):
-                acc = acc + self._ell_eval(i, w) * self._values[(j, w + i)]
-            self._values[(j, w)] = -acc / self._ell_eval(0, w)
+            acc = self._ell_eval(r, w) * vals[(j, w + r)]
+            for i in range(r - 1, 0, -1):
+                acc = self._raised(acc, w + i) + self._ell_eval(i, w) * vals[(j, w + i)]
+            vals[(j, w)] = -acc
+            if w not in dens:
+                dens[w] = dens[w + 1] * self._step(w)
             self._lo[j] = w
-        return self._values[(j, n)]
+        return vals[(j, n)]
+
+    def value(self, j: int, n: int) -> QRational:
+        """b_j at orbit position n in canonical form (memoized, grows the
+        table as needed)."""
+        key = (j, n)
+        cached = self._canonical.get(key)
+        if cached is None:
+            num = self._numerator(j, n)
+            cached = self._canonical[key] = RationalFunction(num, self._dens[n])
+        return cached
+
+    def valuation(self, j: int, n: int) -> Valuation:
+        """nu_q of b_j at orbit position n, read as ord_0 N - ord_0 D."""
+        num = self._numerator(j, n)
+        if num.is_zero:
+            return INFINITY
+        return num.order_at_zero() - self._dens[n].order_at_zero()
 
     def series(self, j: int, n: int) -> QSeries:
         """b_j at orbit position n as a q-series at working precision."""
         key = (j, n)
         cached = self._series.get(key)
         if cached is None:
-            cached = self._series[key] = q_series(self.value(j, n), self.precision)
+            num = self._numerator(j, n)
+            cached = self._series[key] = fraction_series(num, self._dens[n],
+                                                         self.precision)
         return cached
 
     def double_precision(self) -> None:
@@ -434,16 +518,16 @@ class SolutionBasis:
         exactly zero for every valid solution."""
         acc = RationalFunction.zero()
         for i in range(self.order + 1):
-            acc = acc + self._ell_eval(i, w) * self.value(j, w + i)
+            acc = acc + self.value(j, w + i) * self._ell_eval(i, w)
         return acc
 
     @property
     def max_degree(self) -> int:
-        """Largest numerator/denominator q-degree in the table (diagnostic)."""
-        worst = 0
-        for v in self._values.values():
-            worst = max(worst, v.num.degree, v.den.degree)
-        return worst
+        """Largest q-degree of a numerator or denominator in the table, as
+        stored, that is before any common factor is cancelled (diagnostic)."""
+        degrees = [p.degree for p in self._values.values()]
+        degrees += [p.degree for p in self._dens.values()]
+        return max(0, *degrees)
 
 
 def anchored_basis(modulus: OreOperator, orbit: AlgebraicPoint,

@@ -2,15 +2,18 @@
 in K(q), and truncated Laurent series in q for what the main path computes
 from them.
 
-The anchored solution tables stay exact rational functions of q.  What the
-local loop reads from an element's action on them is small: a valuation,
-the q^0 coefficient, and the valuation of one r x r determinant.  So the
-action and everything computed from it is a `QSeries`: a valuation, the
-coefficients known from there on, and an absolute precision, under the
-usual rules of precision tracking (Caruso, Roe and Vaccon, *Tracking p-adic
-precision*, 2014): a sum is known up to the smaller precision, a product
-of a and b up to min(prec_a + v_b, prec_b + v_a), and a quotient by a
-series with a known leading term keeps the smaller relative precision.
+The anchored solution tables stay exact, as numerators in K[q] over known
+denominators that need not be in lowest terms (see ore): their q-orders
+are read from those two polynomials, and `fraction_series` expands them
+without a gcd.  What the local loop reads from an element's action on
+them is small: a valuation, the q^0 coefficient, and the valuation of one
+r x r determinant.  So the action and everything computed from it is a
+`QSeries`: a valuation, the coefficients known from there on, and an
+absolute precision, under the usual rules of precision tracking (Caruso,
+Roe and Vaccon, *Tracking p-adic precision*, 2014): a sum is known up to
+the smaller precision, a product of a and b up to min(prec_a + v_b,
+prec_b + v_a), and a quotient by a series with a known leading term keeps
+the smaller relative precision.
 
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
@@ -196,15 +199,23 @@ def _quotient(num: Sequence, den: Sequence, val: int, terms: int,
     return QSeries(val, out, val + terms, height)
 
 
+def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:
+    """The expansion of num/den at q = 0, with `terms` coefficients from its
+    valuation on, for polynomials in q that need not be coprime (den != 0).
+    The height (deg num, deg den, ord_0 den) bounds the value as it does in
+    lowest terms, only more loosely when a factor is shared."""
+    if num.is_zero:
+        return ZERO
+    a = num.order_at_zero()
+    b = den.order_at_zero()
+    return _quotient(num.coeffs[a:], den.coeffs[b:], a - b, terms,
+                     (num.degree, den.degree, b))
+
+
 def q_series(f: QRational, terms: int) -> QSeries:
     """The expansion of an exact f in K(q) at q = 0, with `terms`
     coefficients from its valuation on."""
-    if f.is_zero:
-        return ZERO
-    a = f.num.order_at_zero()
-    b = f.den.order_at_zero()
-    return _quotient(f.num.coeffs[a:], f.den.coeffs[b:], a - b, terms,
-                     (f.num.degree, f.den.degree, b))
+    return fraction_series(f.num, f.den, terms)
 
 
 def _taylor(p: Poly, z, terms: int) -> Tuple[int, List]:

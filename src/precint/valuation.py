@@ -100,7 +100,7 @@ class OrbitAnalysis:
 def _window_min(basis: SolutionBasis, j: int, start: int, length: int) -> Valuation:
     best = INFINITY
     for n in range(start, start + length):
-        v = nu_q(basis.value(j, n))
+        v = basis.valuation(j, n)
         if v < best:
             best = v
     return best

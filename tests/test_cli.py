@@ -350,3 +350,60 @@ def test_precision_retries_leave_the_basis_unchanged(capsys, monkeypatch,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0, reference, "")
     assert doublings and doublings[0] == 1
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("Z=0", "Z=4", "orbit Z has two right bounds, Z=0 and Z=4"),
+    ("Z=0", "x-1=4", "orbit Z has two right bounds, Z=0 and x-1=4"),
+    ("x^2-2=1", "root(x^2-2)+5=3",
+     "orbit -2+x^2 has two right bounds, -2+x^2=1 and root(x^2-2)+5=3"),
+])
+@pytest.mark.parametrize("command", ["global-basis", "verify"])
+def test_repeated_right_bound_is_refused(capsys, command, first, second,
+                                         message):
+    code, out, err = run_cli(capsys, command, "--operator", CUBIC,
+                             "--right-bound", first, "--right-bound", second)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, position, anchor", [
+    (("val", "--element", "S", "--at", "200"), 201, -2),
+    (("val", "--element", "S", "--at", "-300"), -299, -2),
+    (("local-basis", "--at", "200"), 200, -2),
+    (("verify", "--at", "200", "--samples", "2"), 200, -2),
+    (("solutions", "--orbit", "0", "--from", "0", "--to", "2",
+      "--anchor", "-100000"), 0, -100000),
+])
+def test_far_point_is_refused_at_once(capsys, monkeypatch, argv, position,
+                                      anchor):
+    """A read more than MAX_TABLE_REACH positions outside the identity
+    window ends with exit code 2 before the table grows toward it."""
+    from precint import ore
+
+    steps = []
+    real = ore.SolutionBasis._step
+
+    def counted(self, p):
+        steps.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(ore.SolutionBasis, "_step", counted)
+    code, out, err = run_cli(capsys, argv[0], "--operator", CUBIC, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: position {position} lies more than 100 offsets "
+                   f"outside the identity window {anchor}..{anchor + 2} of the "
+                   f"solution table anchored at {anchor}\n")
+    assert len(steps) < 100
+
+
+def test_worklist_at_its_limit_reads_within_the_table_reach(capsys):
+    """x*(x-99) + S has its worklist 0..99 at the limit of 100 offsets, and
+    its growth is read at 100, MAX_TABLE_REACH right of the window 0..0."""
+    argv = ("global-basis", "--operator", "x*(x-99) + S", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--right-bound", "Z=99")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified_points"] == [str(n) for n in range(100)]
+    code, out, err = run_cli(capsys, *argv, "--right-bound", "Z=100")
+    assert code == 2
+    assert "more than the limit of 100" in err

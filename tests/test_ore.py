@@ -8,20 +8,27 @@ from fractions import Fraction
 import pytest
 
 from precint import (
+    INFINITY,
     AlgebraicPoint,
     OrbitAnalysis,
     OreOperator,
     Poly,
+    PrecintError,
     QuotientElement,
+    RandomOperatorSpec,
     RationalFunction,
     anchored_basis,
     apply_element_all,
     default_anchor,
+    nu_q,
     parse_element,
     parse_operator,
+    q_series,
+    random_operator,
     reduce_mod,
     val_at,
 )
+from precint import ore
 from conftest import (CUBIC, CUBIC_SHIFTED, coeff, el, op, pt, random_rf,
                       series_equals)
 
@@ -260,3 +267,117 @@ def test_max_degree_diagnostic(cubic, orbit_z):
     basis = anchored_basis(cubic, orbit_z)
     basis.value(1, 4)
     assert basis.max_degree >= 2
+
+
+# -- the fraction-free table against a plain unrolling in K(q) -----------------
+
+
+def _unrolled(modulus: OreOperator, root, anchor: int, lo: int, hi: int):
+    """Solution values on [lo, hi] by the recurrence in canonical K(q)
+    arithmetic, one division per step."""
+    ell = modulus.polynomial_coeffs()
+    r = modulus.order
+
+    def lev(i, w):
+        return RationalFunction(ell[i].shift(root + w))
+
+    table = []
+    for j in range(1, r + 1):
+        vals = {anchor + i: RationalFunction.one() if i == j - 1
+                else RationalFunction.zero() for i in range(r)}
+        for p in range(anchor + r, hi + 1):
+            w = p - r
+            acc = RationalFunction.zero()
+            for i in range(r):
+                acc = acc + lev(i, w) * vals[w + i]
+            vals[p] = -acc / lev(r, w)
+        for w in range(anchor - 1, lo - 1, -1):
+            acc = RationalFunction.zero()
+            for i in range(1, r + 1):
+                acc = acc + lev(i, w) * vals[w + i]
+            vals[w] = -acc / lev(0, w)
+        table.append(vals)
+    return table
+
+
+def _same_series(a, b) -> bool:
+    return (a.val, a.coeffs, a.prec) == (b.val, b.coeffs, b.prec)
+
+
+def _singular_operator(order: int, point: str, seed: int) -> OreOperator:
+    """A seeded random operator whose trailing coefficient vanishes at the
+    orbit's root and whose leading one vanishes one step right of it, so
+    that its solutions gain zeros and poles in q on both sides."""
+    raw = random_operator(RandomOperatorSpec(order=order, coeff_degree=1,
+                                             height=3, seed=seed))
+    m = pt(point).min_poly
+    coeffs = list(raw.coeffs)
+    coeffs[0] = coeffs[0] * RationalFunction(m)
+    coeffs[order] = coeffs[order] * RationalFunction(m.shift(-1))
+    return OreOperator(coeffs).normalized()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("point", ["0", "root(x^2-2)", "root(x^3-2)"])
+def test_table_matches_a_plain_unrolling(order, point):
+    """Numerators over known denominators give the canonical values, the
+    q-orders and the expansions of a division-per-step unrolling, on both
+    sides of the anchor."""
+    modulus = _singular_operator(order, point, seed=order)
+    orbit = pt(point).orbit()
+    # anchored at 1, the first step each way divides by a multiple of q
+    basis = anchored_basis(modulus, orbit, anchor=1)
+    lo, hi = -1, order + 2
+    expected = _unrolled(modulus, orbit.value(), 1, lo, hi)
+    for j in range(1, order + 1):
+        for n in range(lo, hi + 1):
+            exact = basis.value(j, n)
+            assert exact == expected[j - 1][n]
+            assert basis.valuation(j, n) == nu_q(exact)
+            assert _same_series(basis.series(j, n),
+                                q_series(exact, basis.precision))
+
+
+@pytest.mark.parametrize("point, offset", [
+    ("0", 4), ("root(x^2-2)", 3), ("root(x^3-2)", 3),
+])
+def test_exact_cancellation_ends_the_doubling(point, offset):
+    """B = b_1(n+1)(x-z) - b_1(n)(x-z)*S annihilates b_1 at n, z = rho + n.
+    The series carry the heights of unreduced numerators and denominators,
+    which bound the value more loosely than lowest terms; the doubling still
+    ends, in a proof that the entry is exactly zero."""
+    modulus = _singular_operator(3, point, seed=7)
+    orbit = pt(point).orbit()
+    basis = anchored_basis(modulus, orbit)
+    n = basis.anchor + offset
+    z = basis.point_value(n)
+    row = QuotientElement((basis.value(1, n + 1).shift(-z),
+                           -basis.value(1, n).shift(-z), 0))
+    values = basis.with_enough_precision(
+        lambda: [nu_q(v) for v in apply_element_all(row, basis, n)])
+    assert values[0] is INFINITY
+    assert apply_element_all(row, basis, n)[0].is_zero
+    assert basis.precision > ore.START_PRECISION
+    # the bound the doubling has to pass: the degrees of both products,
+    # coordinates and unreduced table entries
+    bound = sum(c.num.degree + c.den.degree for c in row.coords[:2])
+    bound += 2 * sum(basis._values[(1, m)].degree + basis._dens[m].degree
+                     for m in (n, n + 1))
+    assert basis.precision <= 2 * max(ore.START_PRECISION, bound)
+
+
+def test_table_reach_is_bounded():
+    """Positions up to MAX_TABLE_REACH beyond either end of the identity
+    window are read; one more is refused before the table grows."""
+    basis = anchored_basis(op("x*(x-99) + S"), pt("0"))
+    reach = ore.MAX_TABLE_REACH
+    assert (basis.anchor, basis.order) == (0, 1)
+    assert basis.valuation(1, reach) == 2
+    assert basis.valuation(1, -reach) == 0
+    extent = len(basis._values)
+    for n in (reach + 1, -reach - 1):
+        with pytest.raises(PrecintError, match=(
+                f"position {n} lies more than {reach} offsets outside the "
+                "identity window 0..0 of the solution table anchored at 0")):
+            basis.value(1, n)
+    assert len(basis._values) == extent
