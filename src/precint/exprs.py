@@ -7,7 +7,8 @@ parentheses.  Multiplication is the noncommutative operator product, so
 (order-zero) expressions, which keeps `S` out of denominators.  Printing is
 canonical: coefficients are coprime with monic denominator, terms ascend in
 powers of `S`, and polynomials ascend in powers of the variable, so printed
-output reparses to an equal value.
+output reparses to an equal value (unless it holds an integer longer than
+the 4300 digits the tokenizer accepts).
 """
 
 from __future__ import annotations
@@ -25,6 +26,25 @@ from .ore import OreOperator, QuotientElement
 # ---------------------------------------------------------------------------
 
 
+# Digits per chunk when an integer is longer than the interpreter's limit on
+# str(int) (4300 digits by default, never below 640 when set).
+_DIGIT_CHUNK = 600
+
+
+def _int_str(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-str conversion,
+    which coefficients of far right bounds exceed (`x*(x-99) + S + S^2`
+    at `Z=99`)."""
+    try:
+        return str(n)
+    except ValueError:
+        chunks, rest = [], abs(n)
+        while rest:
+            rest, low = divmod(rest, 10 ** _DIGIT_CHUNK)
+            chunks.append(str(low).zfill(_DIGIT_CHUNK))
+        return ("-" if n < 0 else "") + "".join(reversed(chunks)).lstrip("0")
+
+
 def _coeff_str(c, compact: bool) -> tuple:
     """Render a constant; returns (text, is_atomic).
 
@@ -39,8 +59,8 @@ def _coeff_str(c, compact: bool) -> tuple:
         return text, False
     c = Fraction(c)
     if c.denominator == 1:
-        return str(c.numerator), True
-    return f"{c.numerator}/{c.denominator}", True
+        return _int_str(c.numerator), True
+    return f"{_int_str(c.numerator)}/{_int_str(c.denominator)}", True
 
 
 def poly_str(p: Poly, var: str, compact: bool = False) -> str:
@@ -157,7 +177,12 @@ class _Tokens:
                 bad_at = len(text) - len(stripped)
                 raise ParseError("unexpected character", text, bad_at)
             if m.group(1) is not None:
-                self.items.append(("int", int(m.group(1)), m.start(1)))
+                try:
+                    value = int(m.group(1))
+                except ValueError:  # past the interpreter's digit limit
+                    raise ParseError("integer literal is too long", text,
+                                     m.start(1)) from None
+                self.items.append(("int", value, m.start(1)))
             elif m.group(2) is not None:
                 self.items.append(("name", m.group(2), m.start(2)))
             else:
@@ -188,6 +213,26 @@ class _Tokens:
 # ---------------------------------------------------------------------------
 # Operator expression parser
 # ---------------------------------------------------------------------------
+
+
+# The largest degree in x, order in S and exponent a power may have.  A
+# power is built by repeated squaring, so without a bound `x^99999999+S`
+# would exhaust memory before the parser returns (`x^3000` alone took
+# 2.8 s); the corpus and the tests use exponents below 10.
+MAX_POWER = 100
+
+
+def _check_power(base: OreOperator, exponent: int, text: str, position: int) -> None:
+    """Refuse base^exponent before it is built when its degree in x, its
+    order in S or the exponent itself exceeds MAX_POWER."""
+    degree = max((max(c.num.degree, c.den.degree) for c in base.coeffs), default=0)
+    size = exponent * max(1, degree, base.order)
+    if size > MAX_POWER:
+        raise ParseError(
+            f"power too large: exponent {exponent} of a base of degree {degree} "
+            f"in x and order {max(0, base.order)} in S exceeds the limit of "
+            f"{MAX_POWER} on the degree, the order and the exponent of a power",
+            text, position)
 
 
 class _OperatorParser:
@@ -255,6 +300,7 @@ class _OperatorParser:
                 if kind2 != "int":
                     raise ParseError("exponent must be a nonnegative integer",
                                      self.tokens.text, pos2)
+                _check_power(base, value, self.tokens.text, pos2)
                 base = base ** value
             else:
                 return base

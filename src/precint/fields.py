@@ -5,6 +5,12 @@ fields ``Q[t]/(m)`` above them, and on top of either of these the dense
 univariate polynomials (:class:`Poly`) and rational functions
 (:class:`RationalFunction`) that carry all valuations used elsewhere.
 
+A polynomial over Q holds Python-int numerators over one content-reduced
+denominator, so its arithmetic runs on ints: products by one schoolbook
+routine (`convolve`), division with remainder by pseudo-division, Taylor
+shifts by synthetic division, and gcds by the heuristic GCD with
+cofactors.  Exact `Fraction` coefficients are rebuilt only for readers.
+
 Everything here is immutable and exact; there is no floating point anywhere.
 """
 
@@ -13,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import PrecintError
 
@@ -77,33 +83,133 @@ INFINITY = _Infinity()
 Valuation = Union[int, _Infinity]
 
 
-def _as_coeff(c):
-    """Coerce a coefficient to Fraction, leaving NFElem values alone."""
-    if isinstance(c, NFElem):
-        return c
+_set = object.__setattr__
+
+
+def convolve(a: Sequence, b: Sequence, n: Optional[int] = None) -> list:
+    """The coefficients of the product of two coefficient lists, lowest
+    first; only the first n of them when n is given.  The one product
+    routine: entries are ints, or constants of a number field (possibly
+    mixed with ints and Fractions)."""
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size = n
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[:size - i]):
+                out[i + j] += x * y
+    return out
+
+
+def exact_values(nums: Sequence, den: int) -> Sequence:
+    """Numerators over `den` as exact constants that mix with number-field
+    elements: the ints themselves over 1, Fractions otherwise."""
+    if den == 1:
+        return nums
+    return [Fraction(c, den) for c in nums]
+
+
+def _rational_parts(c) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
+    if type(c) is int:
+        return c, 1
     if isinstance(c, Fraction):
-        return c
+        return c.numerator, c.denominator
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c), 1
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def from_exact(values: Sequence) -> Tuple[list, int]:
+    """Exact constants as `Poly` and `QSeries` hold them: int numerators over
+    their least common denominator, or, when a number-field element is
+    among them, elements of that field over 1."""
+    field = next((c.field for c in values if type(c) is NFElem), None)
+    if field is not None:
+        return [c if type(c) is NFElem else field.from_rational(c)
+                for c in values], 1
+    parts = [_rational_parts(c) for c in values]
+    den = 1
+    for _, d in parts:
+        den = den * d // math.gcd(den, d)
+    return [n * (den // d) for n, d in parts], den
+
+
+def lowest_terms(nums: Sequence, den: int) -> Tuple[Sequence, int]:
+    """Nonempty int numerators over a nonzero den with their common factor
+    divided out and the denominator made positive."""
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums, den = [c // g for c in nums], den // g
+    return nums, den
+
+
+def summands(a: Sequence, da: int, b: Sequence, db: int) -> Tuple[Sequence, Sequence, Optional[int]]:
+    """Two nonempty numerator lists as terms of one sum: ints over their
+    common denominator, or, with a number field involved, exact values over
+    None."""
+    if type(a[0]) is int and type(b[0]) is int:
+        if da == db:
+            return a, b, da
+        g = math.gcd(da, db)
+        return [c * (db // g) for c in a], [c * (da // g) for c in b], da // g * db
+    return exact_values(a, da), exact_values(b, db), None
+
+
+def factors(a: Sequence, da: int, b: Sequence, db: int) -> Tuple[Sequence, Sequence, Optional[int]]:
+    """Two nonempty numerator lists as factors of one product: ints over the
+    product of their denominators, or, with a number field involved, exact
+    values over None."""
+    if type(a[0]) is int and type(b[0]) is int:
+        return a, b, da * db
+    return exact_values(a, da), exact_values(b, db), None
 
 
 class Poly:
     """A dense univariate polynomial over Q or a number field.
 
-    Coefficients are stored ascending with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple.  The indeterminate has no
-    intrinsic name: the same object serves as a polynomial in x or in q
-    depending on context.
+    Over Q the coefficients are Python-int numerators `nums` (ascending, no
+    trailing zeros) over one positive int denominator `den`, content-reduced
+    (gcd(den, *nums) == 1), so that equal polynomials have equal fields and
+    hashes and every product, sum, division and Taylor shift runs on ints.
+    Over a number field every entry of `nums` is an NFElem and `den` is 1.
+    `coeffs` and `p[k]` rebuild the exact coefficients (Fractions or
+    NFElems) for readers.  The zero polynomial has no numerators.  The
+    indeterminate has no intrinsic name: the same object serves as a
+    polynomial in x or in q depending on context.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._init(list(coeffs), None)
+
+    def _init(self, nums: Sequence, den: Optional[int]) -> None:
+        if den is None:
+            nums, den = from_exact(nums)
+        k = len(nums)
+        while k and not nums[k - 1]:
+            k -= 1
+        nums = nums[:k]
+        if not nums:
+            den = 1
+        elif den != 1:
+            nums, den = lowest_terms(nums, den)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        _set(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, nums: Sequence, den: Optional[int] = 1) -> "Poly":
+        """From int numerators over a nonzero int den, from number-field
+        elements over 1, or from exact constants over None; trims trailing
+        zeros and reduces the content."""
+        p = object.__new__(cls)
+        p._init(nums, den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -112,11 +218,11 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _ONE
 
     @staticmethod
     def x() -> "Poly":
@@ -133,44 +239,64 @@ class Poly:
     # -- basic queries -------------------------------------------------------
 
     @property
+    def rational(self) -> bool:
+        """Whether the coefficients are ints over `den` (no number field)."""
+        nums = self.nums
+        return not nums or type(nums[-1]) is int
+
+    @property
+    def coeffs(self) -> tuple:
+        """The exact coefficients, ascending: Fractions over Q, NFElems
+        over a number field (rebuilt once, for readers)."""
+        cs = self._coeffs
+        if cs is None:
+            cs = tuple(Fraction(c, self.den) for c in self.nums) if self.rational \
+                else self.nums
+            _set(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
         """Degree, with the convention -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[len(self.nums) - 1]
 
     def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            c = self.nums[k]
+            return Fraction(c, self.den) if type(c) is int else c
         return Fraction(0)
 
     def order_at_zero(self) -> Valuation:
         """Index of the first nonzero coefficient; INFINITY for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.nums):
+            if c:
                 return i
         return INFINITY
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
+            if self.rational and other.rational:
+                return self.den == other.den and self.nums == other.nums
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction, NFElem)):
             return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -181,18 +307,22 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        a, b, den = summands(self.nums, self.den, other.nums, other.den)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            out[i] += c
+        return Poly._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -210,16 +340,10 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        if not self.nums or not other.nums:
+            return _ZERO
+        a, b, den = factors(self.nums, self.den, other.nums, other.den)
+        return Poly._of(convolve(a, b), den)
 
     __rmul__ = __mul__
 
@@ -236,31 +360,49 @@ class Poly:
         return result
 
     def scaled(self, c) -> "Poly":
-        c = _as_coeff(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        return self * c
 
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.degree
-        lead = other.leading
-        if len(rem) - 1 < dv:
-            return Poly(()), self
-        quot = [Fraction(0)] * (len(rem) - dv)
-        while len(rem) - 1 >= dv:
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dv:
-                break
-            k = len(rem) - 1 - dv
-            c = rem[-1] / lead
+        if len(self.nums) < len(other.nums):
+            return _ZERO, self
+        if self.rational and other.rational:
+            # s * a = q * b + r over Z, scaling by the leading coefficient of
+            # b only when a step needs it; then divide out s and the dens
+            b = other.nums
+            lb, db = b[-1], len(b) - 1
+            r = list(self.nums)
+            q = [0] * (len(r) - db)
+            s = 1
+            for k in range(len(q) - 1, -1, -1):
+                c = r[k + db]
+                if not c:
+                    continue
+                if c % lb:
+                    m = abs(lb) // math.gcd(c, lb)
+                    r = [x * m for x in r]
+                    q = [x * m for x in q]
+                    s *= m
+                    c *= m
+                c //= lb
+                q[k] = c
+                for i, bc in enumerate(b):
+                    r[k + i] -= c * bc
+            den = s * self.den
+            return Poly._of([x * other.den for x in q], den), Poly._of(r[:db], den)
+        rem = list(exact_values(self.nums, self.den))
+        b = exact_values(other.nums, other.den)
+        inv = Fraction(1) / b[-1]
+        dv = len(b) - 1
+        quot = [0] * (len(rem) - dv)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + dv] * inv
             quot[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * oc
-            rem.pop()
-        return Poly(quot), Poly(rem)
+            for i, bc in enumerate(b):
+                rem[k + i] = rem[k + i] - c * bc
+        return Poly._of(quot, None), Poly._of(rem[:dv], None)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -272,15 +414,15 @@ class Poly:
         return (other % self).is_zero
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self.nums:
             return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Poly(tuple(c / lead for c in self.coeffs))
+        lead = self.nums[-1]
+        if type(lead) is int:
+            return self if lead == self.den else Poly._of(self.nums, lead)
+        return self if lead == 1 else self * (1 / lead)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Poly._of([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def eval(self, z):
         """Evaluate at a constant (Fraction or NFElem) by Horner's rule."""
@@ -292,11 +434,7 @@ class Poly:
     def shift(self, z) -> "Poly":
         """Return p(X + z); with z a point value this is the substitution
         used by the q-deformation."""
-        acc = Poly(())
-        xz = Poly((z, 1))
-        for c in reversed(self.coeffs):
-            acc = acc * xz + c
-        return acc
+        return self if not z else Poly._of(*taylor_shift(self, z))
 
     @staticmethod
     def _coerce(other):
@@ -306,67 +444,92 @@ class Poly:
             return Poly((other,))
         return NotImplemented
 
-    # -- gcd machinery -------------------------------------------------------
 
-    def _all_rational(self) -> bool:
-        return all(not isinstance(c, NFElem) for c in self.coeffs)
-
-
-def _int_primitive(cs: list) -> list:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-    if g in (0, 1):
-        return cs
-    return [c // g for c in cs]
+_ZERO = Poly._of(())
+_ONE = Poly._of((1,))
 
 
-def _int_pseudo_rem(u: list, v: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (ascending)."""
-    dv = len(v) - 1
-    lv = v[-1]
-    r = list(u)
-    while r and len(r) - 1 >= dv:
-        lr = r[-1]
-        off = len(r) - 1 - dv
-        r = [lv * c for c in r]
-        for i, vc in enumerate(v):
-            r[off + i] -= lr * vc
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
+    """The coefficients of p(X + z), lowest first, by synthetic division in
+    place (`cs[i] += z*cs[i+1]`, one pass per coefficient).  Given `terms`,
+    the passes stop once that many coefficients from the first nonzero one
+    on are known (fewer when p runs out: the rest are zero).
+
+    Returns (nums, den) as `Poly` holds them: over Q with a rational z, int
+    numerators over an int den (for z = zn/zd, zd^n * p(X + z) is r(Y + zn)
+    at Y = zd*X with r_i = c_i * zd^(n-i), all on ints); otherwise NFElems
+    over 1.
+    """
+    n = len(p.nums) - 1
+    if n < 1 or not z:
+        return list(p.nums), p.den
+    rational = p.rational and not isinstance(z, NFElem)
+    if rational:
+        zn, zd = _rational_parts(z)
+        if zd == 1:
+            cs = list(p.nums)
+        else:
+            cs, scale = [0] * (n + 1), 1
+            for i in range(n, -1, -1):
+                cs[i] = p.nums[i] * scale
+                scale *= zd
+        den = p.den * zd ** n
+    else:
+        cs, zn, zd, den = list(exact_values(p.nums, p.den)), z, 1, 1
+    lead = None
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            cs[i] += zn * cs[i + 1]
+        if terms is not None:
+            if lead is None and cs[j]:
+                lead = j
+            if lead is not None and j - lead + 1 >= terms:
+                cs = cs[:j + 1]
+                break
+    if zd != 1:
+        scale = 1
+        for k in range(len(cs)):
+            cs[k] *= scale
+            scale *= zd
+    return (cs, den) if rational else from_exact(cs)
 
 
-def _rational_to_int(p: Poly) -> list:
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return [int(c * denom) for c in p.coeffs]
+def poly_gcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) with g the monic gcd of a and b (zero when both are).
 
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd.  Uses a primitive pseudo-remainder sequence over Z when
-    both inputs are rational, plain Euclid otherwise."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
+    Over Q this is the heuristic GCD of Char, Geddes and Gonnet (1989) on
+    the integer numerators, with the cofactors it verifies its result by,
+    through sympy's `dup_zz_heu_gcd` (falling back to sympy's primitive PRS
+    gcd in the rare case where the heuristic gives up); over a number field
+    it is Euclid's algorithm, with exact divisions for the cofactors.
+    """
+    if a.is_zero or b.is_zero:
+        if a.is_zero and b.is_zero:
+            return _ZERO, _ZERO, _ZERO
+        nonzero = b if a.is_zero else a
+        g, lead = nonzero.monic(), Poly.constant(nonzero.leading)
+        return (g, _ZERO, lead) if a.is_zero else (g, lead, _ZERO)
     if a.degree == 0 or b.degree == 0:
-        return Poly.one()
-    if a._all_rational() and b._all_rational():
-        u = _int_primitive(_rational_to_int(a))
-        v = _int_primitive(_rational_to_int(b))
-        if len(u) < len(v):
-            u, v = v, u
-        while v:
-            u, v = v, _int_primitive(_int_pseudo_rem(u, v))
-        lead = Fraction(u[-1])
-        return Poly([Fraction(c) / lead for c in u])
+        return _ONE, a, b
+    if a.rational and b.rational:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.euclidtools import dup_rr_prs_gcd, dup_zz_heu_gcd
+        from sympy.polys.polyerrors import HeuristicGCDFailed
+
+        f, g = list(reversed(a.nums)), list(reversed(b.nums))
+        try:
+            h, cf, cg = dup_zz_heu_gcd(f, g, ZZ)
+        except HeuristicGCDFailed:
+            h, cf, cg = dup_rr_prs_gcd(f, g, ZZ)
+        lead = h[0]
+        return (Poly._of(h[::-1], lead),
+                Poly._of([c * lead for c in reversed(cf)], a.den),
+                Poly._of([c * lead for c in reversed(cg)], b.den))
     u, v = a.monic(), b.monic()
     while not v.is_zero:
         r = u % v
-        u, v = v, (r.monic() if not r.is_zero else r)
-    return u.monic()
+        u, v = v, r.monic()
+    return u, a // u, b // u
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -399,7 +562,7 @@ class NumberField:
     _cache: dict = {}
 
     def __new__(cls, min_poly: Poly):
-        key = min_poly.coeffs
+        key = min_poly
         cached = cls._cache.get(key)
         if cached is not None:
             return cached
@@ -408,7 +571,7 @@ class NumberField:
             raise ValueError("a number field needs a nonconstant minimal polynomial")
         if min_poly.leading != 1:
             raise ValueError("minimal polynomial must be monic")
-        if not min_poly._all_rational():
+        if not min_poly.rational:
             raise ValueError("minimal polynomial must have rational coefficients")
         facs = factor(min_poly)
         if len(facs) != 1 or facs[0][1] != 1:
@@ -437,7 +600,7 @@ class NumberField:
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
 
     def __hash__(self):
-        return hash(("NumberField", self.min_poly.coeffs))
+        return hash(("NumberField", self.min_poly))
 
     def element(self, coords) -> "NFElem":
         cs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coords]
@@ -447,7 +610,8 @@ class NumberField:
         return NFElem(self, tuple(cs))
 
     def from_rational(self, c) -> "NFElem":
-        return self.element([Fraction(c)])
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        return NFElem(self, (c,) + (Fraction(0),) * (self.degree - 1))
 
     @property
     def generator(self) -> "NFElem":
@@ -524,12 +688,14 @@ class NFElem:
         return self.coords == o.coords
 
     def __hash__(self):
-        return hash(("NFElem", self.field.min_poly.coeffs, self.coords))
+        return hash(("NFElem", self.field.min_poly, self.coords))
 
     def __repr__(self):
         return f"NFElem({list(self.coords)!r})"
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NFElem(self.field, (self.coords[0] + other,) + self.coords[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -553,6 +719,8 @@ class NFElem:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return NFElem(self.field, tuple(a * other for a in self.coords))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -641,9 +809,7 @@ class RationalFunction:
             num, den = Poly.zero(), Poly.one()
         else:
             if not _coprime and den.degree > 0 and num.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
+                _, num, den = poly_gcd(num, den)
             lead = den.leading
             if lead != 1:
                 inv = 1 / lead
@@ -698,7 +864,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.num, self.den))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -713,12 +879,15 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        # with coprime denominators the naive sum is already canonical
-        g = poly_gcd(self.den, other.den)
-        num = self.num * other.den + other.num * self.den
+        # a/(g*b') + c/(g*d') = (a*d' + c*b')/(g*b'*d') with b', d' coprime:
+        # the numerator shares no factor with b'*d', so only a factor of g
+        # can cancel (Henrici); with g = 1 the naive sum is canonical
+        g, b1, d1 = poly_gcd(self.den, other.den)
+        num = self.num * d1 + other.num * b1
         if g.degree == 0:
             return RationalFunction(num, self.den * other.den, _coprime=True)
-        return RationalFunction(num, self.den * other.den)
+        _, num, g = poly_gcd(num, g)
+        return RationalFunction(num, b1 * d1 * g, _coprime=True)
 
     __radd__ = __add__
 
@@ -744,14 +913,8 @@ class RationalFunction:
         if self.is_zero or other.is_zero:
             return RationalFunction(Poly.zero())
         # cross-cancel so the product of the reduced parts is canonical
-        a_num, b_den = self.num, other.den
-        g1 = poly_gcd(a_num, b_den)
-        if g1.degree > 0:
-            a_num, b_den = a_num // g1, b_den // g1
-        b_num, a_den = other.num, self.den
-        g2 = poly_gcd(b_num, a_den)
-        if g2.degree > 0:
-            b_num, a_den = b_num // g2, a_den // g2
+        _, a_num, b_den = poly_gcd(self.num, other.den)
+        _, b_num, a_den = poly_gcd(other.num, self.den)
         return RationalFunction(a_num * b_num, a_den * b_den, _coprime=True)
 
     __rmul__ = __mul__
@@ -834,12 +997,12 @@ FACTOR_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor_cached(coeffs: tuple):
+def _factor_cached(p: Poly):
     import sympy
 
     xsym = sympy.Symbol("x")
     expr = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        [sympy.Rational(c, p.den) for c in reversed(p.nums)],
         xsym,
         domain="QQ",
     )
@@ -856,11 +1019,11 @@ def factor(p: Poly):
     """Monic irreducible factorization over Q as a tuple of (factor, multiplicity)."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if not p._all_rational():
+    if not p.rational:
         raise ValueError("factorization is only supported over Q")
     if p.degree == 0:
         return ()
-    return _factor_cached(p.coeffs)
+    return _factor_cached(p)
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -978,7 +1141,7 @@ class AlgebraicPoint:
         return self.min_poly == other.min_poly and self.offset == other.offset
 
     def __hash__(self):
-        return hash(("AlgebraicPoint", self.min_poly.coeffs, self.offset))
+        return hash(("AlgebraicPoint", self.min_poly, self.offset))
 
     def __repr__(self):
         return f"AlgebraicPoint({self.min_poly!r}, {self.offset})"

@@ -190,14 +190,13 @@ class OreOperator:
             return self
         common_den = Poly.one()
         for c in self.coeffs:
-            g = poly_gcd(common_den, c.den)
-            common_den = (common_den * c.den) // g
+            common_den = common_den * poly_gcd(common_den, c.den)[2]
         nums = []
         for c in self.coeffs:
             nums.append(c.num * (common_den // c.den))
         g = Poly.zero()
         for p in nums:
-            g = poly_gcd(g, p)
+            g = poly_gcd(g, p)[0]
         if g.degree > 0:
             nums = [p // g for p in nums]
         # divide by rational content, fix the sign of the leading coefficient

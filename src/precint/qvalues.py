@@ -29,9 +29,21 @@ to a precision past that bound is exactly zero, and becomes `ZERO`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .fields import INFINITY, Poly, RationalFunction, Valuation
+from .fields import (
+    INFINITY,
+    Poly,
+    RationalFunction,
+    Valuation,
+    convolve,
+    exact_values,
+    factors,
+    from_exact,
+    lowest_terms,
+    summands,
+    taylor_shift,
+)
 
 # The values of sequence solutions: rational functions in q over the
 # constant field of the orbit.  Negative q-valuation (a pole at q = 0) is
@@ -50,28 +62,40 @@ class QSeries:
     """A truncated Laurent series in q: the coefficients of q^val, ...,
     q^(prec-1), the first of them nonzero, plus O(q^prec).
 
-    Three states: a known leading term (`coeffs` nonempty), zero to
-    precision `prec` (`coeffs` empty, `val == prec`), and exactly zero
+    The coefficients are held as `Poly` holds them: over Q, int numerators
+    `nums` over one positive int `den`, content-reduced, so sums, products
+    and quotients run on ints; over a number field, NFElems over 1.  `coeffs`
+    and `coefficient(n)` rebuild exact values for readers.
+
+    Three states: a known leading term (`nums` nonempty), zero to
+    precision `prec` (`nums` empty, `val == prec`), and exactly zero
     (`ZERO`, with `val` and `prec` INFINITY).  Treat instances as
     immutable.
     """
 
-    __slots__ = ("val", "coeffs", "prec", "height")
+    __slots__ = ("val", "nums", "den", "prec", "height")
 
-    def __init__(self, val: int, coeffs: List, prec: int, height: Height):
+    def __init__(self, val: int, nums: Sequence, den: Optional[int], prec: int,
+                 height: Height):
+        if den is None:  # exact constants
+            nums, den = from_exact(nums)
         lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
+        while lead < len(nums) and not nums[lead]:
             lead += 1
         if lead:
-            coeffs = coeffs[lead:]
-        if not coeffs:
+            nums = nums[lead:]
+        if not nums:
+            den = 1
             val = prec
             if prec is not INFINITY and prec > height[0] - height[2]:
                 val = prec = INFINITY  # zero past the bound: exactly zero
         else:
             val += lead
+            if den != 1:
+                nums, den = lowest_terms(nums, den)
         self.val = val
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self.prec = prec
         self.height = height
 
@@ -93,11 +117,16 @@ class QSeries:
     @property
     def known(self) -> bool:
         """Whether the leading term, hence the valuation, is known."""
-        return bool(self.coeffs)
+        return bool(self.nums)
+
+    @property
+    def coeffs(self) -> List:
+        """The exact coefficients of q^val, ..., q^(prec-1)."""
+        return [Fraction(c, self.den) if type(c) is int else c for c in self.nums]
 
     @property
     def valuation(self) -> Valuation:
-        if self.coeffs:
+        if self.nums:
             return self.val
         if self.prec is INFINITY:
             return INFINITY
@@ -110,7 +139,8 @@ class QSeries:
         if n >= self.prec:
             raise PrecisionLoss(f"coefficient of q^{n} of a series known "
                                 f"to O(q^{self.prec})")
-        return self.coeffs[n - self.val]
+        c = self.nums[n - self.val]
+        return Fraction(c, self.den) if type(c) is int else c
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -124,17 +154,22 @@ class QSeries:
         prec = min(self.prec, other.prec)
         a, b = (self, other) if self.val <= other.val else (other, self)
         if a.val >= prec:  # neither operand has a coefficient below prec
-            return QSeries(prec, [], prec, height)
-        out = a.coeffs[:prec - a.val]
+            return QSeries(prec, [], 1, prec, height)
+        an, bn = a.nums[:prec - a.val], b.nums[:max(0, prec - b.val)]
+        if not bn:
+            return QSeries(a.val, an, a.den, prec, height)
         off = b.val - a.val
-        for k, c in enumerate(b.coeffs[:max(0, prec - b.val)]):
-            out[off + k] = out[off + k] + c
-        return QSeries(a.val, out, prec, height)
+        an, bn, den = summands(an, a.den, bn, b.den)
+        out = list(an)
+        for k, c in enumerate(bn):
+            out[off + k] += c
+        return QSeries(a.val, out, den, prec, height)
 
     def __neg__(self) -> "QSeries":
         if self.prec is INFINITY:
             return self
-        return QSeries(self.val, [-c for c in self.coeffs], self.prec, self.height)
+        return QSeries(self.val, [-c for c in self.nums], self.den, self.prec,
+                       self.height)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -145,58 +180,71 @@ class QSeries:
                 return ZERO
             if self.prec is INFINITY:
                 return self
-            return QSeries(self.val, [c * other for c in self.coeffs],
+            return QSeries(self.val, [c * other for c in self.coeffs], None,
                            self.prec, self.height)
         if self.prec is INFINITY or other.prec is INFINITY:
             return ZERO
         ha, hb = self.height, other.height
         height = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
-        if not (self.coeffs and other.coeffs):
+        if not (self.nums and other.nums):
             # val is a lower bound on the valuation in every state
             prec = min(self.prec + other.val, other.prec + self.val)
-            return QSeries(prec, [], prec, height)
-        a, b = self.coeffs, other.coeffs
+            return QSeries(prec, [], 1, prec, height)
         val = self.val + other.val
-        n = min(len(a), len(b))
-        out = []
-        for k in range(n):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return QSeries(val, out, val + n, height)
+        n = min(len(self.nums), len(other.nums))
+        a, b, den = factors(self.nums, self.den, other.nums, other.den)
+        return QSeries(val, convolve(a, b, n), den, val + n, height)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         if other.prec is INFINITY:
             raise ZeroDivisionError("series division by zero")
-        if not other.coeffs:
+        if not other.nums:
             raise PrecisionLoss(f"division by a series that is O(q^{other.prec})")
         if self.prec is INFINITY:
             return ZERO
         ha, hb = self.height, other.height
         height = (ha[0] + hb[1], ha[1] + hb[0], max(0, ha[2] + hb[2] + other.val))
-        if not self.coeffs:
+        if not self.nums:
             prec = self.prec - other.val
-            return QSeries(prec, [], prec, height)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return _quotient(self.coeffs, other.coeffs, self.val - other.val, n, height)
+            return QSeries(prec, [], 1, prec, height)
+        n = min(len(self.nums), len(other.nums))
+        return _quotient(self.nums, self.den, other.nums, other.den,
+                         self.val - other.val, n, height)
 
 
-ZERO = QSeries(0, [], INFINITY, (0, 0, 0))
+ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))
 
 
-def _quotient(num: Sequence, den: Sequence, val: int, terms: int,
-              height: Height) -> QSeries:
-    """q^val * num/den to `terms` coefficients, for coefficient lists whose
-    denominator has a nonzero constant term; missing entries are zero."""
-    inv = 1 / den[0]
+def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
+              val: int, terms: int, height: Height) -> QSeries:
+    """q^val * (num/num_den) / (den/den_den) to `terms` coefficients, for
+    numerator lists (as `Poly` holds them) whose denominator has a nonzero
+    constant term; missing entries are zero.
+
+    Over Q it runs on ints: with d0 = den[0] and P = d0^terms, every
+    w_k = out_k * P is an int, w_k = (num_k * P - sum w_i den_(k-i)) / d0,
+    and that division is exact."""
+    d0 = den[0]
+    if type(d0) is int and type(num[0]) is int:
+        scale = d0 ** terms
+        w: List = []
+        for k in range(terms):
+            acc = num[k] * scale if k < len(num) else 0
+            for i in range(max(0, k - len(den) + 1), k):
+                acc -= w[i] * den[k - i]
+            w.append(acc // d0)
+        if den_den != 1:
+            w = [c * den_den for c in w]
+        return QSeries(val, w, scale * num_den, val + terms, height)
+    num, den = exact_values(num, num_den), exact_values(den, den_den)
+    inv = Fraction(1) / den[0]
     out: List = []
     for k in range(terms):
         acc = num[k] if k < len(num) else 0
         for i in range(max(0, k - len(den) + 1), k):
             acc = acc - out[i] * den[k - i]
         out.append(acc * inv)
-    return QSeries(val, out, val + terms, height)
+    return QSeries(val, out, None, val + terms, height)
 
 
 def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:
@@ -208,7 +256,7 @@ def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:
         return ZERO
     a = num.order_at_zero()
     b = den.order_at_zero()
-    return _quotient(num.coeffs[a:], den.coeffs[b:], a - b, terms,
+    return _quotient(num.nums[a:], num.den, den.nums[b:], den.den, a - b, terms,
                      (num.degree, den.degree, b))
 
 
@@ -218,25 +266,15 @@ def q_series(f: QRational, terms: int) -> QSeries:
     return fraction_series(f.num, f.den, terms)
 
 
-def _taylor(p: Poly, z, terms: int) -> Tuple[int, List]:
-    """(a, t) with p(z + q) = q^a * (t[0] + t[1] q + ...), t[0] != 0, and
-    at most `terms` entries (fewer when p runs out: the rest are zero);
-    each coefficient is the remainder of one synthetic division by x - z."""
-    cs = list(p.coeffs)
+def _taylor(p: Poly, z, terms: int) -> Tuple[int, List, int]:
+    """(a, t, d) with p(z + q) = q^a * (t[0] + t[1] q + ...) / d, t[0] != 0,
+    and at most `terms` entries in t (fewer when p runs out: the rest are
+    zero), by the truncated Taylor shift of `fields.taylor_shift`."""
+    cs, den = taylor_shift(p, z, terms)
     order = 0
-    out: List = []
-    while cs and len(out) < terms:
-        rem = cs[-1]
-        quot = cs[:-1]
-        for i in range(len(cs) - 2, -1, -1):
-            quot[i] = rem
-            rem = rem * z + cs[i]
-        cs = quot
-        if out or rem:
-            out.append(rem)
-        else:
-            order += 1
-    return order, out
+    while not cs[order]:
+        order += 1
+    return order, cs[order:order + terms], den
 
 
 def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
@@ -245,9 +283,10 @@ def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
     exact shifted rational function is never formed)."""
     if f.is_zero:
         return ZERO
-    a, num = _taylor(f.num, z, terms)
-    b, den = _taylor(f.den, z, terms)
-    return _quotient(num, den, a - b, terms, (f.num.degree, f.den.degree, b))
+    a, num, num_den = _taylor(f.num, z, terms)
+    b, den, den_den = _taylor(f.den, z, terms)
+    return _quotient(num, num_den, den, den_den, a - b, terms,
+                     (f.num.degree, f.den.degree, b))
 
 
 def nu_q(f) -> Valuation:

@@ -397,7 +397,7 @@ def _row_values(rows: Sequence[QuotientElement], table: _Table, z,
         den = Poly.one()
         for c in row.coords:
             if not c.is_zero:
-                den = den * (c.den // poly_gcd(den, c.den))
+                den = den * poly_gcd(den, c.den)[2]
         scaled = [(offset + i, (c.num * (den // c.den)).shift(z))
                   for i, c in enumerate(row.coords) if not c.is_zero]
         nums = []

@@ -407,3 +407,71 @@ def test_worklist_at_its_limit_reads_within_the_table_reach(capsys):
     code, out, err = run_cli(capsys, *argv, "--right-bound", "Z=100")
     assert code == 2
     assert "more than the limit of 100" in err
+
+
+@pytest.mark.parametrize("operator, exponent, degree, order", [
+    ("x^101 + S", 101, 1, 0),
+    ("x^99999999+S", 99999999, 1, 0),
+    ("(x^2+1)^51 + S", 51, 2, 0),
+    ("(x^2*S)^51 + 1", 51, 2, 1),
+    ("1 + S^101", 101, 0, 1),
+    ("2^101 + S", 101, 0, 0),
+])
+def test_oversized_power_is_refused_before_it_is_built(capsys, monkeypatch,
+                                                       operator, exponent,
+                                                       degree, order):
+    from precint.ore import OreOperator
+
+    built = []
+    real = OreOperator.__pow__
+
+    def counted(self, n):
+        built.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(OreOperator, "__pow__", counted)
+    code, out, err = run_cli(capsys, "val", "--operator", operator,
+                             "--element", "1", "--at", "0")
+    assert code == 2
+    assert out == ""
+    assert (f"exponent {exponent} of a base of degree {degree} in x and "
+            f"order {order} in S exceeds the limit of 100") in err
+    assert "Traceback" not in err
+    assert exponent not in built
+
+
+def test_powers_up_to_the_limit_are_built():
+    assert parse_operator("x^100 + S").coefficient(0).num.degree == 100
+    assert parse_operator("(x^2+1)^50 + S").coefficient(0).num.degree == 100
+    assert parse_operator("1 + S^100").order == 100
+
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "val", "--operator", "1" + "9" * 5000 + " + S",
+                             "--element", "1", "--at", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: integer literal is too long (at position 0")
+
+
+def test_coefficients_past_the_digit_limit_print_in_full():
+    """Far right bounds give coefficients longer than the interpreter's limit
+    on str(int); the printers write them out in full."""
+    import sys
+    from fractions import Fraction
+
+    from precint import Poly
+    from precint.exprs import poly_str
+
+    coeffs = [Fraction(10 ** 5000 + 7, 3 ** 7000), Fraction(-(2 ** 30000) + 1),
+              Fraction(10 ** 4300), Fraction(-5, 2 ** 14300 + 1)]
+    printed = poly_str(Poly(coeffs), "x")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = (f"{coeffs[0].numerator}/{coeffs[0].denominator} - "
+                    f"{-coeffs[1].numerator}*x + {coeffs[2].numerator}*x^2 - "
+                    f"5/{coeffs[3].denominator}*x^3")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected

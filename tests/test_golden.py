@@ -1,0 +1,54 @@
+"""`global-basis --format json` on a fixed corpus, byte for byte.
+
+The files in `tests/golden/` hold the stdout of each case as recorded
+before the integer kernel of `fields` and `qvalues` replaced `Fraction`
+coefficients, so a change of representation or of algorithm that moves a
+single printed character fails here.  Regenerate a file only for an
+intended change of output, with the command in `_argv`.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from precint import cli
+from conftest import CUBIC
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SPREAD4 = "(x+3)*(x-1) + x*S + S^2 + (x-4)*S^3"
+ORD4 = "(x+2)^2*(x-1) + x*S + (x^2+1)*S^2 + S^3 + (x-3)*S^4"
+ALG_QUARTIC = "(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2"
+SQRT2 = "x^2 - 2 + S^2"
+CUBIC_FIELD = "(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2"
+# the minimal polynomial x^2 - 1/2 of its orbit has a non-integral coefficient
+HALF = "(2*x^2-1) + x*S + (2*x^2-1)*S^2"
+
+CASES = {
+    "cubic-Z0": (CUBIC, "Z=0"),
+    "cubic-Z4": (CUBIC, "Z=4"),
+    "cubic-Z10": (CUBIC, "Z=10"),
+    "spread4-Z7": (SPREAD4, "Z=7"),
+    "ord4-Z7": (ORD4, "Z=7"),
+    "alg-quartic-3": (ALG_QUARTIC, "x^2-2=3"),
+    "sqrt2-1": (SQRT2, "x^2-2=1"),
+    "cubic-field-2": (CUBIC_FIELD, "x^3-2=2"),
+    "half-1": (HALF, "x^2-1/2=1"),
+}
+
+
+def _argv(name: str):
+    operator, bound = CASES[name]
+    return ["global-basis", "--operator", operator, "--right-bound", bound,
+            "--format", "json"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_global_basis_matches_the_recorded_json(capsys, name):
+    code = cli.main(_argv(name))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / f"{name}.json").read_bytes()

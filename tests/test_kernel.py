@@ -1,0 +1,186 @@
+"""The integer kernel of `fields` and `qvalues` against sympy over QQ.
+
+Rational polynomials and q-series hold int numerators over one content-
+reduced denominator.  Each kernel routine (product, division with
+remainder, gcd with cofactors, Taylor shift, truncated quotient) is
+compared with sympy's own arithmetic on random inputs with huge and with
+non-integral coefficients, degrees 0 and 1 and negative leading
+coefficients; equal values must compare and hash equal however they were
+built.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from precint import Poly, RationalFunction, q_series, shifted_series
+from precint.fields import poly_gcd
+from precint.qvalues import fraction_series
+
+X = sympy.Symbol("x")
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+rationals = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 64)),
+)
+
+
+def polys(min_size: int = 0, max_size: int = 7):
+    return st.lists(rationals, min_size=min_size, max_size=max_size).map(Poly)
+
+
+nonzero_polys = polys(min_size=1).filter(lambda p: not p.is_zero)
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)] or [0], X, domain="QQ")
+
+
+def from_sympy(s: sympy.Poly) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(s.all_coeffs())])
+
+
+def assert_canonical(p: Poly) -> None:
+    """No trailing zero numerator, a positive denominator sharing no factor
+    with every numerator, and the exact coefficients rebuilt from them."""
+    assert not p.nums or p.nums[-1] != 0
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert all(type(c) is int for c in p.nums)
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+
+
+@SETTINGS
+@given(polys(), polys())
+@example(Poly([Fraction(-3, 4)]), Poly([Fraction(2, 3), -1]))
+@example(Poly([2 ** 300, -(2 ** 301)]), Poly([Fraction(1, 2 ** 100), Fraction(-7, 5)]))
+def test_product_and_sum_match_sympy(a, b):
+    for value, expected in ((a * b, to_sympy(a) * to_sympy(b)),
+                            (a + b, to_sympy(a) + to_sympy(b)),
+                            (a - b, to_sympy(a) - to_sympy(b))):
+        assert_canonical(value)
+        assert value == from_sympy(expected)
+
+
+@SETTINGS
+@given(polys(), nonzero_polys)
+@example(Poly([5, 0, 1]), Poly([1, -2]))
+@example(Poly([Fraction(7, 3), 1, Fraction(-1, 2)]), Poly([Fraction(-5, 6)]))
+@example(Poly([1, 2 ** 120, 3, -(2 ** 90)]), Poly([Fraction(-1, 3), 0, -(2 ** 70)]))
+def test_divmod_matches_sympy(a, b):
+    quotient, remainder = divmod(a, b)
+    expected_q, expected_r = sympy.div(to_sympy(a), to_sympy(b))
+    assert_canonical(quotient)
+    assert_canonical(remainder)
+    assert quotient == from_sympy(expected_q)
+    assert remainder == from_sympy(expected_r)
+    assert quotient * b + remainder == a
+
+
+@SETTINGS
+@given(polys(max_size=4), polys(max_size=4), polys(max_size=4))
+@example(Poly([-1, 1]), Poly([1, 1]), Poly([-2, 1]))
+@example(Poly([Fraction(1, 2), -3]), Poly([7]), Poly([0, 0, -5]))
+def test_gcd_with_cofactors_matches_sympy(common, u, v):
+    a, b = common * u, common * v
+    g, ca, cb = poly_gcd(a, b)
+    for p in (g, ca, cb):
+        assert_canonical(p)
+    expected = sympy.gcd(to_sympy(a), to_sympy(b))
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g == from_sympy(expected.monic())
+    assert g.leading == 1
+    assert g * ca == a
+    assert g * cb == b
+    assert poly_gcd(ca, cb)[0] == Poly.one()
+
+
+@SETTINGS
+@given(polys(), rationals)
+@example(Poly([3]), Fraction(-5, 7))
+@example(Poly([1, -(2 ** 100)]), Fraction(2 ** 65, 3))
+def test_taylor_shift_matches_sympy(p, z):
+    shifted = p.shift(z)
+    assert_canonical(shifted)
+    expected = sympy.Poly(to_sympy(p).as_expr().subs(X, X + sympy.Rational(
+        z.numerator, z.denominator)), X, domain="QQ")
+    assert shifted == from_sympy(expected)
+
+
+def _order(s: sympy.Poly) -> int:
+    return min(m[0] for m in s.monoms())
+
+
+def _series_coefficients(num: sympy.Poly, den: sympy.Poly, terms: int):
+    """The first `terms` coefficients of num/den from its valuation on: the
+    units of num and den (their powers of q removed) times the inverse of
+    the second modulo q^terms, all in sympy."""
+    modulus = sympy.Poly(X ** terms, X, domain="QQ")
+    n_unit = sympy.Poly(num.as_expr() / X ** _order(num), X, domain="QQ")
+    d_unit = sympy.Poly(den.as_expr() / X ** _order(den), X, domain="QQ")
+    product = (n_unit * sympy.invert(d_unit, modulus)).rem(modulus)
+    coeffs = product.all_coeffs()[::-1]
+    coeffs += [0] * (terms - len(coeffs))
+    return [Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nonzero_polys, nonzero_polys, st.integers(1, 6))
+@example(Poly([0, 0, Fraction(3, 7), -1]), Poly([0, -2, 5]), 4)
+@example(Poly([2 ** 90, -1]), Poly([Fraction(-3, 2 ** 40), 1, 1]), 6)
+def test_truncated_quotient_matches_sympy(num, den, terms):
+    series = fraction_series(num, den, terms)
+    assert series.den > 0 and math.gcd(series.den, *series.nums) == 1
+    sn, sd = to_sympy(num), to_sympy(den)
+    order = _order(sn) - _order(sd)
+    assert series.valuation == order
+    assert series.prec == order + terms
+    assert series.coeffs == _series_coefficients(sn, sd, terms)
+    reduced = RationalFunction(num, den)
+    assert q_series(reduced, terms).coeffs == series.coeffs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nonzero_polys, nonzero_polys, rationals, st.integers(1, 5))
+@example(Poly([-1, 0, 1]), Poly([2, -3, 1]), Fraction(1), 3)
+def test_shifted_series_matches_sympy(num, den, z, terms):
+    f = RationalFunction(num, den)
+    series = shifted_series(f, z, terms)
+    shift = sympy.Rational(z.numerator, z.denominator)
+    sn = sympy.Poly(to_sympy(f.num).as_expr().subs(X, X + shift), X, domain="QQ")
+    sd = sympy.Poly(to_sympy(f.den).as_expr().subs(X, X + shift), X, domain="QQ")
+    order = _order(sn) - _order(sd)
+    assert series.valuation == order
+    assert series.coeffs == _series_coefficients(sn, sd, terms)
+
+
+@SETTINGS
+@given(polys(), st.integers(1, 2 ** 70), st.integers(-(2 ** 70), 2 ** 70))
+def test_equal_values_compare_and_hash_equal(p, k, m):
+    """However a value is reached (scaled numerators over a scaled
+    denominator, a detour through a sum, a quotient by a unit) it is held
+    the same way."""
+    scaled = Poly._of([c * k for c in p.nums], p.den * k)
+    detour = (p + Poly([m, 1])) - Poly([m, 1])
+    unit = Fraction(m or 1, k)
+    divided = (p * Poly([unit])) // Poly([unit])
+    for q in (scaled, detour, divided, Poly(p.coeffs)):
+        assert_canonical(q)
+        assert (q.nums, q.den) == (p.nums, p.den)
+        assert q == p and hash(q) == hash(p)
+    if not p.is_zero:
+        f = RationalFunction(p, Poly([1, 1]))
+        g = RationalFunction(p * Poly([unit, unit]), Poly([unit, unit]) * Poly([1, 1]))
+        assert f == g and hash(f) == hash(g)

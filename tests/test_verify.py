@@ -318,7 +318,7 @@ def _wide(shape):
     operator = _planted(*shape)
     ell = operator.polynomial_coeffs()
     assert operator.order == shape[0]
-    assert (poly_gcd(ell[0], ell[-1]).degree > 0) == WIDE[shape]
+    assert (poly_gcd(ell[0], ell[-1])[0].degree > 0) == WIDE[shape]
     analyses = [OrbitAnalysis.analyze(operator, orbit)
                 for orbit in detect_orbits(operator)]
     assert len(analyses) == 2
@@ -379,3 +379,49 @@ def test_random_operator_spec_validates_shape():
         RandomOperatorSpec(coeff_degree=4)
     with pytest.raises(ValueError):
         RandomOperatorSpec(height=0)
+
+
+# -- the main path against the oracle on algebraic orbits of degree 3 and with
+# -- a non-integral minimal polynomial ------------------------------------------
+
+# operator, its orbit's key and the right bound: the orbit of 2^(1/3), whose
+# extreme coefficients vanish at its root and at its root + 1, and that of
+# sqrt(1/2), whose minimal polynomial x^2 - 1/2 is not integral
+ALGEBRAIC = {
+    "cubic-field": ("(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2",
+                    "-2+x^3", 2),
+    "half": ("(2*x^2-1) + x*S + (2*x^2-1)*S^2", "-1/2+x^2", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAIC))
+def test_certificates_pass_on_algebraic_global_bases(name):
+    text, key, bound = ALGEBRAIC[name]
+    operator = op(text)
+    run = global_integral_basis(operator, ZSpec({key: bound}))
+    (entry,) = run.processed
+    assert entry.orbit.orbit_key() == key
+    assert entry.points == tuple(range(bound + 1))
+    for n in entry.points:
+        report = certificate(operator, run.basis, entry.orbit.shifted(n),
+                             samples=10, seed=n)
+        assert report.passed, (n, report.violations[:3])
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAIC))
+def test_val_at_agrees_with_brute_val_on_algebraic_orbits(name):
+    text, key, _ = ALGEBRAIC[name]
+    operator = op(text)
+    (orbit,) = detect_orbits(operator)
+    analysis = OrbitAnalysis.analyze(operator, orbit)
+    r = operator.order
+    left, right = analysis.left_edge(), analysis.right_edge()
+    rng = random.Random(name)
+    for offset in (left - 1, left, right + 1):
+        point = analysis.orbit.shifted(offset)
+        norm = RationalFunction(galois_norm_uniformizer(point))
+        element = QuotientElement(tuple(
+            random_rf(rng, max_degree=1, height=2) * norm ** rng.randint(-1, 1)
+            for _ in range(r)))
+        assert val_at(element, point, analysis) == brute_val(
+            element, point, operator, r + right - left)
