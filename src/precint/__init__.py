@@ -7,7 +7,6 @@ verification of every result.
 """
 
 from .errors import (
-    IterationCapError,
     MissingRightBoundError,
     ParseError,
     PrecintError,
@@ -19,7 +18,6 @@ from .fields import (
     NFElem,
     NumberField,
     Poly,
-    Rational,
     RationalFunction,
     factor,
     galois_norm_uniformizer,
@@ -29,12 +27,11 @@ from .fields import (
     nu_at_factor,
     nu_infinity,
 )
-from .qvalues import PrecisionLoss, QRational, QSeries, nu_q, q_series, shifted_series
+from .qvalues import PrecisionLoss, QSeries, nu_q, q_series, shifted_series
 from .ore import (
     OreOperator,
     QuotientElement,
     SolutionBasis,
-    anchored_basis,
     apply_element_all,
     default_anchor,
     reduce_mod,
@@ -83,7 +80,6 @@ __all__ = [
     "CertificateReport",
     "GlobalRun",
     "INFINITY",
-    "IterationCapError",
     "MissingRightBoundError",
     "NFElem",
     "NumberField",
@@ -93,10 +89,8 @@ __all__ = [
     "Poly",
     "PrecintError",
     "PrecisionLoss",
-    "QRational",
     "QSeries",
     "QuotientElement",
-    "Rational",
     "RationalFunction",
     "RandomOperatorSpec",
     "ShiftSpace",
@@ -104,7 +98,6 @@ __all__ = [
     "SolutionBasis",
     "ToySpace",
     "ZSpec",
-    "anchored_basis",
     "apply_element_all",
     "brute_val",
     "certificate",

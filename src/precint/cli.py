@@ -33,10 +33,9 @@ from .integral import (
     GlobalRun,
     ShiftSpace,
     global_integral_basis,
-    iteration_cap_override,
     local_integral_basis,
 )
-from .ore import OreOperator, anchored_basis
+from .ore import OreOperator, SolutionBasis
 from .valuation import OrbitAnalysis, ZSpec, val_at
 from .verify import certificate, module_equal_at
 
@@ -105,7 +104,7 @@ def _cmd_solutions(args) -> int:
     if start > stop:
         raise PrecintError("--from must not exceed --to")
     anchor = args.anchor if args.anchor is not None else start
-    basis = anchored_basis(operator, orbit, anchor)
+    basis = SolutionBasis(operator, orbit, anchor)
     rows = []
     for j in range(1, basis.order + 1):
         rows.append([basis.value(j, n) for n in range(start, stop + 1)])
@@ -330,7 +329,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        iteration_cap_override()  # reject a bad PRECINT_MAX_ITER before any work
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,3 @@ class MissingRightBoundError(PrecintError):
 
 class SingularTransitionError(PrecintError):
     """Two bases compared for module equality do not span the same space."""
-
-
-class IterationCapError(PrecintError):
-    """Internal error: the basis-update loop exceeded its discriminant bound."""

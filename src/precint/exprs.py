@@ -53,10 +53,9 @@ def _coeff_str(c, compact: bool) -> tuple:
     Genuine number-field constants need parentheses.
     """
     if isinstance(c, NFElem):
-        if all(v == 0 for v in c.coords[1:]):
-            return _coeff_str(c.coords[0], compact)
-        text = poly_str(Poly(c.coords), "t", compact=compact)
-        return text, False
+        if c.poly.degree < 1:
+            return _coeff_str(c.poly[0], compact)
+        return poly_str(c.poly, "t", compact=compact), False
     c = Fraction(c)
     if c.denominator == 1:
         return _int_str(c.numerator), True

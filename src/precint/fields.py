@@ -10,6 +10,8 @@ denominator, so its arithmetic runs on ints: products by one schoolbook
 routine (`convolve`), division with remainder by pseudo-division, Taylor
 shifts by synthetic division, and gcds by the heuristic GCD with
 cofactors.  Exact `Fraction` coefficients are rebuilt only for readers.
+A number-field element is its residue modulo the minimal polynomial, one
+such polynomial in the generator, so number fields run on the same kernel.
 
 Everything here is immutable and exact; there is no floating point anywhere.
 """
@@ -22,8 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import PrecintError
-
-Rational = Fraction
 
 
 class _Infinity:
@@ -100,6 +100,20 @@ def convolve(a: Sequence, b: Sequence, n: Optional[int] = None) -> list:
             for j, y in enumerate(b[:size - i]):
                 out[i + j] += x * y
     return out
+
+
+def power(base, n: int, one):
+    """base ** n for an int n >= 0 by square-and-multiply, starting from
+    `one`; the one powering loop for polynomials, number-field elements and
+    operators."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def exact_values(nums: Sequence, den: int) -> Sequence:
@@ -350,14 +364,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, _ONE)
 
     def scaled(self, c) -> "Poly":
         return self * c
@@ -557,7 +564,7 @@ def poly_xgcd(a: Poly, b: Poly):
 class NumberField:
     """A simple extension Q[t]/(m) with m monic irreducible over Q."""
 
-    __slots__ = ("min_poly", "degree", "_reduction_rows", "_power_traces")
+    __slots__ = ("min_poly", "degree", "_power_traces")
 
     _cache: dict = {}
 
@@ -578,14 +585,6 @@ class NumberField:
             raise ValueError("minimal polynomial is reducible over Q")
         object.__setattr__(self, "min_poly", min_poly)
         object.__setattr__(self, "degree", min_poly.degree)
-        d = min_poly.degree
-        # rows[k] = coordinates of t^(d+k) mod m, for products of degree < 2d-1
-        rows = []
-        cur = Poly.monomial(Fraction(1), d) % min_poly
-        for _ in range(d - 1):
-            rows.append(tuple(cur[i] for i in range(d)))
-            cur = (cur * Poly.x()) % min_poly
-        object.__setattr__(self, "_reduction_rows", tuple(rows))
         object.__setattr__(self, "_power_traces", None)
         cls._cache[key] = self
         return self
@@ -603,15 +602,13 @@ class NumberField:
         return hash(("NumberField", self.min_poly))
 
     def element(self, coords) -> "NFElem":
-        cs = [Fraction(c) if not isinstance(c, Fraction) else c for c in coords]
-        if len(cs) > self.degree:
+        """The element sum coords[k] * t^k, from at most `degree` rationals."""
+        if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return NFElem(self, tuple(cs))
+        return NFElem(self, Poly(coords))
 
     def from_rational(self, c) -> "NFElem":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return NFElem(self, (c,) + (Fraction(0),) * (self.degree - 1))
+        return NFElem(self, Poly((c,)))
 
     @property
     def generator(self) -> "NFElem":
@@ -619,22 +616,11 @@ class NumberField:
 
     @property
     def zero(self) -> "NFElem":
-        return self.element([])
+        return NFElem(self, _ZERO)
 
     @property
     def one(self) -> "NFElem":
-        return self.element([1])
-
-    def _reduce_product(self, cs: list) -> tuple:
-        d = self.degree
-        out = list(cs[:d]) + [Fraction(0)] * (d - len(cs[:d]))
-        for k, c in enumerate(cs[d:]):
-            if c == 0:
-                continue
-            row = self._reduction_rows[k]
-            for i in range(d):
-                out[i] += c * row[i]
-        return tuple(out)
+        return NFElem(self, _ONE)
 
     def power_trace(self, k: int) -> Fraction:
         """Trace of t^k, via Newton's identities on the minimal polynomial."""
@@ -654,13 +640,17 @@ class NumberField:
 
 
 class NFElem:
-    """An element of a number field in power-basis coordinates."""
+    """An element of a number field, held as its residue modulo the minimal
+    polynomial: a `Poly` over Q in the generator t, of degree below the
+    field's.  Sums are `Poly` sums, products `Poly` products reduced by
+    pseudo-division, so number-field arithmetic runs on the integer kernel
+    too."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "poly")
 
-    def __init__(self, field: NumberField, coords: tuple):
+    def __init__(self, field: NumberField, poly: Poly):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElem is immutable")
@@ -676,41 +666,41 @@ class NFElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.poly.nums
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.poly.nums)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.poly == o.poly
 
     def __hash__(self):
-        return hash(("NFElem", self.field.min_poly, self.coords))
+        return hash(("NFElem", self.field.min_poly, self.poly))
 
     def __repr__(self):
-        return f"NFElem({list(self.coords)!r})"
+        return f"NFElem({self.poly!r})"
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, (self.coords[0] + other,) + self.coords[1:])
+            return NFElem(self.field, self.poly + other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return NFElem(self.field, self.poly + o.poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-a for a in self.coords))
+        return NFElem(self.field, -self.poly)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return NFElem(self.field, self.poly - o.poly)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -720,19 +710,11 @@ class NFElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, tuple(a * other for a in self.coords))
+            return NFElem(self.field, self.poly * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coords, o.coords
-        n = len(a)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-        return NFElem(self.field, self.field._reduce_product(prod))
+        return NFElem(self.field, (self.poly * o.poly) % self.field.min_poly)
 
     __rmul__ = __mul__
 
@@ -740,12 +722,10 @@ class NFElem:
         """Multiplicative inverse via extended gcd with the minimal polynomial."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
-        p = Poly(self.coords)
-        g, s, _ = poly_xgcd(p, self.field.min_poly)
+        g, s, _ = poly_xgcd(self.poly, self.field.min_poly)
         if g.degree != 0:
             raise PrecintError("minimal polynomial is not irreducible")
-        inv = s.scaled(1 / g[0])
-        return self.field.element([inv[i] for i in range(self.field.degree)])
+        return NFElem(self.field, s)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -760,19 +740,12 @@ class NFElem:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self if n >= 0 else self.inverse(), abs(n), self.field.one)
 
     def trace(self) -> Fraction:
-        return sum(c * self.field.power_trace(k) for k, c in enumerate(self.coords))
+        power_trace = self.field.power_trace
+        return sum((c * power_trace(k) for k, c in enumerate(self.poly.coeffs)),
+                   Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -1178,34 +1151,12 @@ def galois_trace_sum(g, point: AlgebraicPoint) -> RationalFunction:
     field = point.number_field()
     if isinstance(g, (int, Fraction)):
         g = field.from_rational(g)
-    d = field.degree
-    m = field.min_poly
-    w = Poly((Fraction(-point.offset), Fraction(1)))  # w = x - offset, in x
-
-    # Coefficients of h(t) = (m(t) - m(w)) / (t - w) via synthetic division;
-    # entries are polynomials in x.
-    h = [None] * d
-    carry = Poly.constant(m[d])  # leading coefficient 1
-    for j in range(d - 1, -1, -1):
-        h[j] = carry
-        carry = carry * w + Poly.constant(m[j])
-
-    # E = g * h(rho) reduced mod m, coordinates in Q[x].
-    prod = [Poly.zero() for _ in range(2 * d - 1)]
-    for i, gc in enumerate(g.coords):
-        if gc == 0:
-            continue
-        for j in range(d):
-            prod[i + j] = prod[i + j] + h[j].scaled(gc)
-    coords = list(prod[:d])
-    for k in range(d, 2 * d - 1):
-        if prod[k].is_zero:
-            continue
-        row = field._reduction_rows[k - d]
-        for i in range(d):
-            coords[i] = coords[i] + prod[k].scaled(row[i])
-
-    trace_num = Poly.zero()
-    for k in range(d):
-        trace_num = trace_num + coords[k].scaled(field.power_trace(k))
-    return RationalFunction(trace_num, galois_norm_uniformizer(point))
+    # The trace is Q(x)-linear: Tr(g*h(rho)) = sum_j h_j(x) * Tr(g*t^j),
+    # with the coefficients h_j of h(t) in Q[x] by synthetic division
+    # (h_(d-1) = 1, h_(j-1) = h_j*w + m_j) and w = x - offset.
+    m, t, w = field.min_poly, field.generator, Poly((-point.offset, 1))
+    traces = [(g * t ** j).trace() for j in range(field.degree)]
+    num, h = _ZERO, _ONE
+    for j in range(field.degree - 1, -1, -1):
+        num, h = num + h * traces[j], h * w + m[j]
+    return RationalFunction(num, galois_norm_uniformizer(point))

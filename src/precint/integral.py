@@ -19,13 +19,12 @@ algebraic.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .errors import IterationCapError, PrecintError
+from .errors import PrecintError
 from .fields import (
     INFINITY,
     AlgebraicPoint,
@@ -39,7 +38,6 @@ from .ore import OreOperator, QuotientElement, apply_element_all
 from .qvalues import nu_q
 from .valuation import OrbitAnalysis, ZSpec, detect_orbits, val_at, worklist_points
 
-ITERATION_CAP_ENV = "PRECINT_MAX_ITER"
 _CAP_MARGIN = 4
 
 
@@ -218,21 +216,6 @@ class ToySpace:
 # ---------------------------------------------------------------------------
 
 
-def iteration_cap_override() -> Optional[int]:
-    """The cap set by PRECINT_MAX_ITER, or None when it is unset; the value
-    must be an integer >= 0."""
-    raw = os.environ.get(ITERATION_CAP_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise PrecintError(f"{ITERATION_CAP_ENV} must be an integer >= 0, got {raw!r}")
-    return cap
-
-
 def _iteration_cap(space, rows: Sequence[QuotientElement],
                    point: AlgebraicPoint) -> Tuple[int, int]:
     """The cap on updates at the point, and the discriminant of `rows`.
@@ -243,7 +226,6 @@ def _iteration_cap(space, rows: Sequence[QuotientElement],
     a simple zero at the point; the local loop checks this on every
     normalize it performs.
     """
-    override = iteration_cap_override()
     norm = RationalFunction(galois_norm_uniformizer(point))
     normalized = []
     shift = 0
@@ -254,8 +236,7 @@ def _iteration_cap(space, rows: Sequence[QuotientElement],
         normalized.append(row if v == 0 else row.scaled(norm ** (-v)))
         shift += v
     disc = space.discriminant(normalized, point)
-    cap = max(disc, 0) + _CAP_MARGIN if override is None else override
-    return cap, disc + shift
+    return max(disc, 0) + _CAP_MARGIN, disc + shift
 
 
 def local_integral_basis(space, basis: BasisMatrix,
@@ -320,9 +301,9 @@ def local_integral_basis(space, basis: BasisMatrix,
                                     disc_before=disc_before, disc_after=disc))
             iterations += 1
             if iterations > cap:
-                raise IterationCapError(
-                    f"exceeded {cap} updates at {point_key}; "
-                    f"set {ITERATION_CAP_ENV} to raise the cap"
+                raise PrecintError(
+                    f"exceeded the discriminant bound of {cap} updates at "
+                    f"{point_key}"
                 )
     return BasisMatrix(tuple(rows), basis.provenance + tuple(log))
 

@@ -27,10 +27,10 @@ from .fields import (
     factor,
     integer_shift,
     poly_gcd,
+    power,
 )
 from .qvalues import (
     PrecisionLoss,
-    QRational,
     QSeries,
     ZERO,
     fraction_series,
@@ -171,14 +171,7 @@ class OreOperator:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of an operator")
-        result = OreOperator.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, OreOperator.constant(1))
 
     # -- normalization ----------------------------------------------------------
 
@@ -351,7 +344,8 @@ class SolutionBasis:
 
     Solution j takes the value delta_{i,j} at positions anchor + i - 1 for
     i = 1..r; values elsewhere are filled on demand by solving the deformed
-    recurrence for the unknown end.
+    recurrence for the unknown end.  The anchor defaults to
+    `default_anchor(modulus, orbit)`.
 
     The table is fraction-free and exact: `_values[(j, p)]` holds a
     numerator N in K[q] over a denominator `_dens[p]` in K[q] shared by all
@@ -390,7 +384,7 @@ class SolutionBasis:
         self._ell_at: Dict[Tuple[int, int], Poly] = {}
         self._values: Dict[Tuple[int, int], Poly] = {}
         self._dens: Dict[int, Poly] = {}
-        self._canonical: Dict[Tuple[int, int], QRational] = {}
+        self._canonical: Dict[Tuple[int, int], RationalFunction] = {}
         self._series: Dict[Tuple[int, int], QSeries] = {}
         self._actions: Dict[Tuple[QuotientElement, int], Tuple[QSeries, ...]] = {}
         self.precision = START_PRECISION
@@ -461,7 +455,7 @@ class SolutionBasis:
             self._lo[j] = w
         return vals[(j, n)]
 
-    def value(self, j: int, n: int) -> QRational:
+    def value(self, j: int, n: int) -> RationalFunction:
         """b_j at orbit position n in canonical form (memoized, grows the
         table as needed)."""
         key = (j, n)
@@ -512,7 +506,7 @@ class SolutionBasis:
         position."""
         return self._root + n
 
-    def recurrence_residual(self, j: int, w: int) -> QRational:
+    def recurrence_residual(self, j: int, w: int) -> RationalFunction:
         """The deformed relation evaluated on the cached window at w;
         exactly zero for every valid solution."""
         acc = RationalFunction.zero()
@@ -527,13 +521,6 @@ class SolutionBasis:
         degrees = [p.degree for p in self._values.values()]
         degrees += [p.degree for p in self._dens.values()]
         return max(0, *degrees)
-
-
-def anchored_basis(modulus: OreOperator, orbit: AlgebraicPoint,
-                   anchor: Optional[int] = None) -> SolutionBasis:
-    """The solution basis anchored (by default) at the leftmost offset where
-    the trailing or leading coefficient vanishes on the orbit."""
-    return SolutionBasis(modulus, orbit, anchor)
 
 
 def apply_element_all(element: QuotientElement, basis: SolutionBasis,

@@ -45,11 +45,6 @@ from .fields import (
     taylor_shift,
 )
 
-# The values of sequence solutions: rational functions in q over the
-# constant field of the orbit.  Negative q-valuation (a pole at q = 0) is
-# legal; canonical form is the same coprime/monic-denominator one.
-QRational = RationalFunction
-
 Height = Tuple[int, int, int]
 
 
@@ -260,7 +255,7 @@ def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:
                      (num.degree, den.degree, b))
 
 
-def q_series(f: QRational, terms: int) -> QSeries:
+def q_series(f: RationalFunction, terms: int) -> QSeries:
     """The expansion of an exact f in K(q) at q = 0, with `terms`
     coefficients from its valuation on."""
     return fraction_series(f.num, f.den, terms)

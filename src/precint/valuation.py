@@ -19,7 +19,6 @@ from .ore import (
     OreOperator,
     QuotientElement,
     SolutionBasis,
-    anchored_basis,
     apply_element_all,
     default_anchor,
     root_offsets,
@@ -73,7 +72,7 @@ class OrbitAnalysis:
                 f"anchor {anchor} is right of the default {default}; the value "
                 "function requires an anchor left of every coefficient root"
             )
-        basis = anchored_basis(modulus, orbit, anchor)
+        basis = SolutionBasis(modulus, orbit, anchor)
         growths = _compute_growths(basis, left, right)
         return OrbitAnalysis(modulus, orbit, left, right, basis, growths)
 

@@ -20,8 +20,8 @@ from precint import (
     QuotientElement,
     RationalFunction,
     ShiftSpace,
+    SolutionBasis,
     ZSpec,
-    anchored_basis,
     brute_val,
     certificate,
     galois_norm_uniformizer,
@@ -90,7 +90,7 @@ def _bounds_for(operator: OreOperator) -> ZSpec:
 
 
 def test_criterion_1_solution_table(cubic, orbit_z):
-    basis = anchored_basis(cubic, orbit_z, anchor=-2)
+    basis = SolutionBasis(cubic, orbit_z, anchor=-2)
     expected = {
         (1, 1): "-x",
         (1, 2): "x*(x-1)/(x+1)",

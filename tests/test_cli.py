@@ -153,19 +153,6 @@ def test_parse_error_reports_position(capsys):
     assert "position" in err
 
 
-@pytest.mark.parametrize("bound", ["Z=0", "Z=-50"])
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bad_iteration_cap_is_a_usage_error(capsys, monkeypatch, value, bound):
-    monkeypatch.setenv("PRECINT_MAX_ITER", value)
-    code, out, err = run_cli(
-        capsys, "global-basis", "--operator", CUBIC, "--right-bound", bound,
-    )
-    assert code == 2
-    assert out == ""
-    assert "PRECINT_MAX_ITER must be an integer >= 0" in err
-    assert "Traceback" not in err
-
-
 def test_right_bound_left_of_the_orbit_is_noticed(capsys):
     code, out, err = run_cli(
         capsys, "global-basis", "--operator", CUBIC, "--right-bound", "Z=-50",

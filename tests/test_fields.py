@@ -13,7 +13,6 @@ from precint import (
     AlgebraicPoint,
     NumberField,
     Poly,
-    Rational,
     RationalFunction,
     factor,
     galois_norm_uniformizer,
@@ -26,11 +25,6 @@ from precint import (
 from conftest import coeff, op, random_rf
 
 X = Poly.x()
-
-
-def test_rational_is_exact_stdlib_fraction():
-    assert Rational is Fraction
-    assert Rational(2, 4) == Rational(1, 2)
 
 
 def test_poly_strips_trailing_zeros_and_compares():

@@ -11,7 +11,6 @@ import pytest
 from precint import (
     AlgebraicPoint,
     BasisMatrix,
-    IterationCapError,
     OrbitAnalysis,
     Poly,
     PrecintError,
@@ -28,6 +27,7 @@ from precint import (
     val_at,
 )
 from precint import _linalg
+from precint.integral import _CAP_MARGIN
 from conftest import el, op, pt
 
 
@@ -130,12 +130,37 @@ def test_every_update_preserves_the_span(cubic, orbit_z):
     assert tuple(rows) == result.rows
 
 
-def test_iteration_cap_override(cubic, orbit_z, monkeypatch):
-    monkeypatch.setenv("PRECINT_MAX_ITER", "0")
-    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
-    with pytest.raises(IterationCapError):
-        local_integral_basis(ShiftSpace(analysis), BasisMatrix.standard(3),
-                             pt("0"))
+class _EndlessSpace:
+    """A valued space that always offers an improvement and whose
+    discriminant drops by exactly 1 per call, so only the bound derived
+    from the discriminant stops the local loop."""
+
+    dimension = 2
+
+    def __init__(self, disc: int):
+        self.disc = disc + 1
+
+    def val(self, row, point):
+        return 0
+
+    def find_alpha(self, previous, row, point):
+        return [Fraction(1)] * len(previous)
+
+    def discriminant(self, rows, point):
+        self.disc -= 1
+        return self.disc
+
+
+@pytest.mark.parametrize("disc", [0, 3])
+def test_update_loop_stops_at_the_discriminant_bound(disc):
+    space = _EndlessSpace(disc)
+    with pytest.raises(PrecintError) as info:
+        local_integral_basis(space, BasisMatrix.standard(2), pt("0"))
+    cap = disc + _CAP_MARGIN
+    assert str(info.value) == (f"exceeded the discriminant bound of {cap} "
+                               "updates at 0")
+    # one discriminant for the bound, then one per combine until the cap
+    assert space.disc == disc - (cap + 1)
 
 
 def test_discriminant_is_carried_from_update_to_update(cubic, orbit_z,

@@ -6,7 +6,8 @@ remainder, gcd with cofactors, Taylor shift, truncated quotient) is
 compared with sympy's own arithmetic on random inputs with huge and with
 non-integral coefficients, degrees 0 and 1 and negative leading
 coefficients; equal values must compare and hash equal however they were
-built.
+built.  Number-field elements are such polynomials reduced modulo the
+minimal polynomial, and are compared with sympy's `rem` and `invert`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from precint import Poly, RationalFunction, q_series, shifted_series
+from precint import (
+    AlgebraicPoint,
+    NumberField,
+    Poly,
+    RationalFunction,
+    galois_trace_sum,
+    q_series,
+    shifted_series,
+)
 from precint.fields import poly_gcd
 from precint.qvalues import fraction_series
 
@@ -184,3 +193,89 @@ def test_equal_values_compare_and_hash_equal(p, k, m):
         f = RationalFunction(p, Poly([1, 1]))
         g = RationalFunction(p * Poly([unit, unit]), Poly([unit, unit]) * Poly([1, 1]))
         assert f == g and hash(f) == hash(g)
+
+
+# Q(sqrt 2), Q(2^(1/3)), the cubic field of x^3 - x - 1, and the field of
+# x^2 - 1/2, whose minimal polynomial has a non-integral coefficient
+FIELDS = [NumberField(Poly(m)) for m in ([-2, 0, 1], [-2, 0, 0, 1], [-1, -1, 0, 1],
+                                         [Fraction(-1, 2), 0, 1])]
+
+
+@st.composite
+def field_elements(draw, count: int):
+    """A field of FIELDS and `count` elements of it from rational coordinates."""
+    field = draw(st.sampled_from(FIELDS))
+    coords = st.lists(rationals, max_size=field.degree)
+    return field, [field.element(draw(coords)) for _ in range(count)]
+
+
+def reduced(p: sympy.Poly, field: NumberField) -> Poly:
+    return from_sympy(p.rem(to_sympy(field.min_poly)))
+
+
+def sympy_trace(a) -> Fraction:
+    """The trace of multiplication by a on the power basis 1, t, ..., t^(d-1):
+    the sum of the t^j coordinates of a*t^j reduced in sympy."""
+    t = sympy.Poly(X, X, domain="QQ")
+    return sum((reduced(to_sympy(a.poly) * t ** j, a.field)[j]
+                for j in range(a.field.degree)), Fraction(0))
+
+
+@SETTINGS
+@given(field_elements(2))
+@example((FIELDS[1], [FIELDS[1].element([0, 0, 1]), FIELDS[1].element([0, 0, 1])]))
+@example((FIELDS[3], [FIELDS[3].element([Fraction(1, 3), 2 ** 100]),
+                      FIELDS[3].element([0, Fraction(-5, 7)])]))
+def test_number_field_arithmetic_matches_sympy(case):
+    field, (a, b) = case
+    sa, sb = to_sympy(a.poly), to_sympy(b.poly)
+    for value, expected in ((a + b, reduced(sa + sb, field)),
+                            (a - b, reduced(sa - sb, field)),
+                            (a * b, reduced(sa * sb, field))):
+        assert value.field is field
+        assert_canonical(value.poly)
+        assert value.poly.degree < field.degree
+        assert value.poly == expected
+    assert a.trace() == sympy_trace(a)
+    if not a.is_zero:
+        inverse = a.inverse()
+        assert_canonical(inverse.poly)
+        assert inverse.poly == from_sympy(sympy.invert(sa, to_sympy(field.min_poly)))
+        assert a * inverse == field.one
+
+
+@SETTINGS
+@given(field_elements(2), rationals)
+def test_equal_elements_compare_and_hash_equal(case, c):
+    """An element reached by arithmetic, by its coordinates or from a
+    rational is held the same way."""
+    field, (a, b) = case
+    routes = [(a + b) - b, -(-a), a * field.one + field.zero,
+              field.element(a.poly.coeffs)]
+    if not b.is_zero:
+        routes.append(a * b / b)
+    for e in routes:
+        assert (e.poly.nums, e.poly.den) == (a.poly.nums, a.poly.den)
+        assert e == a and hash(e) == hash(a)
+    rational = field.from_rational(c)
+    t = field.generator
+    for e in (field.element([c]), field.one * c, field.zero + c, t * c / t,
+              (t + c) - t):
+        assert e == rational and hash(e) == hash(rational)
+    assert rational == c
+
+
+@SETTINGS
+@given(field_elements(1), st.integers(-5, 5).filter(bool),
+       st.lists(rationals, min_size=1, max_size=3))
+@example((FIELDS[0], [FIELDS[0].one]), 3, [Fraction(0), Fraction(1, 2)])
+def test_galois_trace_sum_is_the_trace_of_g_over_x_minus_z(case, offset, xs):
+    """sum_sigma sigma(g)/(x - sigma(z)) at rational x is Tr(g/(x - z)) in
+    the field, at points of degree 2 and 3 with nonzero offsets."""
+    field, (g,) = case
+    point = AlgebraicPoint(field.min_poly, offset)
+    assert point.number_field() is field
+    z = point.value()
+    f = galois_trace_sum(g, point)
+    for x in xs:
+        assert f.num.eval(x) / f.den.eval(x) == (g / (x - z)).trace()

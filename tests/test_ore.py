@@ -17,7 +17,7 @@ from precint import (
     QuotientElement,
     RandomOperatorSpec,
     RationalFunction,
-    anchored_basis,
+    SolutionBasis,
     apply_element_all,
     default_anchor,
     nu_q,
@@ -116,7 +116,7 @@ def test_reduction_kills_left_multiples(seed, cubic):
 
 def test_default_anchor_is_leftmost_coefficient_root(cubic, orbit_z):
     assert default_anchor(cubic, orbit_z) == -2
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     assert basis.anchor == -2
     for i in range(1, 4):
         for j in range(1, 4):
@@ -125,7 +125,7 @@ def test_default_anchor_is_leftmost_coefficient_root(cubic, orbit_z):
 
 
 def test_anchor_without_singularities_defaults_to_zero(orbit_z):
-    basis = anchored_basis(op("S^2 - 1"), orbit_z)
+    basis = SolutionBasis(op("S^2 - 1"), orbit_z)
     assert basis.anchor == 0
     assert basis.value(1, 0) == RationalFunction.one()
     assert basis.value(2, 1) == RationalFunction.one()
@@ -133,12 +133,12 @@ def test_anchor_without_singularities_defaults_to_zero(orbit_z):
 
 def test_anchor_on_rootless_algebraic_orbit():
     orbit = AlgebraicPoint(Poly([-2, 0, 1]), 0)
-    basis = anchored_basis(op("S^2 - 1"), orbit)
+    basis = SolutionBasis(op("S^2 - 1"), orbit)
     assert basis.anchor == 0
 
 
 def test_solution_table_values(cubic, orbit_z):
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     assert basis.value(1, 1) == qrf("-x")
     assert basis.value(1, 2) == qrf("x*(x-1)/(x+1)")
     assert basis.value(2, 2) == qrf("-x-1")
@@ -147,7 +147,7 @@ def test_solution_table_values(cubic, orbit_z):
 
 
 def test_every_cached_window_satisfies_the_recurrence(cubic, orbit_z):
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     for j in (1, 2, 3):
         basis.value(j, 6)
         basis.value(j, -6)
@@ -159,7 +159,7 @@ def test_every_cached_window_satisfies_the_recurrence(cubic, orbit_z):
 def test_solution_values_on_algebraic_orbit():
     operator = op("x^2 - 2 + S^2")
     orbit = AlgebraicPoint(Poly([-2, 0, 1]), 0)
-    basis = anchored_basis(operator, orbit)
+    basis = SolutionBasis(operator, orbit)
     assert basis.anchor == 0
     value = basis.value(1, 2)
     # b_1(2) = -((rho+q)^2 - 2) = -q^2 - 2*rho*q with rho = root(x^2-2)
@@ -172,7 +172,7 @@ def test_solution_values_on_algebraic_orbit():
 
 
 def test_apply_element_examples(cubic, orbit_z):
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     s = el("S", 3)
     assert series_equals(lambda: apply_element_all(s, basis, 0)[3 - 1],
                          qrf("(-x+2)/x"), basis)
@@ -200,7 +200,7 @@ def _apply_operator_directly(operator: OreOperator, basis, j: int, n: int):
 @pytest.mark.parametrize("seed", [55, 56])
 def test_action_factors_through_the_quotient(seed, cubic, orbit_z):
     rng = random.Random(seed)
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     for _ in range(5):
         raw = OreOperator(tuple(random_rf(rng, max_degree=1, height=2)
                                 for _ in range(rng.randint(1, 7))))
@@ -222,14 +222,14 @@ def test_memoised_action_matches_a_fresh_table(operator, point, elements):
     series equal the action computed exactly on a freshly anchored table."""
     modulus = op(operator)
     orbit = pt(point).orbit()
-    basis = anchored_basis(modulus, orbit)
+    basis = SolutionBasis(modulus, orbit)
     rows = [el(text, modulus.order) for text in elements]
     for _ in range(2):
         for row in rows:
             for n in range(-2, 3):
                 values = apply_element_all(row, basis, n)
                 assert apply_element_all(row, basis, n) is values
-                fresh = anchored_basis(modulus, orbit)
+                fresh = SolutionBasis(modulus, orbit)
                 for j in range(1, modulus.order + 1):
                     direct = _apply_operator_directly(OreOperator(row.coords),
                                                       fresh, j, n)
@@ -255,8 +255,8 @@ def test_shifted_variant_reproduces_table_one_position_over(orbit_z):
     the same solution table, reindexed by exactly one position."""
     cubic = op(CUBIC)
     variant = op(CUBIC_SHIFTED)
-    base = anchored_basis(cubic, orbit_z)
-    other = anchored_basis(variant, orbit_z)
+    base = SolutionBasis(cubic, orbit_z)
+    other = SolutionBasis(variant, orbit_z)
     assert other.anchor == -1
     for j in (1, 2, 3):
         for n in range(-2, 4):
@@ -264,7 +264,7 @@ def test_shifted_variant_reproduces_table_one_position_over(orbit_z):
 
 
 def test_max_degree_diagnostic(cubic, orbit_z):
-    basis = anchored_basis(cubic, orbit_z)
+    basis = SolutionBasis(cubic, orbit_z)
     basis.value(1, 4)
     assert basis.max_degree >= 2
 
@@ -326,7 +326,7 @@ def test_table_matches_a_plain_unrolling(order, point):
     modulus = _singular_operator(order, point, seed=order)
     orbit = pt(point).orbit()
     # anchored at 1, the first step each way divides by a multiple of q
-    basis = anchored_basis(modulus, orbit, anchor=1)
+    basis = SolutionBasis(modulus, orbit, anchor=1)
     lo, hi = -1, order + 2
     expected = _unrolled(modulus, orbit.value(), 1, lo, hi)
     for j in range(1, order + 1):
@@ -348,7 +348,7 @@ def test_exact_cancellation_ends_the_doubling(point, offset):
     ends, in a proof that the entry is exactly zero."""
     modulus = _singular_operator(3, point, seed=7)
     orbit = pt(point).orbit()
-    basis = anchored_basis(modulus, orbit)
+    basis = SolutionBasis(modulus, orbit)
     n = basis.anchor + offset
     z = basis.point_value(n)
     row = QuotientElement((basis.value(1, n + 1).shift(-z),
@@ -369,7 +369,7 @@ def test_exact_cancellation_ends_the_doubling(point, offset):
 def test_table_reach_is_bounded():
     """Positions up to MAX_TABLE_REACH beyond either end of the identity
     window are read; one more is refused before the table grows."""
-    basis = anchored_basis(op("x*(x-99) + S"), pt("0"))
+    basis = SolutionBasis(op("x*(x-99) + S"), pt("0"))
     reach = ore.MAX_TABLE_REACH
     assert (basis.anchor, basis.order) == (0, 1)
     assert basis.valuation(1, reach) == 2

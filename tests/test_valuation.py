@@ -18,8 +18,8 @@ from precint import (
     PrecintError,
     QuotientElement,
     RationalFunction,
+    SolutionBasis,
     ZSpec,
-    anchored_basis,
     apply_element_all,
     brute_val,
     galois_norm_uniformizer,
@@ -129,7 +129,7 @@ def test_growth_without_singularities_is_zero(orbit_z):
 def test_oscillating_solution_has_equal_liminfs(orbit_z):
     # the solution 1 + q + (-1)^n of S^2 - 1 oscillates between
     # valuations 0 and 1; both liminfs are 0 and the growth vanishes
-    basis = anchored_basis(op("S^2 - 1"), orbit_z)
+    basis = SolutionBasis(op("S^2 - 1"), orbit_z)
     q = RationalFunction(Poly([0, 1]))
     two_plus_q = RationalFunction(Poly([2, 1]))
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,32 @@ from conftest import el, op, pt, random_rf
 
 Q = Poly.x()  # the same dense representation serves the variable q
 SQRT2 = NumberField(Poly([-2, 0, 1]))
+VERIFY_SOURCE = Path(__file__).resolve().parent.parent / "src" / "precint" / "verify.py"
+
+
+def _imports(tree: ast.AST):
+    """(module, name) for every name the source imports, at any depth, with
+    package modules given without their `precint.` or `.` prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("precint."), None
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("precint").lstrip(".")
+            for alias in node.names:
+                # `from . import ore` imports a module
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def test_oracle_imports_no_main_path_values():
+    """The oracle keeps its own table and values: it imports nothing from
+    `qvalues`, and from `ore` only the operator, the quotient element and
+    the default anchor, never the solution table or the element action."""
+    imports = list(_imports(ast.parse(VERIFY_SOURCE.read_text())))
+    assert ("fields", "Poly") in imports  # the walk sees the package imports
+    assert [i for i in imports if i[0] == "qvalues"] == []
+    from_ore = {name for module, name in imports if module == "ore"}
+    assert from_ore == {"OreOperator", "QuotientElement", "default_anchor"}
 
 
 def _known_local():
