@@ -5,16 +5,18 @@ random-operator generators for the property suites.
 Everything here deliberately avoids the production caches: solution tables
 are rebuilt from scratch at a freshly shifted anchor on every entry point,
 so agreement with the main path is evidence, not tautology.  The q side
-stays exact without a gcd in K(q): table values and row values are
-numerators over denominators known from their construction, and the q-adic
-value of a sum of such fractions is read lazily from its lowest terms.
+stays exact without a gcd in K(q) and runs on the integer kernel of
+`fields`: table values and row values are numerators over denominators
+known from their construction, and the q-adic value of a sum of such
+fractions is read lazily, lowest terms first, from its cross-multiplied
+numerator, built on the int (or number-field) numerators of the factors
+with no division.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -25,6 +27,7 @@ from .fields import (
     Poly,
     RationalFunction,
     Valuation,
+    convolve,
     galois_norm_uniformizer,
     nu_at_factor,
     poly_gcd,
@@ -38,75 +41,54 @@ from .valuation import singular_points
 # Exact q-orders of sums, without a gcd
 # ---------------------------------------------------------------------------
 
-# A term of a sum in K(q): (order, nums, dens), standing for
-# q^order * prod(nums) / prod(dens), with every factor a Poly whose constant
-# term is nonzero.
-_Term = Tuple[int, Tuple[Poly, ...], Tuple[Poly, ...]]
-
-
-def _split(p: Poly) -> Tuple[int, Poly]:
-    """Write a nonzero p as q^k * u with u(0) != 0; returns (k, u)."""
-    k = p.order_at_zero()
-    return k, (Poly(p.coeffs[k:]) if k else p)
+# A term of a sum in K(q): (order, top, bottom, nums, dens), standing for
+# q^order * (top / bottom) * prod(nums) / prod(dens), with top and bottom
+# positive ints and every factor the numerator list (ints, or elements of a
+# number field) of a Poly whose constant term is nonzero.
+_Term = Tuple[int, int, int, Tuple[Sequence, ...], Tuple[Sequence, ...]]
 
 
 def _term(nums: Sequence[Poly], dens: Sequence[Poly]) -> Optional[_Term]:
-    """prod(nums) / prod(dens) as a term, or None when it is zero."""
-    order = 0
+    """prod(nums) / prod(dens) as a term, or None when it is zero.  Each
+    factor is q^k times its numerators from the k-th on, over its int den."""
+    order, top, bottom = 0, 1, 1
     units = []
     for p in nums:
         if p.is_zero:
             return None
-        k, u = _split(p)
+        k = p.order_at_zero()
         order += k
-        units.append(u)
+        bottom *= p.den
+        units.append(p.nums[k:])
     den_units = []
     for p in dens:
-        k, u = _split(p)
+        k = p.order_at_zero()
         order -= k
-        den_units.append(u)
-    return order, tuple(units), tuple(den_units)
+        top *= p.den
+        den_units.append(p.nums[k:])
+    return order, top, bottom, tuple(units), tuple(den_units)
 
 
-def _truncated_product(factors: Sequence[Poly], n: int) -> List:
-    out = [Fraction(1)]
-    for f in factors:
-        cs = f.coeffs[:n]
-        prod = [Fraction(0)] * min(n, len(out) + len(cs) - 1)
-        for i, a in enumerate(out):
-            if not a:
-                continue
-            for k in range(min(len(cs), n - i)):
-                prod[i + k] = prod[i + k] + a * cs[k]
-        out = prod
-    return out
-
-
-def _series(nums: Sequence[Poly], dens: Sequence[Poly], n: int) -> List:
-    """The first n coefficients of prod(nums) / prod(dens); each den has a
-    nonzero constant term, so this is a power series."""
-    num = _truncated_product(nums, n)
-    den = _truncated_product(dens, n)
-    inv = Fraction(1) / den[0]
-    out = []
-    for k in range(n):
-        c = num[k] if k < len(num) else Fraction(0)
-        for i in range(1, min(k, len(den) - 1) + 1):
-            c = c - den[i] * out[k - i]
-        out.append(c * inv)
-    return out
+def _times(a: Optional[_Term], b: Optional[_Term]) -> Optional[_Term]:
+    """The product of two terms."""
+    if a is None or b is None:
+        return None
+    return (a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] + b[3], a[4] + b[4])
 
 
 def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
-    """nu_q of a sum of terms, exactly and with no gcd.
+    """nu_q of a sum of terms, exactly and with no gcd and no division.
 
-    The order of each term is read off its factors.  A minimum reached by
-    one term only is the answer.  Otherwise the sum's coefficients are
-    summed from q^m upward over the terms reaching that far, doubling the
-    length, until one is nonzero.  With D the product of every
-    denominator, the sum is q^m * N / D with D(0) != 0 and deg N at most
-    `bound`; so N, hence the sum, is zero exactly when its first bound + 1
-    coefficients are, and only that proves INFINITY.
+    The order of each term is read off its factors.  A minimum m reached by
+    one term only is the answer.  Otherwise the sum is q^m * N / (C * D),
+    with D the product of every denominator factor, so D(0) != 0, and C the
+    product of every term's `bottom`, an int.  The numerator N is the sum
+    over the terms t of q^(order_t - m) * top_t * prod(bottom_s) *
+    prod(nums_t) * prod(dens_s) over the other terms s, cross-multiplied on
+    the numerator lists; its order is the order of the sum less m.  N is
+    read from q^0 upward, doubling the length, until a coefficient is
+    nonzero.  Its degree is at most `bound`, so it is zero exactly when its
+    first bound + 1 coefficients are, and only that proves INFINITY.
     """
     terms = [t for t in terms if t is not None]
     if not terms:
@@ -114,18 +96,34 @@ def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
     m = min(t[0] for t in terms)
     if sum(1 for t in terms if t[0] == m) == 1:
         return m
-    den_degree = sum(d.degree for t in terms for d in t[2])
+    den_degree = sum(len(d) - 1 for t in terms for d in t[4])
     bound = den_degree + max(
-        order - m + sum(p.degree for p in nums) - sum(d.degree for d in dens)
-        for order, nums, dens in terms)
+        order - m + sum(len(p) - 1 for p in nums) - sum(len(d) - 1 for d in dens)
+        for order, _, _, nums, dens in terms)
+    scales = []
+    for t, (_, top, _, _, _) in enumerate(terms):
+        for s, other in enumerate(terms):
+            if s != t:
+                top *= other[2]
+        scales.append(top)
     n = 1
     while True:
-        acc = [Fraction(0)] * n
-        for order, nums, dens in terms:
+        den_products = []
+        for t in terms:
+            product = [1]
+            for d in t[4]:
+                product = convolve(product, d, n)
+            den_products.append(product)
+        acc = [0] * n
+        for t, (order, _, _, nums, _) in enumerate(terms):
             k = order - m
-            if k < n:
-                for i, c in enumerate(_series(nums, dens, n - k)):
-                    acc[k + i] = acc[k + i] + c
+            if k >= n:
+                continue
+            product = [scales[t]]
+            for f in (*nums, *(p for s, p in enumerate(den_products) if s != t)):
+                product = convolve(product, f, n - k)
+            for i, c in enumerate(product):
+                acc[k + i] += c
         for i, c in enumerate(acc):
             if c:
                 return m + i
@@ -245,7 +243,7 @@ def brute_val(element: QuotientElement, point: AlgebraicPoint,
     if element.dimension != r:
         raise PrecintError("element dimension does not match the operator order")
     orbit = point.orbit()
-    if window < r + _singular_spread(modulus, orbit):
+    if window < _least_window(modulus, orbit):
         raise PrecintError("window is too small for this operator")
     anchor = default_anchor(modulus, orbit) - window
     table = _fresh_solution_table(modulus, orbit, anchor,
@@ -253,10 +251,11 @@ def brute_val(element: QuotientElement, point: AlgebraicPoint,
     return _element_val(element, table, orbit.value(), point.offset)
 
 
-def _singular_spread(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
+def _least_window(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
+    """The order plus the spread of the singular offsets of the orbit."""
     left, right = singular_points(modulus, orbit)
     offs = left + right
-    return max(offs) - min(offs) if offs else 0
+    return modulus.order + (max(offs) - min(offs) if offs else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +357,19 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _random_unit(rng: random.Random, norm: Poly) -> Tuple[Poly, int]:
-    """A rational function with valuation exactly 0 at the point (and all of
-    its conjugates), as its numerator and a shift c: the numerator is coprime
-    to the point's minimal polynomial `norm`, and the denominator is 1 for
-    c = 0 and otherwise the norm of the point shifted by c, a unit by
-    construction."""
+def _random_unit(rng: random.Random, z) -> Tuple[Poly, int]:
+    """A rational function with valuation exactly 0 at the point z (and all
+    of its conjugates), as its numerator already shifted to z + q and a
+    shift c.  The numerator has small int coefficients and is drawn again
+    while its shift has a zero constant term: it vanishes at z exactly when
+    the point's minimal polynomial, irreducible with root z, divides it.
+    The denominator is 1 for c = 0 and otherwise the norm of the point
+    shifted by c, a unit by construction."""
     while True:
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-        num = Poly(coeffs)
-        if num.is_zero:
-            continue
-        if num.degree >= norm.degree and (num % norm).is_zero:
-            continue
-        break
-    return num, rng.choice((0, 1, -1, 2))
+        unit = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]).shift(z)
+        if unit.nums and unit.nums[0]:
+            break
+    return unit, rng.choice((0, 1, -1, 2))
 
 
 def _row_values(rows: Sequence[QuotientElement], table: _Table, z,
@@ -421,15 +418,23 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     polynomial with exponents in {-2..2}; a clean report means integrality
     of the combination is exactly equivalent to all exponents being
     nonnegative.  The sampled values are byte-for-byte what repeated
-    brute_val calls would compute; the table is simply built once.
+    brute_val calls would compute; the table is simply built once, and
+    each unit is shifted to z + q once.  A window smaller than brute_val
+    accepts, or a negative number of samples, raises PrecintError rather
+    than report a check of the wrong table or of nothing.
     """
     modulus = modulus.normalized()
     r = modulus.order
     if basis.dimension != r:
         raise PrecintError("basis size does not match the operator order")
+    if samples < 0:
+        raise PrecintError("the number of samples must not be negative")
     orbit = point.orbit()
+    least_window = _least_window(modulus, orbit)
     if window is None:
-        window = r + _singular_spread(modulus, orbit) + 2
+        window = least_window + 2
+    elif window < least_window:
+        raise PrecintError("window is too small for this operator")
     anchor = default_anchor(modulus, orbit) - window
     lo = point.offset
     hi = point.offset + r - 1
@@ -442,33 +447,27 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     row_terms = [[_term((num,), (den,)) for num in nums]
                  for nums, den in _row_values(basis.rows, table, z,
                                               point.offset)]
-    norm = galois_norm_uniformizer(point)
-    norm_order, norm_unit = _split(norm.shift(z))
-    unit_dens = {c: _split(galois_norm_uniformizer(point.shifted(c)).shift(z))
+    # coordinate factors other than the unit's numerator, for each exponent
+    # e and unit shift c: norm(z + q)^e / (the norm of the point shifted by c)
+    norm_at_z = galois_norm_uniformizer(point).shift(z)
+    unit_dens = {c: (galois_norm_uniformizer(point.shifted(c)).shift(z),)
                  for c in (1, -1, 2)}
-    unit_dens[0] = (0, Poly.one())
+    unit_dens[0] = ()
+    scaffold = {(e, c): _term((norm_at_z,) * max(e, 0),
+                              den + (norm_at_z,) * max(-e, 0))
+                for e in range(-2, 3) for c, den in unit_dens.items()}
     rng = random.Random(seed)
     violations: List[CertificateViolation] = []
     for s in range(samples):
         exponents = tuple(rng.randint(-2, 2) for _ in range(r))
-        # each coordinate is unit(z + q) * norm(z + q)^e, kept in factors
         coeffs_at_z = []
         for e in exponents:
-            num, c = _random_unit(rng, norm)
-            k_num, num = _split(num.shift(z))
-            k_den, den = unit_dens[c]
-            powers = (norm_unit,) * abs(e)
-            coeffs_at_z.append((k_num - k_den + e * norm_order,
-                                (num,) + (powers if e > 0 else ()),
-                                (den,) + (powers if e < 0 else ())))
+            unit, c = _random_unit(rng, z)
+            coeffs_at_z.append(_times(_term((unit,), ()), scaffold[e, c]))
         value = INFINITY
         for j in range(r):
-            terms = []
-            for (order, nums, dens), row in zip(coeffs_at_z, row_terms):
-                if row[j] is not None:
-                    terms.append((order + row[j][0], nums + row[j][1],
-                                  dens + row[j][2]))
-            v = _lazy_order(terms)
+            v = _lazy_order([_times(coeff, row[j])
+                             for coeff, row in zip(coeffs_at_z, row_terms)])
             if v < value:
                 value = v
         claimed = all(e >= 0 for e in exponents)
@@ -507,8 +506,7 @@ def _random_poly(rng: random.Random, max_degree: int, height: int,
                  nonzero: bool) -> Poly:
     while True:
         degree = rng.randint(0, max_degree)
-        p = Poly([Fraction(rng.randint(-height, height))
-                  for _ in range(degree + 1)])
+        p = Poly([rng.randint(-height, height) for _ in range(degree + 1)])
         if not nonzero or not p.is_zero:
             return p
 

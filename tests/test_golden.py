@@ -1,19 +1,26 @@
-"""`global-basis --format json` on a fixed corpus, byte for byte.
+"""`global-basis --format json` and failing certificates on a fixed
+corpus, byte for byte.
 
-The files in `tests/golden/` hold the stdout of each case as recorded
-before the integer kernel of `fields` and `qvalues` replaced `Fraction`
-coefficients, so a change of representation or of algorithm that moves a
+The `global-basis` files in `tests/golden/` hold the stdout of each case as
+recorded before the integer kernel of `fields` and `qvalues` replaced
+`Fraction` coefficients; the `certificate-*` files hold the JSON report of
+a certificate of the standard basis where it is not integral, as recorded
+before the oracle's sample loop moved onto that kernel.  A passing report
+prints no values, so only failing ones pin the exact q-orders and the
+random stream.  A change of representation or of algorithm that moves a
 single printed character fails here.  Regenerate a file only for an
-intended change of output, with the command in `_argv`.
+intended change of output, with the call in `_argv` or
+`_certificate_json`.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from precint import cli
+from precint import BasisMatrix, certificate, cli, parse_operator, parse_point
 from conftest import CUBIC
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -52,3 +59,27 @@ def test_global_basis_matches_the_recorded_json(capsys, name):
     assert code == 0
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# the standard basis is not integral at these points: (operator, point)
+CERTIFICATES = {
+    "certificate-cubic-0": (CUBIC, "0"),
+    "certificate-sqrt2-1": (SQRT2, "root(x^2-2)+1"),
+    "certificate-cubic-field-2": (CUBIC_FIELD, "root(x^3-2)+2"),
+    "certificate-ord4-7": (ORD4, "7"),
+}
+
+
+def _certificate_json(name: str) -> str:
+    operator, point = CERTIFICATES[name]
+    modulus = parse_operator(operator)
+    report = certificate(modulus, BasisMatrix.standard(modulus.order),
+                         parse_point(point), samples=300, seed=7)
+    assert not report.passed
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_failing_certificate_matches_the_recorded_json(name):
+    text = _certificate_json(name)
+    assert text.encode() == (GOLDEN / f"{name}.json").read_bytes()

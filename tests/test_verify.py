@@ -176,6 +176,21 @@ def test_lazy_order_finds_the_last_coefficient_of_the_bound(k):
     assert _lazy(terms) == k - 2
 
 
+def test_lazy_order_reads_ties_through_the_int_denominators():
+    """The tied constant terms cancel only once each factor's int
+    denominator is counted: 1/2 + (-1/2 + q/3) = q/3 on the numerator side,
+    1/(1/2 + q) - 2 = -2q/(1/2 + q) on the denominator side."""
+    half = Fraction(1, 2)
+    assert _lazy([([Poly([half])], []),
+                  ([Poly([-half, Fraction(1, 3)])], [])]) == 1
+    assert _lazy([([Poly.one()], [Poly([half, 1])]),
+                  ([Poly([-2])], [])]) == 1
+    # and over a number field, mixed with rational factors
+    a = SQRT2.generator
+    assert _lazy([([Poly([a * half])], [Poly([Fraction(1, 3), 1])]),
+                  ([Poly([-a * Fraction(3, 2), 1])], [])]) == 1
+
+
 def test_lazy_order_with_a_unique_minimum_reads_no_series():
     terms = [([Poly([0, 3])], [Poly([0, 0, 1])]), ([Q ** 4], [Poly([1, 1])])]
     assert _lazy(terms) == -1
@@ -300,6 +315,27 @@ def test_certificate_with_zero_samples_is_empty(cubic):
                          samples=0, seed=5)
     assert report.passed
     assert report.violations == ()
+
+
+def test_certificate_rejects_a_window_too_small(cubic):
+    """A window left of the least one would check the wrong table: the
+    standard basis is not integral at 0, yet window -3 saw no violation."""
+    from precint import PrecintError
+
+    standard = BasisMatrix.standard(3)
+    least = certificate(cubic, standard, pt("0"), samples=0, seed=5).window - 2
+    for window in (-3, least - 1):
+        with pytest.raises(PrecintError, match="window"):
+            certificate(cubic, standard, pt("0"), 60, 5, window=window)
+    assert certificate(cubic, standard, pt("0"), 60, 5,
+                       window=least).violations
+
+
+def test_certificate_rejects_negative_samples(cubic):
+    from precint import PrecintError
+
+    with pytest.raises(PrecintError, match="samples"):
+        certificate(cubic, _known_local(), pt("0"), samples=-5, seed=5)
 
 
 def test_certificate_text_and_json_round(cubic):
