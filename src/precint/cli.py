@@ -156,16 +156,23 @@ def _verified_points_of(basis: BasisMatrix, points) -> List[str]:
 
 
 def _skipped_orbits(run: GlobalRun, zspec: ZSpec) -> List[str]:
-    """One message for every orbit whose right bound lies left of its left
-    edge, so that no point of it was processed."""
+    """One message for every right bound that treats no point: a bound
+    left of its orbit's left edge, and a bound whose orbit is not among
+    the orbits the operator's extreme coefficients single out."""
     out = []
+    keys = set()
     for entry in run.processed:
         key = entry.orbit.orbit_key()
+        keys.add(key)
         bound = zspec.bound_for(key)
         edge = entry.analysis.left_edge()
         if bound is not None and bound < edge:
             out.append(f"right bound {key}={bound} lies left of the left edge "
                        f"{edge} of orbit {key}")
+    for key, bound in zspec.bounds.items():
+        if key not in keys:
+            out.append(f"right bound {key}={bound} names no orbit of the "
+                       f"operator's extreme coefficients")
     return out
 
 

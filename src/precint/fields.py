@@ -8,8 +8,9 @@ univariate polynomials (:class:`Poly`) and rational functions
 A polynomial over Q holds Python-int numerators over one content-reduced
 denominator, so its arithmetic runs on ints: products by one schoolbook
 routine (`convolve`), division with remainder by pseudo-division, Taylor
-shifts by synthetic division, and gcds by the heuristic GCD with
-cofactors.  Exact `Fraction` coefficients are rebuilt only for readers.
+shifts by synthetic division, and gcds (with cofactors) and
+factorization over Q by the int-list routines of `_zx`.  Exact `Fraction`
+coefficients are rebuilt only for readers.
 A number-field element is its residue modulo the minimal polynomial, one
 such polynomial in the generator, so number fields run on the same kernel.
 
@@ -23,6 +24,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
+from . import _zx
+from ._zx import convolve
 from .errors import PrecintError
 
 
@@ -84,22 +87,6 @@ Valuation = Union[int, _Infinity]
 
 
 _set = object.__setattr__
-
-
-def convolve(a: Sequence, b: Sequence, n: Optional[int] = None) -> list:
-    """The coefficients of the product of two coefficient lists, lowest
-    first; only the first n of them when n is given.  The one product
-    routine: entries are ints, or constants of a number field (possibly
-    mixed with ints and Fractions)."""
-    size = len(a) + len(b) - 1
-    if n is not None and n < size:
-        size = n
-    out = [0] * size
-    for i, x in enumerate(a[:size]):
-        if x:
-            for j, y in enumerate(b[:size - i]):
-                out[i + j] += x * y
-    return out
 
 
 def power(base, n: int, one):
@@ -504,10 +491,10 @@ def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
 def poly_gcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     """(g, a/g, b/g) with g the monic gcd of a and b (zero when both are).
 
-    Over Q this is the heuristic GCD of Char, Geddes and Gonnet (1989) on
-    the integer numerators, with the cofactors it verifies its result by,
-    through sympy's `dup_zz_heu_gcd` (falling back to sympy's primitive PRS
-    gcd in the rare case where the heuristic gives up); over a number field
+    Over Q this is `_zx.gcd` on the int numerators: the heuristic GCD of
+    Char, Geddes and Gonnet (1989), which proves its candidate by exact
+    division and so yields the cofactors, with a primitive PRS gcd behind
+    it in the rare case where the heuristic gives up; over a number field
     it is Euclid's algorithm, with exact divisions for the cofactors.
     """
     if a.is_zero or b.is_zero:
@@ -519,19 +506,11 @@ def poly_gcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     if a.degree == 0 or b.degree == 0:
         return _ONE, a, b
     if a.rational and b.rational:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.euclidtools import dup_rr_prs_gcd, dup_zz_heu_gcd
-        from sympy.polys.polyerrors import HeuristicGCDFailed
-
-        f, g = list(reversed(a.nums)), list(reversed(b.nums))
-        try:
-            h, cf, cg = dup_zz_heu_gcd(f, g, ZZ)
-        except HeuristicGCDFailed:
-            h, cf, cg = dup_rr_prs_gcd(f, g, ZZ)
-        lead = h[0]
-        return (Poly._of(h[::-1], lead),
-                Poly._of([c * lead for c in reversed(cf)], a.den),
-                Poly._of([c * lead for c in reversed(cg)], b.den))
+        h, cf, cg = _zx.gcd(a.nums, b.nums)
+        lead = h[-1]
+        return (Poly._of(h, lead),
+                Poly._of([c * lead for c in cf], a.den),
+                Poly._of([c * lead for c in cg], b.den))
     u, v = a.monic(), b.monic()
     while not v.is_zero:
         r = u % v
@@ -959,7 +938,7 @@ def nu_infinity(f: RationalFunction) -> Valuation:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over Q (backed by sympy) and shift equivalence
+# Factorization over Q (Zassenhaus on the int numerators) and shift equivalence
 # ---------------------------------------------------------------------------
 
 
@@ -971,25 +950,20 @@ FACTOR_CACHE_SIZE = 256
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _factor_cached(p: Poly):
-    import sympy
-
-    xsym = sympy.Symbol("x")
-    expr = sympy.Poly(
-        [sympy.Rational(c, p.den) for c in reversed(p.nums)],
-        xsym,
-        domain="QQ",
-    )
-    _, factors = expr.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((Poly(cs).monic(), int(mult)))
+    out = [(Poly._of(g, g[-1]), m) for g, m in _zx.factor(p.nums)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return tuple(out)
 
 
 def factor(p: Poly):
-    """Monic irreducible factorization over Q as a tuple of (factor, multiplicity)."""
+    """Monic irreducible factorization over Q as a tuple of (factor,
+    multiplicity), sorted by degree and then coefficients.
+
+    The numerators are factored over Z by `_zx.factor`: content, powers of
+    x, Yun's squarefree decomposition, then Zassenhaus (factors modulo a
+    small prime, Hensel lifting, recombination by subsets with trial
+    division).  Raises PrecintError when recombination would need more
+    than `_zx.MAX_MODULAR_FACTORS` modular factors."""
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if not p.rational:

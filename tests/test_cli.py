@@ -173,6 +173,29 @@ def test_right_bound_left_of_the_orbit_is_noticed(capsys):
     assert "left edge -2 of orbit Z" in err
 
 
+@pytest.mark.parametrize("bound, canonical", [("x^2-2=1", "-2+x^2=1"),
+                                              ("x-1/2=3", "-1/2+x=3")])
+def test_right_bound_of_no_orbit_is_noticed(capsys, bound, canonical):
+    """x + S has the one orbit Z: a bound for any other orbit is reported,
+    and leaves the output of global-basis as it is without it."""
+    argv = ["--operator", "x + S", "--right-bound", "Z=0"]
+    code, expected, err = run_cli(capsys, "global-basis", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "global-basis", *argv, "--right-bound", bound,
+                             "--format", "json")
+    assert code == 0
+    assert out == expected
+    assert err == (f"notice: right bound {canonical} names no orbit of the "
+                   f"operator's extreme coefficients; no point of this orbit "
+                   f"was processed\n")
+    # verify would check nothing for that bound, so it fails instead
+    code, out, err = run_cli(capsys, "verify", *argv, "--right-bound", bound,
+                             "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: right bound {canonical} names no orbit")
+
+
 def test_bound_inside_the_orbit_has_no_notice(capsys):
     code, _, err = run_cli(
         capsys, "global-basis", "--operator", CUBIC, "--right-bound", "Z=0",

@@ -16,6 +16,9 @@ intended change of output, with the call in `_argv` or
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,7 @@ from precint import BasisMatrix, certificate, cli, parse_operator, parse_point
 from conftest import CUBIC
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SPREAD4 = "(x+3)*(x-1) + x*S + S^2 + (x-4)*S^3"
 ORD4 = "(x+2)^2*(x-1) + x*S + (x^2+1)*S^2 + S^3 + (x-3)*S^4"
@@ -83,3 +87,54 @@ def _certificate_json(name: str) -> str:
 def test_failing_certificate_matches_the_recorded_json(name):
     text = _certificate_json(name)
     assert text.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _run_python(code: str) -> str:
+    """Runs code in a fresh interpreter that imports precint from this
+    checkout; returns its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# runs CLI calls with stdout and stderr captured and prints one JSON list
+# of [exit code, stdout, stderr]
+_CLI_CALLS = """
+import contextlib, io, json, sys
+{prologue}
+from precint import cli
+results = []
+for argv in {calls!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+{epilogue}
+print(json.dumps(results))
+"""
+
+
+def test_runtime_needs_no_sympy():
+    """precint imports no sympy at any point of a run: with the import
+    blocked, global runs over Q and over number fields and a certificate
+    still print their recorded output, and a run in a fresh interpreter
+    leaves sympy unimported."""
+    calls = [_argv("cubic-Z4"), _argv("alg-quartic-3"),
+             ["verify", "--operator", SQRT2, "--right-bound", "x^2-2=1",
+              "--samples", "20"]]
+    results = json.loads(_run_python(_CLI_CALLS.format(
+        prologue="sys.modules['sympy'] = None", calls=calls, epilogue="")))
+    for name, (code, out, err) in zip(("cubic-Z4", "alg-quartic-3"), results):
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    code, out, err = results[2]
+    assert (code, err) == (0, "")
+    assert out.endswith("verification passed\n")
+    results = json.loads(_run_python(_CLI_CALLS.format(
+        prologue="", calls=[_argv("sqrt2-1")],
+        epilogue="assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")))
+    assert results == [[0, (GOLDEN / "sqrt2-1.json").read_text(), ""]]

@@ -8,26 +8,37 @@ non-integral coefficients, degrees 0 and 1 and negative leading
 coefficients; equal values must compare and hash equal however they were
 built.  Number-field elements are such polynomials reduced modulo the
 minimal polynomial, and are compared with sympy's `rem` and `invert`.
+Factorization over Q and the gcd run on their own integer routines (`_zx`),
+so they are compared with sympy's `factor_list` and `gcd` too: sympy is the
+oracle of these tests and is not needed by precint itself.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.specialpolys import swinnerton_dyer_poly
 
 from precint import (
     AlgebraicPoint,
     NumberField,
     Poly,
+    PrecintError,
     RationalFunction,
+    cli,
+    factor,
     galois_trace_sum,
     q_series,
     shifted_series,
 )
+from precint import _zx
+from precint.exprs import poly_str
 from precint.fields import poly_gcd
 from precint.qvalues import fraction_series
 
@@ -114,6 +125,118 @@ def test_gcd_with_cofactors_matches_sympy(common, u, v):
     assert g * ca == a
     assert g * cb == b
     assert poly_gcd(ca, cb)[0] == Poly.one()
+
+
+@SETTINGS
+@given(polys(max_size=4), polys(max_size=4), polys(max_size=4))
+@example(Poly([-1, 1]), Poly([1, 1]), Poly([-2, 1]))
+@example(Poly([2 ** 70, 3, 1]), Poly([Fraction(1, 5), -(2 ** 66)]), Poly([7, 0, 1]))
+@example(Poly([2, 2]), Poly([3]), Poly([0, 6]))
+def test_gcd_fallback_matches_sympy(common, u, v):
+    """The primitive PRS gcd that takes over when the heuristic gives up,
+    run directly on the int numerators and through `poly_gcd` with the
+    heuristic given no evaluation point at all."""
+    a, b = common * u, common * v
+    if a.degree < 1 or b.degree < 1:
+        return
+    expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic())
+    h, cf, cg = _zx.prs_gcd(a.nums, b.nums)
+    assert h[-1] > 0
+    assert math.gcd(*h) == math.gcd(*a.nums, *b.nums)
+    assert Poly._of(h, h[-1]) == expected
+    assert _zx._mul(h, cf) == list(a.nums) and _zx._mul(h, cg) == list(b.nums)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_zx, "_HEU_GCD_TRIES", 0)
+        assert _zx.heu_gcd(a.nums, b.nums) is None
+        g, ca, cb = poly_gcd(a, b)
+    assert g == expected and g * ca == a and g * cb == b
+
+
+def sympy_factors(p: Poly) -> list:
+    """sympy's factorization over QQ, each factor monic, in the order of
+    `factor`: by degree, then by coefficients."""
+    _, pairs = to_sympy(p).factor_list()
+    out = [(from_sympy(f).monic(), m) for f, m in pairs]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def assert_factors_like_sympy(p: Poly) -> None:
+    facs = factor(p)
+    assert list(facs) == sympy_factors(p)
+    product = Poly.constant(p.leading)
+    for f, m in facs:
+        assert f.leading == 1
+        product = product * f ** m
+    assert product == p
+
+
+# irreducible over Q, some with coefficients above 2^64
+IRREDUCIBLE = [(0, 1), (-2, 0, 1), (1, 1, 1), (-2, 0, 0, 1), (-1, -1, 0, 1),
+               (Fraction(-1, 2), 0, 1), (3, 0, 0, 0, 1), (2 ** 65 + 1, 0, 1),
+               (-(2 ** 70) - 3, 2 ** 64, 5), (1, 1, 1, 1, 1)]
+
+
+@st.composite
+def factored_products(draw) -> Poly:
+    """A rational constant times shifted irreducible factors, each to a
+    power up to 3."""
+    p = Poly([draw(st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(2 ** 70, 3),
+                                    Fraction(5)]))])
+    for _ in range(draw(st.integers(1, 4))):
+        base = Poly(draw(st.sampled_from(IRREDUCIBLE)))
+        p = p * base.shift(draw(st.integers(-3, 3))) ** draw(st.integers(1, 3))
+    return p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(factored_products(), polys(min_size=2, max_size=6)))
+@example(Poly([Fraction(-1, 2), 0, 2]))
+@example(Poly([0, 0, 0, 2 ** 80, -(2 ** 81)]))
+def test_factor_matches_sympy(p):
+    if p.degree < 1:
+        return
+    assert_factors_like_sympy(p)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_factor_of_x_to_the_n_minus_one_matches_sympy(n):
+    assert_factors_like_sympy(Poly([-1] + [0] * (n - 1) + [1]))
+
+
+def swinnerton_dyer(k: int) -> Poly:
+    """The minimal polynomial of the sum of the square roots of the first k
+    primes, degree 2^k: irreducible over Q, but a product of factors of
+    degree at most 2 modulo every prime."""
+    return from_sympy(sympy.Poly(swinnerton_dyer_poly(k, X), X, domain="QQ"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_factor_of_swinnerton_dyer_polynomials(k):
+    p = swinnerton_dyer(k)
+    assert p.degree == 2 ** k
+    assert_factors_like_sympy(p)
+    assert factor(p) == ((p, 1),)
+    assert factor(p * p.shift(1)) == tuple(sorted(
+        [(p, 1), (p.shift(1), 1)], key=lambda fm: (fm[0].degree, fm[0].coeffs)))
+
+
+def test_recombination_past_its_limit_is_refused_at_once(capsys):
+    """Swinnerton-Dyer of degree 32 splits into at least 16 factors modulo
+    every prime, over the limit of `_zx.MAX_MODULAR_FACTORS`: the
+    factorization and a run that needs it end with an error naming the
+    limit, within seconds."""
+    p = swinnerton_dyer(5)
+    assert _zx.MAX_MODULAR_FACTORS < 16
+    start = time.perf_counter()
+    with pytest.raises(PrecintError, match=f"limit of {_zx.MAX_MODULAR_FACTORS}"):
+        factor(p)
+    code = cli.main(["global-basis", "--operator", poly_str(p, "x") + " + S"])
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: factoring a polynomial of degree 32")
+    assert f"limit of {_zx.MAX_MODULAR_FACTORS}" in captured.err
 
 
 @SETTINGS
