@@ -2,12 +2,11 @@
 
 Entries may be Fractions, number-field elements, rational functions, or
 truncated q-series; all that is required is +, -, *, / and a zero test.
-One forward elimination and one back-substitution serve all three
-routines.  Over q-series the pivot of a column is an entry of least
-valuation among those whose leading term is known; entries that are zero
-only to working precision are carried through the row updates, and a
-column in which no entry has a known leading term, but not every entry is
-exactly zero, raises PrecisionLoss.
+One forward elimination serves both routines.  Over q-series the pivot
+of a column is an entry of least valuation among those whose leading term
+is known; entries that are zero only to working precision are carried
+through the row updates, and a column in which no entry has a known
+leading term, but not every entry is exactly zero, raises PrecisionLoss.
 """
 
 from __future__ import annotations
@@ -71,20 +70,6 @@ def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], int]:
     return pivots, swaps
 
 
-def _back_substitute(rows: Sequence[Sequence], pivots: Sequence[int],
-                     ncols: int, rhs_col: int, zero) -> List:
-    """The solution of an echelon system against column `rhs_col`, with
-    every non-pivot variable set to `zero`."""
-    y = [zero] * ncols
-    for i in reversed(range(len(pivots))):
-        row = rows[i]
-        acc = row[rhs_col]
-        for k in pivots[i + 1:]:
-            acc = acc - row[k] * y[k]
-        y[pivots[i]] = acc / row[pivots[i]]
-    return y
-
-
 def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
     """Solve A*y = b exactly, returning the solution with all free variables
     set to zero, or None when the system is inconsistent."""
@@ -93,8 +78,14 @@ def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[
     pivots, _ = _eliminate(rows, ncols)
     if any(not _is_zero(row[ncols]) for row in rows[len(pivots):]):
         return None
-    zero = rhs[0] - rhs[0] if rhs else None
-    return _back_substitute(rows, pivots, ncols, ncols, zero)
+    y = [rhs[0] - rhs[0] if rhs else None] * ncols
+    for i in reversed(range(len(pivots))):
+        row = rows[i]
+        acc = row[ncols]
+        for k in pivots[i + 1:]:
+            acc = acc - row[k] * y[k]
+        y[pivots[i]] = acc / row[pivots[i]]
+    return y
 
 
 def determinant(matrix: Sequence[Sequence]):
@@ -113,19 +104,3 @@ def determinant(matrix: Sequence[Sequence]):
         det = det * rows[i][i]
     return -det if swaps % 2 else det
 
-
-def invert(matrix: Sequence[Sequence]) -> Optional[List[List]]:
-    """Exact inverse, or None for a singular matrix."""
-    n = len(matrix)
-    one = next((entry / entry for row in matrix for entry in row
-                if not _is_zero(entry)), None)
-    if one is None:
-        return None
-    zero = one - one
-    aug = [list(row) + [one if j == i else zero for j in range(n)]
-           for i, row in enumerate(matrix)]
-    pivots, _ = _eliminate(aug, n)
-    if len(pivots) < n:
-        return None
-    columns = [_back_substitute(aug, pivots, n, n + j, zero) for j in range(n)]
-    return [list(row) for row in zip(*columns)]

@@ -64,17 +64,13 @@ def _coeff_str(c, compact: bool) -> tuple:
 
 def poly_str(p: Poly, var: str, compact: bool = False) -> str:
     """Ascending-power canonical form, e.g. ``-2 + 3*x + x^2``."""
-    if p.is_zero:
-        return "0"
-    plus = "+" if compact else " + "
-    minus = "-" if compact else " - "
     terms = []
     for k, c in enumerate(p.coeffs):
         if c == 0:
             continue
         ctext, atomic = _coeff_str(c, compact)
         if k == 0:
-            terms.append(ctext if atomic else f"({ctext})" if isinstance(c, NFElem) else ctext)
+            terms.append(ctext if atomic else f"({ctext})")
             continue
         vpart = var if k == 1 else f"{var}^{k}"
         if c == 1:
@@ -85,6 +81,16 @@ def poly_str(p: Poly, var: str, compact: bool = False) -> str:
             terms.append(f"{ctext}*{vpart}")
         else:
             terms.append(f"({ctext})*{vpart}")
+    return _join_terms(terms, compact)
+
+
+def _join_terms(terms, compact: bool) -> str:
+    """Join printed terms with plus signs, folding a leading minus of a
+    later term into the sign between; "0" for no terms."""
+    if not terms:
+        return "0"
+    plus = "+" if compact else " + "
+    minus = "-" if compact else " - "
     out = terms[0]
     for t in terms[1:]:
         if t.startswith("-"):
@@ -138,17 +144,7 @@ def element_str(coords, compact: bool = False) -> str:
             terms.append(f"{rf_str(c, 'x', compact)}*{spart}")
         else:
             terms.append(f"({rf_str(c, 'x', compact)})*{spart}")
-    if not terms:
-        return "0"
-    plus = "+" if compact else " + "
-    minus = "-" if compact else " - "
-    out = terms[0]
-    for t in terms[1:]:
-        if t.startswith("-"):
-            out += minus + t[1:]
-        else:
-            out += plus + t
-    return out
+    return _join_terms(terms, compact)
 
 
 def operator_str(op: OreOperator, compact: bool = False) -> str:

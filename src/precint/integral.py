@@ -220,23 +220,20 @@ def _iteration_cap(space, rows: Sequence[QuotientElement],
                    point: AlgebraicPoint) -> Tuple[int, int]:
     """The cap on updates at the point, and the discriminant of `rows`.
 
-    One determinant serves both: that of the rows rescaled to value zero,
-    which bounds the number of combines.  Rescaling a row by norm^(-v)
-    moves the discriminant by exactly -v, because the uniformizer norm has
-    a simple zero at the point; the local loop checks this on every
-    normalize it performs.
+    Rescaling a row of value v to value zero moves the discriminant by
+    exactly -v, because the uniformizer norm has a simple zero at the
+    point, so `disc - sum(v)` is the discriminant of the rescaled rows,
+    which bounds the number of combines.  The local loop checks the move
+    of -v on every normalize it performs, independently of this cap.
     """
-    norm = RationalFunction(galois_norm_uniformizer(point))
-    normalized = []
     shift = 0
     for row in rows:
         v = space.val(row, point)
         if v is INFINITY:
             raise PrecintError("basis contains the zero element")
-        normalized.append(row if v == 0 else row.scaled(norm ** (-v)))
         shift += v
-    disc = space.discriminant(normalized, point)
-    return max(disc, 0) + _CAP_MARGIN, disc + shift
+    disc = space.discriminant(rows, point)
+    return max(disc - shift, 0) + _CAP_MARGIN, disc
 
 
 def local_integral_basis(space, basis: BasisMatrix,
@@ -337,8 +334,15 @@ def global_integral_basis(modulus: OreOperator,
     work: the standard basis is already integral there.  Orbits where some
     anchored solution has nonzero valuation growth must carry a right bound
     in the ZSpec, otherwise a MissingRightBoundError is raised.
+
+    The modulus is used as passed; normalize it first, with
+    `OreOperator.normalized`, to get the CLI's output.  Coefficients with
+    denominators raise PrecintError.
+    Scaling by a constant changes nothing.  A common polynomial factor of
+    the coefficients leaves the module and the basis unchanged, but its
+    roots join the singular offsets, so the extra points are processed as
+    no-ops and appear in `processed`.
     """
-    modulus = modulus.normalized()
     if not modulus.is_valid_modulus:
         raise PrecintError("operator must have nonzero trailing and leading coefficients")
     zspec = zspec or ZSpec()

@@ -288,12 +288,10 @@ class QuotientElement:
 def reduce_mod(a: OreOperator, modulus: OreOperator) -> QuotientElement:
     """Coordinates of the residue class of `a` modulo the left ideal of
     `modulus`, rewriting top powers of S through the shifted relation."""
-    if not modulus.is_valid_modulus and modulus.order < 1:
-        raise PrecintError("modulus must have positive order")
     r = modulus.order
+    if r < 1:
+        raise PrecintError("modulus must have positive order")
     ell = list(modulus.coeffs)
-    if ell[r].is_zero:
-        raise PrecintError("modulus has zero leading coefficient")
     work = list(a.coeffs)
     while len(work) - 1 >= r:
         k = len(work) - 1
@@ -345,7 +343,10 @@ class SolutionBasis:
     Solution j takes the value delta_{i,j} at positions anchor + i - 1 for
     i = 1..r; values elsewhere are filled on demand by solving the deformed
     recurrence for the unknown end.  The anchor defaults to
-    `default_anchor(modulus, orbit)`.
+    `default_anchor(modulus, orbit)`.  The modulus is used as passed and
+    must have polynomial coefficients; a common polynomial factor cancels
+    from every row of the deformed recurrence, so it leaves the q-orders
+    unchanged, though its roots can move the default anchor left.
 
     The table is fraction-free and exact: `_values[(j, p)]` holds a
     numerator N in K[q] over a denominator `_dens[p]` in K[q] shared by all
@@ -372,7 +373,6 @@ class SolutionBasis:
 
     def __init__(self, modulus: OreOperator, orbit: AlgebraicPoint,
                  anchor: Optional[int] = None):
-        modulus = modulus.normalized()
         if not modulus.is_valid_modulus:
             raise PrecintError("modulus must have nonzero trailing and leading coefficients")
         self.modulus = modulus

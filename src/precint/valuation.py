@@ -37,7 +37,6 @@ def singular_points(modulus: OreOperator,
     """Offsets where leftward extension can drop the valuation (roots of the
     trailing coefficient) and where rightward extension can (roots of the
     leading coefficient, shifted by the order)."""
-    modulus = modulus.normalized()
     ell = modulus.polynomial_coeffs()
     r = modulus.order
     left = root_offsets(ell[0], orbit)
@@ -59,7 +58,13 @@ class OrbitAnalysis:
     @staticmethod
     def analyze(modulus: OreOperator, orbit: AlgebraicPoint,
                 anchor: Optional[int] = None) -> "OrbitAnalysis":
-        modulus = modulus.normalized()
+        """Solutions, singular offsets and growths of the modulus as passed.
+
+        A modulus with denominators in its coefficients raises
+        PrecintError; normalize it first.  A constant factor changes
+        nothing; a common polynomial factor leaves the values unchanged
+        but adds its roots to the singular offsets.
+        """
         if not modulus.is_valid_modulus:
             raise PrecintError("operator must have nonzero trailing and leading coefficients")
         orbit = orbit.orbit()
@@ -157,7 +162,6 @@ class ZSpec:
 def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
     """Orbits that contain a root of the trailing or leading coefficient,
     in a deterministic order."""
-    modulus = modulus.normalized()
     ell = modulus.polynomial_coeffs()
     from .fields import factor
 

@@ -166,7 +166,6 @@ def _fresh_solution_table(modulus: OreOperator, orbit: AlgebraicPoint,
     neighbour toward the window times one new extreme coefficient, step[p];
     the recurrence sum is brought to the neighbour's denominator by Horner's
     rule over those steps.  No state survives the call."""
-    modulus = modulus.normalized()
     ell = modulus.polynomial_coeffs()
     r = modulus.order
     root = orbit.orbit().value()
@@ -237,8 +236,10 @@ def brute_val(element: QuotientElement, point: AlgebraicPoint,
 
     The window must be at least the order plus the spread of the singular
     offsets, so the shifted anchor is still left of every coefficient root.
+    The modulus is used as passed, as by `certificate`: it must have
+    polynomial coefficients, and the roots of a common polynomial factor
+    count among the singular offsets, which can raise the least window.
     """
-    modulus = modulus.normalized()
     r = modulus.order
     if element.dimension != r:
         raise PrecintError("element dimension does not match the operator order")
@@ -263,41 +264,27 @@ def _least_window(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
-    n, m, k = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = RationalFunction.zero()
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def module_equal_at(a: BasisMatrix, b: BasisMatrix,
                     point: AlgebraicPoint) -> bool:
     """True when both bases generate the same module of local integral
     combinations at the point: the transition matrix T with A = T*B must
-    have entries of nonnegative valuation and determinant of valuation 0."""
+    have entries of nonnegative valuation and determinant of valuation 0.
+    Row i of T solves T_i * B = a_i, and det T = det A / det B."""
     norm = galois_norm_uniformizer(point)
     mb = b.coord_matrix()
-    inv = _linalg.invert(mb)
-    if inv is None:
+    db = _linalg.determinant(mb)
+    if db.is_zero:
         raise SingularTransitionError("second basis does not span the space")
     ma = a.coord_matrix()
     da = _linalg.determinant(ma)
     if da.is_zero:
         raise SingularTransitionError("first basis does not span the space")
-    transition = _matmul(ma, inv)
-    for row in transition:
-        for entry in row:
+    mb_t = [list(col) for col in zip(*mb)]
+    for row in ma:
+        for entry in _linalg.solve_with_free_zero(mb_t, row):
             if not entry.is_zero and nu_at_factor(entry, norm) < 0:
                 return False
-    det = _linalg.determinant(transition)
-    return nu_at_factor(det, norm) == 0
+    return nu_at_factor(da, norm) == nu_at_factor(db, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +409,12 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     each unit is shifted to z + q once.  A window smaller than brute_val
     accepts, or a negative number of samples, raises PrecintError rather
     than report a check of the wrong table or of nothing.
+
+    The modulus is used as passed; normalize it first to check what the
+    CLI checks.  A constant factor changes nothing.  A common polynomial
+    factor leaves the values unchanged, but its roots count among the
+    singular offsets, so the least window and the default one can grow.
     """
-    modulus = modulus.normalized()
     r = modulus.order
     if basis.dimension != r:
         raise PrecintError("basis size does not match the operator order")

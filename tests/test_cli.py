@@ -485,3 +485,50 @@ def test_coefficients_past_the_digit_limit_print_in_full():
     finally:
         sys.set_int_max_str_digits(limit)
     assert printed == expected
+
+
+# -- the modulus is normalized once -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["global-basis", "--operator", CUBIC, "--right-bound", "Z=0"],
+    ["verify", "--operator", CUBIC, "--right-bound", "Z=0", "--samples", "5"],
+])
+def test_the_cli_normalizes_the_operator_once(capsys, monkeypatch, argv):
+    """The CLI normalizes the parsed operator; the library computes with the
+    modulus as passed and never normalizes it again."""
+    from precint import OreOperator
+
+    calls = []
+    normalized = OreOperator.normalized
+
+    def counting(self):
+        calls.append(self)
+        return normalized(self)
+
+    monkeypatch.setattr(OreOperator, "normalized", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+_SUBCOMMAND_ARGS = {
+    "solutions": ["--orbit", "0", "--from", "0", "--to", "1"],
+    "val": ["--element", "1", "--at", "0"],
+    "local-basis": ["--at", "0"],
+    "global-basis": [],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGS))
+@pytest.mark.parametrize("operator", ["x*S", "S", "x+1"])
+def test_every_subcommand_refuses_an_invalid_modulus(capsys, command, operator):
+    """A zero trailing coefficient or an order below 1 is refused by each
+    subcommand with exit code 2 and a message."""
+    code, out, err = run_cli(capsys, command, "--operator", operator,
+                             *_SUBCOMMAND_ARGS[command])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: operator must have order >= 1 and nonzero "
+                   "trailing coefficient\n")

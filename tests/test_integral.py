@@ -27,7 +27,7 @@ from precint import (
     val_at,
 )
 from precint import _linalg
-from precint.integral import _CAP_MARGIN
+from precint.integral import _CAP_MARGIN, _iteration_cap
 from conftest import el, op, pt
 
 
@@ -103,7 +103,7 @@ def test_output_spans_the_space(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
     result = local_integral_basis(ShiftSpace(analysis),
                                   BasisMatrix.standard(3), pt("0"))
-    assert _linalg.invert(result.coord_matrix()) is not None
+    assert not _linalg.determinant(result.coord_matrix()).is_zero
 
 
 def test_every_update_preserves_the_span(cubic, orbit_z):
@@ -161,6 +161,22 @@ def test_update_loop_stops_at_the_discriminant_bound(disc):
                                "updates at 0")
     # one discriminant for the bound, then one per combine until the cap
     assert space.disc == disc - (cap + 1)
+
+
+def test_iteration_cap_counts_from_the_rows_at_value_zero():
+    """The cap is the discriminant of the rows rescaled to value zero, that
+    is the discriminant less the sum of the row values, plus the margin;
+    the discriminant itself is returned as it is."""
+    space = ToySpace([2, 1])
+    e1, e2 = BasisMatrix.standard(2).rows
+    x = RationalFunction.x()
+    assert _iteration_cap(space, (e1, e2), pt("0")) == (_CAP_MARGIN, 3)
+    rows = (e1.scaled(x), e1.scaled(x) + e2.scaled(x * x))
+    # values 3 and 3, det x^3 of valuation 3 plus the weights 3
+    assert _iteration_cap(space, rows, pt("0")) == (_CAP_MARGIN, 6)
+    space = ToySpace([0, 0])
+    # values 1 and 1, det x^3
+    assert _iteration_cap(space, rows, pt("0")) == (1 + _CAP_MARGIN, 3)
 
 
 def test_discriminant_is_carried_from_update_to_update(cubic, orbit_z,
@@ -336,6 +352,23 @@ def test_global_matches_known_basis_on_every_processed_point(cubic):
         for c in row.coords:
             for coefficient in c.num.coeffs + c.den.coeffs:
                 assert isinstance(coefficient, Fraction)
+
+
+def test_global_basis_ignores_constant_and_common_factors(cubic):
+    """The module depends only on the left ideal of the modulus: a constant
+    or a common polynomial factor of the coefficients leaves the basis and
+    its updates as they are.  The roots of a factor off the cubic's orbit
+    add an orbit of no-op points to `processed`."""
+    zspec = ZSpec({"Z": 2})
+    expected = global_integral_basis(cubic, zspec)
+    updates = [(u.kind, u.point) for u in expected.basis.provenance]
+    for factor, extra in ((2, []), (Poly([-1, 1]), []),
+                          (Poly([-2, 0, 1]), [("-2+x^2", (0, 1, 2, 3))])):
+        run = global_integral_basis(cubic.scaled_left(factor), zspec)
+        assert run.basis.rows == expected.basis.rows
+        assert [(u.kind, u.point) for u in run.basis.provenance] == updates
+        assert [(e.orbit.orbit_key(), e.points) for e in run.processed] == \
+            [("Z", (-2, -1, 0, 1, 2))] + extra
 
 
 def test_global_without_singularities_returns_standard_basis():

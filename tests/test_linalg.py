@@ -44,18 +44,6 @@ def test_determinant_matches_sympy(matrix):
     assert _linalg.determinant(matrix) == _fraction(_sympy(matrix).det())
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices(square=True))
-def test_invert_matches_sympy(matrix):
-    reference = _sympy(matrix)
-    inverse = _linalg.invert(matrix)
-    if reference.rank() < len(matrix):
-        assert inverse is None
-        return
-    assert inverse == [[_fraction(e) for e in row]
-                       for row in reference.inv().tolist()]
-
-
 @settings(max_examples=200, deadline=None)
 @given(matrices(square=False), st.data())
 def test_solve_with_free_zero_matches_sympy(matrix, data):

@@ -25,6 +25,7 @@ from precint import (
     galois_norm_uniformizer,
     nu_at_factor,
     nu_q,
+    parse_operator,
     singular_points,
     val_at,
     valuation_growth,
@@ -51,6 +52,13 @@ def test_singular_points_algebraic_orbit():
     left, right = singular_points(op("x^2 - 2 + S^2"), orbit)
     assert 0 in left
     assert right == ()
+
+
+def test_analyze_refuses_a_modulus_with_denominators(orbit_z):
+    """The modulus is used as passed, so one that is not normalized is
+    refused rather than normalized behind the caller's back."""
+    with pytest.raises(PrecintError, match="not normalized"):
+        OrbitAnalysis.analyze(parse_operator("1/2 + (x/(x+1))*S"), orbit_z)
 
 
 # -- the value function ---------------------------------------------------------

@@ -265,8 +265,44 @@ def test_module_equal_rejects_degenerate_bases():
     basis = _known_local()
     rows = list(basis.rows)
     rows[2] = rows[1]
-    with pytest.raises(SingularTransitionError):
+    with pytest.raises(SingularTransitionError, match="second basis"):
         module_equal_at(basis, BasisMatrix(tuple(rows)), pt("0"))
+    with pytest.raises(SingularTransitionError, match="first basis"):
+        module_equal_at(BasisMatrix(tuple(rows)), basis, pt("0"))
+
+
+def test_module_equal_detects_a_pole_in_a_unimodular_transition():
+    """A transition of determinant 1 with an entry of negative valuation:
+    the determinants agree, and only the entries tell the modules apart."""
+    basis = _known_local()
+    rows = list(basis.rows)
+    rows[0] = rows[0] + rows[1].scaled(RationalFunction(Poly.one(), Poly.x()))
+    other = BasisMatrix(tuple(rows))
+    assert not module_equal_at(other, basis, pt("0"))
+    assert not module_equal_at(basis, other, pt("0"))
+    assert module_equal_at(other, basis, pt("1"))
+
+
+def test_module_equal_at_an_algebraic_point():
+    """At root(x^2-2) the local basis equals a copy with one row scaled by a
+    unit there, and differs from a copy with one row scaled by the
+    minimal polynomial, in either order."""
+    operator = op("x^2 - 2 + S^2")
+    point = pt("root(x^2-2)")
+    analysis = OrbitAnalysis.analyze(operator, point.orbit())
+    basis = local_integral_basis(ShiftSpace(analysis), BasisMatrix.standard(2),
+                                 point)
+
+    def scaled(factor):
+        rows = list(basis.rows)
+        rows[1] = rows[1].scaled(RationalFunction(factor))
+        return BasisMatrix(tuple(rows))
+
+    unit, min_poly = scaled(Poly([3, 1])), scaled(Poly([-2, 0, 1]))
+    assert module_equal_at(basis, unit, point)
+    assert module_equal_at(unit, basis, point)
+    assert not module_equal_at(basis, min_poly, point)
+    assert not module_equal_at(min_poly, basis, point)
 
 
 @pytest.mark.parametrize("seed", [73])
