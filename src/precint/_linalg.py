@@ -1,18 +1,21 @@
 """Exact Gaussian elimination over any of the package's fields.
 
 Entries may be Fractions, number-field elements, rational functions, or
-truncated q-series; all that is required is +, -, *, / and a zero test.
-One forward elimination serves both routines.  Over q-series the pivot
-of a column is an entry of least valuation among those whose leading term
-is known; entries that are zero only to working precision are carried
-through the row updates, and a column in which no entry has a known
-leading term, but not every entry is exactly zero, raises PrecisionLoss.
+truncated q-series.  The elimination needs only +, -, * and a zero test:
+it clears below each pivot by row_i = pivot*row_i - c*row_k, with no
+division; `/` is used only in back-substitution.  One forward elimination
+serves both routines.  Over q-series the pivot of a column is an entry of
+least valuation among those whose leading term is known; entries that are
+zero only to working precision are carried through the row updates, and a
+column in which no entry has a known leading term, but not every entry is
+exactly zero, raises PrecisionLoss.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .fields import INFINITY, Valuation
 from .qvalues import PrecisionLoss, QSeries
 
 
@@ -45,29 +48,30 @@ def _pivot_row(rows: Sequence[Sequence], start: int, col: int) -> Optional[int]:
     return best
 
 
-def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], int]:
+def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], List[int]]:
     """Bring the first `ncols` columns of `rows` to echelon form in place,
     taking the pivot of each column from `_pivot_row` and clearing only
-    below it.  Returns the pivot columns and the number of row swaps."""
+    below it, without division.  Returns the pivot columns and, for each
+    pivot, the number of rows it scaled."""
     pivots: List[int] = []
-    swaps = 0
+    scaled: List[int] = []
     for col in range(ncols):
         rank = len(pivots)
         pivot_row = _pivot_row(rows, rank, col)
         if pivot_row is None:
             continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            swaps += 1
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         pivot = rows[rank][col]
+        count = 0
         for i in range(rank + 1, len(rows)):
             c = rows[i][col]
             if _is_zero(c):
                 continue
-            factor = c / pivot
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+            rows[i] = [pivot * a - c * b for a, b in zip(rows[i], rows[rank])]
+            count += 1
         pivots.append(col)
-    return pivots, swaps
+        scaled.append(count)
+    return pivots, scaled
 
 
 def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
@@ -88,19 +92,20 @@ def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[
     return y
 
 
-def determinant(matrix: Sequence[Sequence]):
-    """Determinant by fraction-producing Gaussian elimination with pivoting;
-    over q-series its valuation is exact, as that of a product of pivots
-    with known leading terms."""
+def determinant(matrix: Sequence[Sequence], nu: Callable) -> Valuation:
+    """The valuation `nu` of the determinant, INFINITY when it is zero.
+
+    Each row update multiplies the determinant by its pivot p_k, so with
+    u_k rows scaled at step k the echelon form's diagonal is the
+    determinant (up to sign) times prod p_k^u_k, and the valuation is
+    sum (1 - u_k) * nu(p_k) (Bareiss's elimination without its exact
+    division).  Over q-series every pivot has a known leading term, so the
+    result is exact."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     rows = [list(r) for r in matrix]
-    pivots, swaps = _eliminate(rows, n)
+    pivots, scaled = _eliminate(rows, n)
     if len(pivots) < n:
-        return rows[0][0] * 0  # zero of the entry field
-    det = rows[0][0]
-    for i in range(1, n):
-        det = det * rows[i][i]
-    return -det if swaps % 2 else det
-
+        return INFINITY
+    return sum((1 - u) * nu(rows[k][k]) for k, u in enumerate(scaled))

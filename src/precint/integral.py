@@ -149,11 +149,11 @@ class ShiftSpace:
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
         """q-valuation of the determinant of the solution-evaluation matrix,
-        eliminated over q-series; a determinant that is exactly zero means
-        the rows are dependent."""
+        read from the pivots of its elimination over q-series; a determinant
+        that is exactly zero means the rows are dependent."""
         basis = self.analysis.basis
-        v = basis.with_enough_precision(lambda: nu_q(_linalg.determinant(
-            [apply_element_all(row, basis, point.offset) for row in rows])))
+        v = basis.with_enough_precision(lambda: _linalg.determinant(
+            [apply_element_all(row, basis, point.offset) for row in rows], nu_q))
         if v is INFINITY:
             raise PrecintError("discriminant of a degenerate basis")
         return v
@@ -205,10 +205,12 @@ class ToySpace:
 
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
-        det = _linalg.determinant([list(row.coords) for row in rows])
-        if det.is_zero:
+        norm = galois_norm_uniformizer(point)
+        v = _linalg.determinant([list(row.coords) for row in rows],
+                                lambda f: nu_at_factor(f, norm))
+        if v is INFINITY:
             raise PrecintError("discriminant of a degenerate basis")
-        return nu_at_factor(det, galois_norm_uniformizer(point)) + sum(self.weights)
+        return v + sum(self.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ r x r determinant.  So the action and everything computed from it is a
 absolute precision, under the usual rules of precision tracking (Caruso,
 Roe and Vaccon, *Tracking p-adic precision*, 2014): a sum is known up to
 the smaller precision, a product of a and b up to min(prec_a + v_b,
-prec_b + v_a), and a quotient by a series with a known leading term keeps
-the smaller relative precision.
+prec_b + v_a).  Series are never divided by one another: the expansions
+divide only by exact polynomials with a nonzero constant term, and the
+determinant's valuation is read from the pivots of a division-free
+elimination.
 
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
@@ -59,7 +61,7 @@ class QSeries:
 
     The coefficients are held as `Poly` holds them: over Q, int numerators
     `nums` over one positive int `den`, content-reduced, so sums, products
-    and quotients run on ints; over a number field, NFElems over 1.  `coeffs`
+    and expansions run on ints; over a number field, NFElems over 1.  `coeffs`
     and `coefficient(n)` rebuild exact values for readers.
 
     Three states: a known leading term (`nums` nonempty), zero to
@@ -189,22 +191,6 @@ class QSeries:
         n = min(len(self.nums), len(other.nums))
         a, b, den = factors(self.nums, self.den, other.nums, other.den)
         return QSeries(val, convolve(a, b, n), den, val + n, height)
-
-    def __truediv__(self, other: "QSeries") -> "QSeries":
-        if other.prec is INFINITY:
-            raise ZeroDivisionError("series division by zero")
-        if not other.nums:
-            raise PrecisionLoss(f"division by a series that is O(q^{other.prec})")
-        if self.prec is INFINITY:
-            return ZERO
-        ha, hb = self.height, other.height
-        height = (ha[0] + hb[1], ha[1] + hb[0], max(0, ha[2] + hb[2] + other.val))
-        if not self.nums:
-            prec = self.prec - other.val
-            return QSeries(prec, [], 1, prec, height)
-        n = min(len(self.nums), len(other.nums))
-        return _quotient(self.nums, self.den, other.nums, other.den,
-                         self.val - other.val, n, height)
 
 
 ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))

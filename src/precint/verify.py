@@ -211,28 +211,13 @@ def _fresh_solution_table(modulus: OreOperator, orbit: AlgebraicPoint,
     return _Table(tuple(numerators), dens)
 
 
-def _element_val(element: QuotientElement, table: _Table,
-                 root, offset: int) -> Valuation:
-    if element.is_zero:
-        return INFINITY
-    z = root + offset
-    shifted = [(i, c.num.shift(z), c.den.shift(z))
-               for i, c in enumerate(element.coords) if not c.is_zero]
-    best = INFINITY
-    for vals in table.numerators:
-        v = _lazy_order([
-            _term((a, vals[offset + i]),
-                  (b, *table.denominators[offset + i].values()))
-            for i, a, b in shifted])
-        if v < best:
-            best = v
-    return best
-
-
 def brute_val(element: QuotientElement, point: AlgebraicPoint,
               modulus: OreOperator, window: int) -> Valuation:
     """Recompute the value of an element at a point from first principles:
-    fresh anchor `window` positions further left, no caching.
+    fresh anchor `window` positions further left, no caching.  The element
+    meets each solution as one numerator over a common denominator, as a
+    basis row does in `certificate`, so its value is the least q-order of
+    the numerators less that of the denominator.
 
     The window must be at least the order plus the spread of the singular
     offsets, so the shifted anchor is still left of every coefficient root.
@@ -249,7 +234,9 @@ def brute_val(element: QuotientElement, point: AlgebraicPoint,
     anchor = default_anchor(modulus, orbit) - window
     table = _fresh_solution_table(modulus, orbit, anchor,
                                   point.offset, point.offset + r - 1)
-    return _element_val(element, table, orbit.value(), point.offset)
+    [(nums, den)] = _row_values([element], table, orbit.value() + point.offset,
+                                point.offset)
+    return min(num.order_at_zero() for num in nums) - den.order_at_zero()
 
 
 def _least_window(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
@@ -269,22 +256,27 @@ def module_equal_at(a: BasisMatrix, b: BasisMatrix,
     """True when both bases generate the same module of local integral
     combinations at the point: the transition matrix T with A = T*B must
     have entries of nonnegative valuation and determinant of valuation 0.
-    Row i of T solves T_i * B = a_i, and det T = det A / det B."""
+    Row i of T solves T_i * B = a_i, and det T = det A / det B, so the two
+    determinants' valuations must agree."""
     norm = galois_norm_uniformizer(point)
+
+    def nu(f) -> Valuation:
+        return nu_at_factor(f, norm)
+
     mb = b.coord_matrix()
-    db = _linalg.determinant(mb)
-    if db.is_zero:
+    db = _linalg.determinant(mb, nu)
+    if db is INFINITY:
         raise SingularTransitionError("second basis does not span the space")
     ma = a.coord_matrix()
-    da = _linalg.determinant(ma)
-    if da.is_zero:
+    da = _linalg.determinant(ma, nu)
+    if da is INFINITY:
         raise SingularTransitionError("first basis does not span the space")
     mb_t = [list(col) for col in zip(*mb)]
     for row in ma:
         for entry in _linalg.solve_with_free_zero(mb_t, row):
-            if not entry.is_zero and nu_at_factor(entry, norm) < 0:
+            if not entry.is_zero and nu(entry) < 0:
                 return False
-    return nu_at_factor(da, norm) == nu_at_factor(db, norm)
+    return da == db
 
 
 # ---------------------------------------------------------------------------

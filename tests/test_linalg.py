@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precint import _linalg
+from precint import INFINITY, _linalg
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -38,10 +39,25 @@ def _fraction(r) -> Fraction:
     return Fraction(int(r.p), int(r.q))
 
 
-@settings(max_examples=150, deadline=None)
+def _nu(p: int, value: Fraction):
+    """The p-adic valuation of a Fraction, INFINITY at 0."""
+    if not value:
+        return INFINITY
+    v, num, den = 0, value.numerator, value.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(matrices(square=True))
 def test_determinant_matches_sympy(matrix):
-    assert _linalg.determinant(matrix) == _fraction(_sympy(matrix).det())
+    det = _fraction(_sympy(matrix).det())
+    for p in (2, 3):
+        nu = functools.partial(_nu, p)
+        assert _linalg.determinant(matrix, nu) == nu(det)
 
 
 @settings(max_examples=200, deadline=None)

@@ -208,17 +208,6 @@ def test_series_arithmetic_keeps_its_claims(pair):
     assert product.prec == min(sf.prec + sg.val, sg.prec + sf.val)
     chained = (sf + sg) * sg - sf
     _claims_hold(chained, (f + g) * g - f)
-    if g.is_zero:
-        return
-    if not sg.known:
-        with pytest.raises(PrecisionLoss):
-            sf / sg
-        return
-    quotient = sf / sg
-    _claims_hold(quotient, f / g)
-    if not f.is_zero:
-        relative = min(sf.prec - sf.val, sg.prec - sg.val)
-        assert quotient.prec == sf.val - sg.val + relative
 
 
 def test_zero_to_precision_is_not_a_valuation():
@@ -239,13 +228,13 @@ def test_zero_to_precision_is_not_a_valuation():
 def test_zero_exactly_up_to_the_degree_bound_stays_unknown():
     """1/(1-q) - (1 + q + ... + q^4) = q^5/(1-q) has valuation 5, which is
     also its degree bound: known to O(q^5) it is not yet proven zero, nor is
-    any product or quotient of it by a unit."""
+    any product of it by a unit."""
     f = RationalFunction(Poly.one(), Poly([1, -1]))
     head = RationalFunction(Poly([1] * 5))
     tight = q_series(f, 5) - q_series(head, 5)
     assert not tight.is_zero and tight.prec == 5
     unit = q_series(RationalFunction(Poly([3, 1])), 4)
-    for derived in (tight * unit, unit * tight, tight / unit):
+    for derived in (tight * unit, unit * tight):
         assert not derived.is_zero
         with pytest.raises(PrecisionLoss):
             nu_q(derived)
@@ -265,63 +254,117 @@ def test_shifted_series_is_the_expansion_of_the_shift(seed):
         assert series.prec - series.val == terms
 
 
-def _leibniz(matrix):
-    """The determinant as a signed sum over permutations."""
+def _leibniz_order(matrix, below=None):
+    """nu_q of the exact determinant when it is less than `below` (no bound
+    when None), else INFINITY.
+
+    The determinant is its signed sum over permutations, taken on the
+    coefficient lists of polynomials: each row is first multiplied by the
+    product of its entries' denominators, whose q-orders are subtracted at
+    the end, and only the coefficients that can decide the answer are
+    kept.  The sum is grouped as a Laplace expansion down the rows, each
+    minor of the last k rows on a set of k columns formed once."""
+    shift = sum(e.den.order_at_zero() for row in matrix for e in row)
+    keep = None if below is None else below + shift
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                out[i + k] += x * y
+        return out[:keep]
+
+    def plus(a, b, sign):
+        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+        return [x + sign * y for x, y in zip(a, b)]
+
     n = len(matrix)
-    total = RationalFunction.zero()
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        term = RationalFunction.one()
-        for i, j in enumerate(perm):
-            term = term * matrix[i][j]
-        total = total - term if inversions % 2 else total + term
-    return total
+    rows = []
+    for row in matrix:
+        scaled = []
+        for k, e in enumerate(row):
+            cs = e.num.coeffs[:keep]
+            for m, other in enumerate(row):
+                if m != k:
+                    cs = times(cs, other.den.coeffs)
+            scaled.append(cs)
+        rows.append(scaled)
+    minors = {(): [1]}
+    for i in reversed(range(n)):
+        level = {}
+        for cols in itertools.combinations(range(n), n - i):
+            total = []
+            for pos, c in enumerate(cols):
+                minor = minors[cols[:pos] + cols[pos + 1:]]
+                total = plus(total, times(rows[i][c], minor), (-1) ** pos)
+            level[cols] = total
+        minors = level
+    for k, c in enumerate(minors[tuple(range(n))]):
+        if c:
+            return k - shift
+    return INFINITY
 
 
 @st.composite
-def q_matrices(draw):
-    """Square matrices of size 1-3 over Q(q).  Two in three of those of
-    size 2-3 have a last row that is a combination of the others, exactly
-    (singular) or up to a multiple of q^k (so entries cancel to high order
-    during the elimination)."""
-    n = draw(st.integers(1, 3))
-    rows = [[draw(q_values(False)) for _ in range(n)] for _ in range(n)]
-    kind = draw(st.integers(0, 2))
-    if n > 1 and kind:
-        a, b = draw(q_values(False)), draw(q_values(False))
+def q_matrices(draw, n: int, algebraic: bool, kind: str):
+    """Square n x n matrices over Q(q), or Q(sqrt 2)(q) when `algebraic`.
+    Of the kinds "exact" and "close", the last row is a combination of two
+    others, exactly (singular) or up to a multiple of q^k (so entries
+    cancel to high order during the elimination)."""
+    rows = [[draw(q_values(algebraic)) for _ in range(n)] for _ in range(n)]
+    if kind != "free":
+        a, b = draw(q_values(algebraic)), draw(q_values(algebraic))
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
-        if kind == 2:
+        if kind == "close":
             tail = _laurent(Fraction(1), draw(st.integers(1, 4)))
-            rows[-1] = [x + tail * draw(q_values(False)) for x in rows[-1]]
+            rows[-1] = [x + tail * draw(q_values(algebraic)) for x in rows[-1]]
     return rows
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(q_matrices(), st.integers(1, 4))
-def test_series_determinant_has_the_exact_valuation(matrix, terms):
-    exact = _leibniz(matrix)
-    while True:
-        try:
-            det = _linalg.determinant([[q_series(e, terms) for e in row]
-                                       for row in matrix])
-            value = nu_q(det)
-            break
-        except PrecisionLoss:
-            terms *= 2
-    assert value == nu_q(exact)
-    _claims_hold(det, exact)
+# Sizes 1-5 over Q and 1-3 over Q(sqrt 2): over Q(sqrt 2) the oracle's
+# number-field products cost about 0.3 s for one 5 x 5 matrix.  Exactly
+# singular matrices stop at size 4 over Q and 2 over Q(sqrt 2): the degree
+# bound that proves the last pivot zero grows about fourfold with each
+# elimination step, so at size 5 over Q the proof reads series of up to
+# 512 terms (up to 27 s for one matrix), and at size 3 over Q(sqrt 2) up
+# to 64 terms of number-field coefficients (about 1 s).
+MATRIX_CASES = [(n, algebraic, kind)
+                for algebraic, top, exact_top in ((False, 5, 4), (True, 3, 2))
+                for n in range(1, top + 1)
+                for kind in ("free", "exact", "close")
+                if kind == "free" or 1 < n and (kind == "close" or n <= exact_top)]
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.data())
+def test_series_determinant_has_the_exact_valuation(data):
+    """The valuation read from the pivots is nu_q of the exact determinant,
+    INFINITY exactly when the matrix is singular; each example draws one
+    matrix of every case."""
+    for case in MATRIX_CASES:
+        matrix = data.draw(q_matrices(*case))
+        terms = data.draw(st.integers(1, 4))
+        while True:
+            try:
+                value = _linalg.determinant([[q_series(e, terms) for e in row]
+                                             for row in matrix], nu_q)
+                break
+            except PrecisionLoss:
+                terms *= 2
+        if value is INFINITY:
+            assert _leibniz_order(matrix) is INFINITY
+        else:
+            assert _leibniz_order(matrix, value + 1) == value
 
 
 def test_entries_zero_to_precision_are_carried_through_the_elimination():
     """In [[q, 1], [c, 1]] with c = q^2 known only as O(q^2), c is no pivot
-    and its row is still updated: the determinant q - q^2 is claimed to
-    O(q^2), not as q + 0*q^2 + ... as if c were zero."""
+    and its row is still updated, and so counted among the rows the pivot q
+    scaled: the determinant q - q^2 has valuation 1."""
     a = RationalFunction(Poly.one(), Poly([1, -1]))
     b = a - RationalFunction(Q ** 2)
     c = q_series(a, 2) - q_series(b, 2)
     assert not c.known and not c.is_zero
     one = q_series(RationalFunction.one(), 4)
-    det = _linalg.determinant([[q_series(RationalFunction(Q), 4), one], [c, one]])
-    _claims_hold(det, RationalFunction(Q - Q ** 2))
-    assert (det.val, det.prec) == (1, 2)
+    matrix = [[q_series(RationalFunction(Q), 4), one], [c, one]]
+    assert _linalg.determinant(matrix, nu_q) == 1
