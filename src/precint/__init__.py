@@ -41,8 +41,6 @@ from .valuation import (
     ZSpec,
     singular_points,
     val_at,
-    valuation_growth,
-    worklist,
 )
 from .integral import (
     BasisMatrix,
@@ -128,6 +126,4 @@ __all__ = [
     "shifted_series",
     "singular_points",
     "val_at",
-    "valuation_growth",
-    "worklist",
 ]

@@ -13,6 +13,8 @@ factorization over Q by the int-list routines of `_zx`.  Exact `Fraction`
 coefficients are rebuilt only for readers.
 A number-field element is its residue modulo the minimal polynomial, one
 such polynomial in the generator, so number fields run on the same kernel.
+Sums over the conjugates of a point come from Lagrange interpolation at the
+roots of its minimal polynomial (`galois_trace_sum`), with no field trace.
 
 Everything here is immutable and exact; there is no floating point anywhere.
 """
@@ -233,10 +235,6 @@ class Poly:
     def constant(c) -> "Poly":
         return Poly((c,))
 
-    @staticmethod
-    def monomial(c, k: int) -> "Poly":
-        return Poly((0,) * k + (c,))
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -353,9 +351,6 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         return power(self, n, _ONE)
 
-    def scaled(self, c) -> "Poly":
-        return self * c
-
     def __divmod__(self, other: "Poly"):
         other = self._coerce(other)
         if other.is_zero:
@@ -403,9 +398,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
 
     def monic(self) -> "Poly":
         if not self.nums:
@@ -532,7 +524,7 @@ def poly_xgcd(a: Poly, b: Poly):
         return r0, s0, t0
     lead = r0.leading
     inv = 1 / lead
-    return r0.scaled(inv), s0.scaled(inv), t0.scaled(inv)
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 # ---------------------------------------------------------------------------
@@ -543,30 +535,19 @@ def poly_xgcd(a: Poly, b: Poly):
 class NumberField:
     """A simple extension Q[t]/(m) with m monic irreducible over Q."""
 
-    __slots__ = ("min_poly", "degree", "_power_traces")
+    __slots__ = ("min_poly", "degree")
 
-    _cache: dict = {}
-
-    def __new__(cls, min_poly: Poly):
-        key = min_poly
-        cached = cls._cache.get(key)
-        if cached is not None:
-            return cached
-        self = super().__new__(cls)
+    def __init__(self, min_poly: Poly):
         if min_poly.degree < 1:
             raise ValueError("a number field needs a nonconstant minimal polynomial")
         if min_poly.leading != 1:
             raise ValueError("minimal polynomial must be monic")
         if not min_poly.rational:
             raise ValueError("minimal polynomial must have rational coefficients")
-        facs = factor(min_poly)
-        if len(facs) != 1 or facs[0][1] != 1:
+        if not is_irreducible(min_poly):
             raise ValueError("minimal polynomial is reducible over Q")
-        object.__setattr__(self, "min_poly", min_poly)
-        object.__setattr__(self, "degree", min_poly.degree)
-        object.__setattr__(self, "_power_traces", None)
-        cls._cache[key] = self
-        return self
+        _set(self, "min_poly", min_poly)
+        _set(self, "degree", min_poly.degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -600,22 +581,6 @@ class NumberField:
     @property
     def one(self) -> "NFElem":
         return NFElem(self, _ONE)
-
-    def power_trace(self, k: int) -> Fraction:
-        """Trace of t^k, via Newton's identities on the minimal polynomial."""
-        traces = self._power_traces
-        if traces is None:
-            d = self.degree
-            m = self.min_poly
-            traces = [Fraction(d)]
-            for j in range(1, d):
-                s = -j * m[d - j]
-                for i in range(1, j):
-                    s -= m[d - i] * traces[j - i]
-                traces.append(s)
-            object.__setattr__(self, "_power_traces", tuple(traces))
-            traces = tuple(traces)
-        return traces[k]
 
 
 class NFElem:
@@ -721,11 +686,6 @@ class NFElem:
     def __pow__(self, n: int):
         return power(self if n >= 0 else self.inverse(), abs(n), self.field.one)
 
-    def trace(self) -> Fraction:
-        power_trace = self.field.power_trace
-        return sum((c * power_trace(k) for k, c in enumerate(self.poly.coeffs)),
-                   Fraction(0))
-
 
 # ---------------------------------------------------------------------------
 # Rational functions
@@ -765,7 +725,7 @@ class RationalFunction:
             lead = den.leading
             if lead != 1:
                 inv = 1 / lead
-                num, den = num.scaled(inv), den.scaled(inv)
+                num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -1110,27 +1070,18 @@ def galois_norm_uniformizer(point: AlgebraicPoint) -> Poly:
 
 
 def galois_trace_sum(g, point: AlgebraicPoint) -> RationalFunction:
-    """Sum of sigma(g)/(x - sigma(z)) over the full set of conjugates.
+    """Sum of sigma(g)/(x - sigma(z)) over the conjugates of z = rho + offset.
 
-    Computed as a trace in Q(x)[t]/(m(t)): writing w = x - offset, the
-    quotient h(t) = (m(t) - m(w))/(t - w) satisfies 1/(w - rho) =
-    h(rho)/m(w), so the sum is Tr(g*h(rho))/m(w).  No splitting field is
-    ever constructed.
+    Lagrange interpolation at the roots of the minimal polynomial m of rho
+    gives sum_sigma b(sigma rho)/(m'(sigma rho)*(w - sigma rho)) = b(w)/m(w)
+    for deg b < deg m; with b = g*m' mod m and w = x - offset that is the
+    sum, in lowest terms as m is irreducible (m' = 1 at a rational point).
     """
-    if point.is_rational:
-        g = Fraction(g) if not isinstance(g, Fraction) else g
-        pole = Poly((-point.rational_value, 1))
-        return RationalFunction(Poly((g,)), pole)
-
-    field = point.number_field()
-    if isinstance(g, (int, Fraction)):
-        g = field.from_rational(g)
-    # The trace is Q(x)-linear: Tr(g*h(rho)) = sum_j h_j(x) * Tr(g*t^j),
-    # with the coefficients h_j of h(t) in Q[x] by synthetic division
-    # (h_(d-1) = 1, h_(j-1) = h_j*w + m_j) and w = x - offset.
-    m, t, w = field.min_poly, field.generator, Poly((-point.offset, 1))
-    traces = [(g * t ** j).trace() for j in range(field.degree)]
-    num, h = _ZERO, _ONE
-    for j in range(field.degree - 1, -1, -1):
-        num, h = num + h * traces[j], h * w + m[j]
-    return RationalFunction(num, galois_norm_uniformizer(point))
+    m = point.min_poly
+    if isinstance(g, NFElem):
+        if g.field.min_poly != m:
+            raise ValueError("mixing elements of different number fields")
+        g = g.poly
+    b = (m.derivative() * g) % m
+    return RationalFunction(b.shift(-point.offset), galois_norm_uniformizer(point),
+                            _coprime=True)

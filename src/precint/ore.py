@@ -202,7 +202,7 @@ class OreOperator:
         if nums[-1].leading < 0:
             content = -content
         inv = 1 / content
-        return OreOperator(tuple(RationalFunction(p.scaled(inv)) for p in nums))
+        return OreOperator(tuple(RationalFunction(p * inv) for p in nums))
 
     def polynomial_coeffs(self) -> Tuple[Poly, ...]:
         out = []

@@ -126,13 +126,6 @@ def _compute_growths(basis: SolutionBasis, left: Tuple[int, ...],
     return tuple(growths)
 
 
-def valuation_growth(analysis: OrbitAnalysis, j: int) -> int:
-    """Right liminf minus left liminf of the j-th anchored solution."""
-    if not 1 <= j <= analysis.order:
-        raise ValueError(f"solution index {j} out of range")
-    return analysis.growths[j - 1]
-
-
 def val_at(element: QuotientElement, point: AlgebraicPoint,
            analysis: OrbitAnalysis) -> Valuation:
     """Value of a residue class at a point of the analyzed orbit: the
@@ -205,15 +198,3 @@ def worklist_points(analysis: OrbitAnalysis, zspec: ZSpec) -> List[int]:
         )
     return list(range(lo, hi + 1))
 
-
-def worklist(modulus: OreOperator,
-             zspec: Optional[ZSpec] = None) -> List[Tuple[AlgebraicPoint, List[int]]]:
-    """All (orbit, offsets) pairs requiring treatment, empty for operators
-    whose extreme coefficients never vanish."""
-    zspec = zspec or ZSpec()
-    out = []
-    for orbit in detect_orbits(modulus):
-        analysis = OrbitAnalysis.analyze(modulus, orbit)
-        pts = worklist_points(analysis, zspec)
-        out.append((orbit, pts))
-    return out

@@ -165,7 +165,7 @@ def test_factor_reconstructs_and_factors_are_irreducible(seed):
             if 2 <= fac.degree <= 3:
                 assert not _has_rational_root(fac)
         # product equals p up to the constant making p monic
-        assert product.scaled(p.leading) == p
+        assert product * p.leading == p
 
 
 # -- shift equivalence -------------------------------------------------------
@@ -242,6 +242,20 @@ def test_nf_mixed_arithmetic_with_rationals():
     assert (2 / t) == t  # 2/sqrt(2) = sqrt(2)
 
 
+def test_fields_built_separately_are_one_field():
+    """A number field is its minimal polynomial: fields built apart from one
+    polynomial are equal, hash equal, and their elements mix with those of
+    the point's own field."""
+    m = Poly([-2, 0, 0, 1])
+    K, L = NumberField(m), NumberField(m)
+    assert K == L and hash(K) == hash(L)
+    z = AlgebraicPoint(m, 0).value()
+    assert z.field == K and hash(z) == hash(L.generator)
+    assert K.generator * z == L.generator ** 2
+    assert (z - L.generator).is_zero and L.one + z == K.generator + 1
+    assert K != NumberField(Poly([-2, 0, 1]))
+
+
 # -- Galois sums -------------------------------------------------------------
 
 
@@ -256,6 +270,13 @@ def test_galois_trace_sum_sqrt2_of_generator():
     t = point.number_field().generator
     expected = RationalFunction(Poly([4]), Poly([-2, 0, 1]))
     assert galois_trace_sum(t, point) == expected
+
+
+def test_galois_trace_sum_refuses_an_element_of_another_field():
+    point = AlgebraicPoint(Poly([-2, 0, 0, 1]), 1)
+    sqrt2 = NumberField(Poly([-2, 0, 1])).generator
+    with pytest.raises(ValueError, match="mixing elements of different number fields"):
+        galois_trace_sum(sqrt2, point)
 
 
 def test_galois_trace_sum_rational_point():

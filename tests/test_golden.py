@@ -23,11 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from precint import BasisMatrix, certificate, cli, parse_operator, parse_point
+from precint import BasisMatrix, certificate, cli, parse_operator, parse_point, poly_str
 from conftest import CUBIC
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SPREAD4 = "(x+3)*(x-1) + x*S + S^2 + (x-4)*S^3"
 ORD4 = "(x+2)^2*(x-1) + x*S + (x^2+1)*S^2 + S^3 + (x-3)*S^4"
@@ -138,3 +139,23 @@ def test_runtime_needs_no_sympy():
         prologue="", calls=[_argv("sqrt2-1")],
         epilogue="assert not [m for m in sys.modules if m.split('.')[0] == 'sympy']")))
     assert results == [[0, (GOLDEN / "sqrt2-1.json").read_text(), ""]]
+
+
+def test_readme_library_example_runs_as_written():
+    """The python block under the README's `## Library` heading runs as
+    written, each `# -> value` comment in it holds, and its global run
+    gives the basis of the `cubic-Z0` case."""
+    text = README.read_text()
+    text = text[text.index("\n## Library\n"):]
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start:text.index("```", start)]
+    namespace = {}
+    exec(code, namespace)
+    claims = [line.split("# -> ") for line in code.splitlines() if "# -> " in line]
+    assert [expected for _, expected in claims] == ["-1"]
+    for expression, expected in claims:
+        assert eval(expression, namespace) == int(expected)
+    rows = [[{"num": poly_str(c.num, "x", compact=True),
+              "den": poly_str(c.den, "x", compact=True)} for c in row.coords]
+            for row in namespace["run"].basis.rows]
+    assert rows == json.loads((GOLDEN / "cubic-Z0.json").read_text())["basis"]

@@ -336,12 +336,12 @@ def reduced(p: sympy.Poly, field: NumberField) -> Poly:
     return from_sympy(p.rem(to_sympy(field.min_poly)))
 
 
-def sympy_trace(a) -> Fraction:
-    """The trace of multiplication by a on the power basis 1, t, ..., t^(d-1):
-    the sum of the t^j coordinates of a*t^j reduced in sympy."""
-    t = sympy.Poly(X, X, domain="QQ")
-    return sum((reduced(to_sympy(a.poly) * t ** j, a.field)[j]
-                for j in range(a.field.degree)), Fraction(0))
+def sympy_trace(a: sympy.Poly, m: Poly) -> Fraction:
+    """The trace of multiplication by a in Q[t]/(m) on the power basis 1, t,
+    ..., t^(d-1): the sum of the t^j coordinates of a*t^j reduced in sympy."""
+    t, sm = sympy.Poly(X, X, domain="QQ"), to_sympy(m)
+    return sum((from_sympy((a * t ** j).rem(sm))[j] for j in range(m.degree)),
+               Fraction(0))
 
 
 @SETTINGS
@@ -359,7 +359,6 @@ def test_number_field_arithmetic_matches_sympy(case):
         assert_canonical(value.poly)
         assert value.poly.degree < field.degree
         assert value.poly == expected
-    assert a.trace() == sympy_trace(a)
     if not a.is_zero:
         inverse = a.inverse()
         assert_canonical(inverse.poly)
@@ -388,17 +387,45 @@ def test_equal_elements_compare_and_hash_equal(case, c):
     assert rational == c
 
 
+# the points of the sum: the fields above, Q(3^(1/8)), and rational points
+TRACE_MIN_POLYS = [field.min_poly for field in FIELDS] + [
+    Poly([-3, 0, 0, 0, 0, 0, 0, 0, 1]), Poly([0, 1]), Poly([Fraction(-1, 3), 1])]
+
+
+@st.composite
+def conjugate_sums(draw):
+    """A point of one of TRACE_MIN_POLYS at a nonzero offset, and the
+    coordinates of g in the power basis of its minimal polynomial."""
+    m = draw(st.sampled_from(TRACE_MIN_POLYS))
+    offset = draw(st.integers(-5, 5).filter(bool))
+    return AlgebraicPoint(m, offset), draw(st.lists(rationals, max_size=m.degree))
+
+
 @SETTINGS
-@given(field_elements(1), st.integers(-5, 5).filter(bool),
-       st.lists(rationals, min_size=1, max_size=3))
-@example((FIELDS[0], [FIELDS[0].one]), 3, [Fraction(0), Fraction(1, 2)])
-def test_galois_trace_sum_is_the_trace_of_g_over_x_minus_z(case, offset, xs):
-    """sum_sigma sigma(g)/(x - sigma(z)) at rational x is Tr(g/(x - z)) in
-    the field, at points of degree 2 and 3 with nonzero offsets."""
-    field, (g,) = case
-    point = AlgebraicPoint(field.min_poly, offset)
-    assert point.number_field() is field
-    z = point.value()
+@given(conjugate_sums(), st.lists(rationals, min_size=1, max_size=3))
+@example((AlgebraicPoint(Poly([-2, 0, 1]), 3), [Fraction(1)]),
+         [Fraction(0), Fraction(1, 2)])
+@example((AlgebraicPoint(TRACE_MIN_POLYS[4], -4), [Fraction(-7, 5), 0, 2 ** 70]),
+         [Fraction(1, 9)])
+@example((AlgebraicPoint(Poly([0, 1]), -2), [Fraction(3, 4)]), [Fraction(2)])
+def test_galois_trace_sum_is_the_trace_of_g_over_x_minus_z(case, xs):
+    """sum_sigma sigma(g)/(x - sigma(z)) at rational x is the trace of
+    g/(x - z) in Q[t]/(m), computed in sympy, at points of degree 1, 2, 3
+    and 8 with offsets of both signs."""
+    point, coords = case
+    m, offset = point.min_poly, point.offset
+    if point.is_rational:
+        g = coords[0] if coords else 0
+    else:
+        field = NumberField(m)
+        assert point.number_field() == field
+        g = field.element(coords)
     f = galois_trace_sum(g, point)
+    t = sympy.Poly(X, X, domain="QQ")
     for x in xs:
-        assert f.num.eval(x) / f.den.eval(x) == (g / (x - z)).trace()
+        if point.is_rational and x == point.rational_value:
+            continue  # the pole of the sum
+        # g/(x - z) in Q[t]/(m), with z = t + offset
+        quotient = to_sympy(Poly(coords)) * sympy.invert(
+            sympy.Poly(x - offset, X, domain="QQ") - t, to_sympy(m))
+        assert f.num.eval(x) / f.den.eval(x) == sympy_trace(quotient, m)

@@ -145,9 +145,9 @@ def _claims_hold(series: QSeries, exact: RationalFunction) -> None:
         assert exact.is_zero
         return
     s = max(0, -series.val)
-    terms = Poly.monomial(Fraction(1), series.val + s) * Poly(series.coeffs) \
+    terms = Poly.x() ** (series.val + s) * Poly(series.coeffs) \
         if series.coeffs else Poly.zero()
-    residual = exact.num * Poly.monomial(Fraction(1), s) - terms * exact.den
+    residual = exact.num * Poly.x() ** s - terms * exact.den
     assert residual.order_at_zero() >= series.prec + s + exact.den.order_at_zero()
     if series.known:
         assert nu_q(exact) == series.val
@@ -156,8 +156,8 @@ def _claims_hold(series: QSeries, exact: RationalFunction) -> None:
 def _laurent(c, k: int) -> RationalFunction:
     """c * q^k for any integer k."""
     if k >= 0:
-        return RationalFunction(Poly.monomial(c, k))
-    return RationalFunction(Poly((c,)), Poly.monomial(Fraction(1), -k))
+        return RationalFunction(c * Poly.x() ** k)
+    return RationalFunction(Poly((c,)), Poly.x() ** -k)
 
 
 small = st.integers(-3, 3)

@@ -28,9 +28,8 @@ from precint import (
     parse_operator,
     singular_points,
     val_at,
-    valuation_growth,
-    worklist,
 )
+from precint.valuation import detect_orbits, worklist_points
 from conftest import CUBIC, el, op, pt, random_poly, random_rf
 
 
@@ -126,7 +125,6 @@ def test_val_is_anchor_independent(operator_text, points, orbit_z):
 def test_growths_of_cubic(cubic, orbit_z):
     analysis = OrbitAnalysis.analyze(cubic, orbit_z)
     assert analysis.growths == (1, 0, -1)
-    assert valuation_growth(analysis, 3) == -1
 
 
 def test_growth_without_singularities_is_zero(orbit_z):
@@ -164,21 +162,32 @@ def test_growth_window_is_stable_under_extension(cubic, orbit_z):
 # -- the worklist -----------------------------------------------------------------
 
 
+def points_of(operator, bound=None):
+    """The orbits of the extreme coefficients' roots, each with the offsets
+    the global pass treats there under an optional right bound on Z."""
+    zspec = ZSpec({} if bound is None else {"Z": bound})
+    return [(orbit, worklist_points(OrbitAnalysis.analyze(operator, orbit), zspec))
+            for orbit in detect_orbits(operator)]
+
+
 def test_worklist_for_cubic_with_bound(cubic):
-    result = worklist(cubic, ZSpec({"Z": 0}))
+    result = points_of(cubic, 0)
     assert len(result) == 1
     orbit, points = result[0]
     assert orbit.orbit_key() == "Z"
     assert points == [-2, -1, 0]
 
 
-def test_worklist_empty_without_singularities():
-    assert worklist(op("S^2 - 1")) == []
+def test_worklist_empty_without_singularities(orbit_z):
+    operator = op("S^2 - 1")
+    assert detect_orbits(operator) == ()
+    analysis = OrbitAnalysis.analyze(operator, orbit_z)
+    assert worklist_points(analysis, ZSpec({"Z": 5})) == []
 
 
 def test_worklist_requires_bound_for_nonzero_growth(cubic):
     with pytest.raises(MissingRightBoundError) as err:
-        worklist(cubic)
+        points_of(cubic)
     assert err.value.orbit_key == "Z"
     assert err.value.growths == (1, 0, -1)
 
@@ -188,8 +197,7 @@ def test_worklist_covers_points_left_of_first_drop_position():
     # the drop position is 0 + order, but non-integrality starts at 1,
     # so the range must start at the root itself
     operator = op("1 + x*S^2")
-    result = worklist(operator, ZSpec({"Z": 3}))
-    orbit, points = result[0]
+    orbit, points = points_of(operator, 3)[0]
     assert points[0] == 0
     analysis = OrbitAnalysis.analyze(operator, orbit)
     assert val_at(el("S", 2), pt("1"), analysis) == -1  # inside the range
@@ -200,9 +208,9 @@ def test_worklist_respects_bound_even_with_zero_growth():
     operator = op("x + (x+1)*S")
     analysis = OrbitAnalysis.analyze(operator, AlgebraicPoint.from_rational(0))
     assert analysis.growths == (0,)
-    full = worklist(operator)[0][1]
+    full = points_of(operator)[0][1]
     assert full == [-1, 0]
-    clipped = worklist(operator, ZSpec({"Z": -1}))[0][1]
+    clipped = points_of(operator, -1)[0][1]
     assert clipped == [n for n in full if n <= -1]
 
 
