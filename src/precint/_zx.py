@@ -12,8 +12,10 @@ bound, and recombination of the lifted factors by subsets with trial
 division (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15).
 
 Every result is exact; the only heuristics decide how fast it is found.
-`convolve`, the one product routine for coefficient lists (also of
-number-field constants), lives here so that `fields` shares it.
+`convolve`, the product routine for int coefficient lists, lives here so
+that `fields` shares it; `fields` multiplies lists of number-field
+constants on their packed int numerators and reduces each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ def _sub(a: Sequence[int], b: Sequence[int]) -> Int:
 
 
 def convolve(a: Sequence, b: Sequence, n: Optional[int] = None) -> list:
-    """The coefficients of the product of two coefficient lists, lowest
-    first; only the first n of them when n is given.  The one product
-    routine: entries are ints, or constants of a number field (possibly
-    mixed with ints and Fractions)."""
+    """The coefficients of the product of two int coefficient lists,
+    lowest first; only the first n of them when n is given."""
     size = len(a) + len(b) - 1
     if n is not None and n < size:
         size = n

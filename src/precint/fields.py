@@ -11,8 +11,14 @@ routine (`convolve`), division with remainder by pseudo-division, Taylor
 shifts by synthetic division, and gcds (with cofactors) and
 factorization over Q by the int-list routines of `_zx`.  Exact `Fraction`
 coefficients are rebuilt only for readers.
-A number-field element is its residue modulo the minimal polynomial, one
-such polynomial in the generator, so number fields run on the same kernel.
+A number-field element is its residue modulo the minimal polynomial m, one
+such polynomial in the generator t, so number fields run on the same
+kernel.  Lists of elements (the coefficients of a polynomial or a series
+over the field) are multiplied, Taylor-shifted and expanded as series on a
+packed form: each entry's int numerators in t over its own denominator,
+as it is held.  An output coefficient is built as one int polynomial in t
+over that coefficient's common denominator and reduced mod m once, by int
+pseudo-division (`NumberField._residue`), not once per product.
 Sums over the conjugates of a point come from Lagrange interpolation at the
 roots of its minimal polynomial (`galois_trace_sum`), with no field trace.
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import _zx
 from ._zx import convolve
@@ -162,13 +168,22 @@ def summands(a: Sequence, da: int, b: Sequence, db: int) -> Tuple[Sequence, Sequ
     return exact_values(a, da), exact_values(b, db), None
 
 
-def factors(a: Sequence, da: int, b: Sequence, db: int) -> Tuple[Sequence, Sequence, Optional[int]]:
-    """Two nonempty numerator lists as factors of one product: ints over the
-    product of their denominators, or, with a number field involved, exact
-    values over None."""
+def multiply(a: Sequence, da: int, b: Sequence, db: int,
+             n: Optional[int] = None) -> Tuple[list, int]:
+    """The product of two nonempty numerator lists (only its first n
+    coefficients when n is given): ints over the product of their
+    denominators, or, with a number field involved, elements of that field
+    over 1, each coefficient summed on the packed form and reduced once.
+    The int lists of a number-field run (the certificate's) stay on
+    `convolve`."""
     if type(a[0]) is int and type(b[0]) is int:
-        return a, b, da * db
-    return exact_values(a, da), exact_values(b, db), None
+        return convolve(a, b, n), da * db
+    field = _field_of(a, b)
+    pa, pb = _packed(a, da, field), _packed(b, db, field)
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size = n
+    return [field._residue(*_packed_coefficient(pa, pb, k)) for k in range(size)], 1
 
 
 class Poly:
@@ -341,8 +356,8 @@ class Poly:
             return NotImplemented
         if not self.nums or not other.nums:
             return _ZERO
-        a, b, den = factors(self.nums, self.den, other.nums, other.den)
-        return Poly._of(convolve(a, b), den)
+        nums, den = multiply(self.nums, self.den, other.nums, other.den)
+        return Poly._of(nums, den)
 
     __rmul__ = __mul__
 
@@ -444,24 +459,22 @@ def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
     Returns (nums, den) as `Poly` holds them: over Q with a rational z, int
     numerators over an int den (for z = zn/zd, zd^n * p(X + z) is r(Y + zn)
     at Y = zd*X with r_i = c_i * zd^(n-i), all on ints); otherwise NFElems
-    over 1.
+    over 1 (`_field_taylor_shift`).
     """
     n = len(p.nums) - 1
     if n < 1 or not z:
         return list(p.nums), p.den
-    rational = p.rational and not isinstance(z, NFElem)
-    if rational:
-        zn, zd = _rational_parts(z)
-        if zd == 1:
-            cs = list(p.nums)
-        else:
-            cs, scale = [0] * (n + 1), 1
-            for i in range(n, -1, -1):
-                cs[i] = p.nums[i] * scale
-                scale *= zd
-        den = p.den * zd ** n
+    if not p.rational or isinstance(z, NFElem):
+        return _field_taylor_shift(p, z, terms), 1
+    zn, zd = _rational_parts(z)
+    if zd == 1:
+        cs = list(p.nums)
     else:
-        cs, zn, zd, den = list(exact_values(p.nums, p.den)), z, 1, 1
+        cs, scale = [0] * (n + 1), 1
+        for i in range(n, -1, -1):
+            cs[i] = p.nums[i] * scale
+            scale *= zd
+    den = p.den * zd ** n
     lead = None
     for j in range(n):
         for i in range(n - 1, j - 1, -1):
@@ -477,7 +490,7 @@ def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
         for k in range(len(cs)):
             cs[k] *= scale
             scale *= zd
-    return (cs, den) if rational else from_exact(cs)
+    return cs, den
 
 
 def poly_gcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
@@ -582,13 +595,36 @@ class NumberField:
     def one(self) -> "NFElem":
         return NFElem(self, _ONE)
 
+    def _residue(self, r: list, den: int) -> "NFElem":
+        """The element r(t)/den for int coefficients r of any degree: r is
+        reduced mod m by int pseudo-division (m = M/lc with M the int
+        numerators of m, so a non-integral m is no special case), scaling
+        by lc only when a step needs it, then content-reduced once.  The
+        list r is consumed."""
+        m = self.min_poly.nums
+        d, lc = len(m) - 1, m[-1]
+        for k in range(len(r) - 1, d - 1, -1):
+            c = r[k]
+            if not c:
+                continue
+            if lc != 1:
+                if c % lc:
+                    s = lc // math.gcd(c, lc)
+                    r = [x * s for x in r[:k + 1]]
+                    den *= s
+                    c = r[k]
+                c //= lc
+            for i in range(d):
+                r[k - d + i] -= c * m[i]
+        return NFElem(self, Poly._of(r[:d], den))
+
 
 class NFElem:
     """An element of a number field, held as its residue modulo the minimal
     polynomial: a `Poly` over Q in the generator t, of degree below the
-    field's.  Sums are `Poly` sums, products `Poly` products reduced by
-    pseudo-division, so number-field arithmetic runs on the integer kernel
-    too."""
+    field's.  Sums are `Poly` sums, products int convolutions reduced once
+    by pseudo-division (`NumberField._residue`), so number-field arithmetic
+    runs on the integer kernel too."""
 
     __slots__ = ("field", "poly")
 
@@ -658,7 +694,10 @@ class NFElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, (self.poly * o.poly) % self.field.min_poly)
+        a, b = self.poly, o.poly
+        if not a.nums or not b.nums:
+            return self.field.zero
+        return self.field._residue(convolve(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -685,6 +724,136 @@ class NFElem:
 
     def __pow__(self, n: int):
         return power(self if n >= 0 else self.inverse(), abs(n), self.field.one)
+
+
+# ---------------------------------------------------------------------------
+# Number-field lists on ints
+# ---------------------------------------------------------------------------
+
+# A packed constant is (nums, den): the int numerators in t of an element's
+# residue over its own denominator, as its `poly` holds them, or (c,) over
+# the list's den for an int numerator c.  The kernels below build each output
+# coefficient as one int polynomial in t over that coefficient's common
+# denominator and reduce it mod m once.  A whole list is never put over one
+# denominator: the lcm would inflate every numerator.
+Packed = Tuple[Sequence[int], int]
+
+
+def _field_of(*lists: Sequence) -> NumberField:
+    """The field of the first number-field element in the lists."""
+    return next(c.field for values in lists for c in values if type(c) is NFElem)
+
+
+def _packed(values: Sequence, den: int, field: NumberField) -> List[Packed]:
+    """Numerators over den (elements of `field` over 1, or ints) as packed
+    constants."""
+    out = []
+    for c in values:
+        if type(c) is NFElem:
+            if c.field is not field and c.field != field:
+                raise ValueError("mixing elements of different number fields")
+            p = c.poly
+            out.append((p.nums, p.den))
+        else:
+            out.append(((c,) if c else (), den))
+    return out
+
+
+def _packed_sum(a: Sequence[int], da: int, b: Sequence[int], db: int) -> Tuple[list, int]:
+    """a/da + b/db for int polynomials in t, over their common denominator."""
+    if da != db:
+        g = math.gcd(da, db)
+        a, b, da = [c * (db // g) for c in a], [c * (da // g) for c in b], da // g * db
+    return _zx._add(a, b), da
+
+
+def _packed_coefficient(pa: Sequence[Packed], pb: Sequence[Packed], k: int) -> Tuple[list, int]:
+    """Coefficient k of the product of two packed lists, unreduced: the sum
+    of the int convolutions pa[i]*pb[k-i] over their common denominator,
+    ([], 1) when every term is zero."""
+    acc: list = []
+    den = 1
+    for i in range(max(0, k - len(pb) + 1), min(k + 1, len(pa))):
+        an, ad = pa[i]
+        bn, bd = pb[k - i]
+        if not an or not bn:
+            continue
+        scale, td = 1, ad * bd
+        if not acc:
+            den = td
+        elif td != den:
+            g = math.gcd(den, td)
+            up = td // g
+            if up != 1:
+                acc = [c * up for c in acc]
+            scale = den // g
+            den *= up
+        size = len(an) + len(bn) - 1
+        if len(acc) < size:
+            acc.extend([0] * (size - len(acc)))
+        for p, x in enumerate(an):
+            if x:
+                if scale != 1:
+                    x *= scale
+                for q, y in enumerate(bn):
+                    acc[p + q] += x * y
+    return acc, den
+
+
+def field_quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
+                   terms: int) -> list:
+    """The first `terms` coefficients of (num/num_den) / (den/den_den) over
+    a number field, for numerator lists (as `Poly` holds them) whose
+    denominator has a nonzero constant term d0: out_k = (num_k - sum out_i
+    den_(k-i)) / d0, the sum one packed coefficient reduced once, then
+    multiplied by the inverse of d0, computed once."""
+    field = _field_of(num, den)
+    d0 = den[0]
+    inv = d0.inverse() if type(d0) is NFElem else field.from_rational(Fraction(den_den, d0))
+    num, den = _packed(num, num_den, field), _packed(den, den_den, field)
+    out: list = []
+    done: List[Packed] = []  # the packed form of out
+    for k in range(terms):
+        acc, acc_den = _packed_coefficient(done, den, k)
+        nk, nk_den = num[k] if k < len(num) else ((), 1)
+        e = field._residue(*_packed_sum(nk, nk_den, [-c for c in acc], acc_den)) * inv
+        out.append(e)
+        done.append((e.poly.nums, e.poly.den))
+    return out
+
+
+def _field_taylor_shift(p: Poly, z, terms: Optional[int]) -> list:
+    """`taylor_shift` over a number field, as elements of it.  With z =
+    zn/zd (zn an int polynomial in t), entry i starts as c_i * zd^(n-i) and
+    the synthetic division runs with zn on int polynomials in t, each over
+    its own denominator; coefficient j, cs[j] / zd^(n-j), is reduced once,
+    when its pass is done, and the `terms` cut-off reads that value."""
+    if type(z) is NFElem:
+        field, zn, zd = z.field, z.poly.nums, z.poly.den
+    else:
+        zc, zd = _rational_parts(z)
+        field, zn = _field_of(p.nums), (zc,)
+    n = len(p.nums) - 1
+    cs, dens = [], []
+    for i, (nums, den) in enumerate(_packed(p.nums, p.den, field)):
+        scale = zd ** (n - i)
+        cs.append([c * scale for c in nums])
+        dens.append(den)
+    out = []
+    lead = None
+    for j in range(n):
+        for i in range(n - 1, j - 1, -1):
+            if cs[i + 1]:
+                cs[i], dens[i] = _packed_sum(cs[i], dens[i], convolve(zn, cs[i + 1]),
+                                             dens[i + 1])
+        out.append(field._residue(cs[j], dens[j] * zd ** (n - j)))
+        if terms is not None:
+            if lead is None and out[j]:
+                lead = j
+            if lead is not None and j - lead + 1 >= terms:
+                return out
+    out.append(field._residue(cs[n], dens[n]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ divide only by exact polynomials with a nonzero constant term, and the
 determinant's valuation is read from the pivots of a division-free
 elimination.
 
+Over a number field K = Q[t]/(m) the coefficients are elements of K, but
+products and expansions run on their packed form (see fields): each
+output coefficient is one int polynomial in t over its own common
+denominator, reduced mod m once, and an expansion multiplies it by the
+inverse of the denominator's constant term, computed once per expansion.
+
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
 and the caller redoes that one computation at double precision (extension
@@ -38,11 +44,10 @@ from .fields import (
     Poly,
     RationalFunction,
     Valuation,
-    convolve,
-    exact_values,
-    factors,
+    field_quotient,
     from_exact,
     lowest_terms,
+    multiply,
     summands,
     taylor_shift,
 )
@@ -61,7 +66,8 @@ class QSeries:
 
     The coefficients are held as `Poly` holds them: over Q, int numerators
     `nums` over one positive int `den`, content-reduced, so sums, products
-    and expansions run on ints; over a number field, NFElems over 1.  `coeffs`
+    and expansions run on ints; over a number field, NFElems over 1, whose
+    products and expansions run on their packed int numerators too.  `coeffs`
     and `coefficient(n)` rebuild exact values for readers.
 
     Three states: a known leading term (`nums` nonempty), zero to
@@ -189,8 +195,8 @@ class QSeries:
             return QSeries(prec, [], 1, prec, height)
         val = self.val + other.val
         n = min(len(self.nums), len(other.nums))
-        a, b, den = factors(self.nums, self.den, other.nums, other.den)
-        return QSeries(val, convolve(a, b, n), den, val + n, height)
+        nums, den = multiply(self.nums, self.den, other.nums, other.den, n)
+        return QSeries(val, nums, den, val + n, height)
 
 
 ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))
@@ -204,7 +210,8 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
 
     Over Q it runs on ints: with d0 = den[0] and P = d0^terms, every
     w_k = out_k * P is an int, w_k = (num_k * P - sum w_i den_(k-i)) / d0,
-    and that division is exact."""
+    and that division is exact.  Over a number field it runs on the
+    packed form (`fields.field_quotient`)."""
     d0 = den[0]
     if type(d0) is int and type(num[0]) is int:
         scale = d0 ** terms
@@ -217,15 +224,8 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
         if den_den != 1:
             w = [c * den_den for c in w]
         return QSeries(val, w, scale * num_den, val + terms, height)
-    num, den = exact_values(num, num_den), exact_values(den, den_den)
-    inv = Fraction(1) / den[0]
-    out: List = []
-    for k in range(terms):
-        acc = num[k] if k < len(num) else 0
-        for i in range(max(0, k - len(den) + 1), k):
-            acc = acc - out[i] * den[k - i]
-        out.append(acc * inv)
-    return QSeries(val, out, None, val + terms, height)
+    return QSeries(val, field_quotient(num, num_den, den, den_den, terms), 1,
+                   val + terms, height)
 
 
 def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:

@@ -9,8 +9,8 @@ stays exact without a gcd in K(q) and runs on the integer kernel of
 `fields`: table values and row values are numerators over denominators
 known from their construction, and the q-adic value of a sum of such
 fractions is read lazily, lowest terms first, from its cross-multiplied
-numerator, built on the int (or number-field) numerators of the factors
-with no division.
+numerator, built on the int numerators of the factors (over a number
+field on their packed form, `fields.multiply`) with no division.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .fields import (
     Valuation,
     convolve,
     galois_norm_uniformizer,
+    multiply,
     nu_at_factor,
     poly_gcd,
 )
@@ -76,8 +77,15 @@ def _times(a: Optional[_Term], b: Optional[_Term]) -> Optional[_Term]:
     return (a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] + b[3], a[4] + b[4])
 
 
-def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
-    """nu_q of a sum of terms, exactly and with no gcd and no division.
+def _field_product(a: Sequence, b: Sequence, n: int) -> list:
+    """`convolve` for numerator lists over a number field (or ints), on the
+    packed form of `fields.multiply`."""
+    return multiply(a, 1, b, 1, n)[0]
+
+
+def _lazy_order(terms: Sequence[Optional[_Term]], mul=convolve) -> Valuation:
+    """nu_q of a sum of terms, exactly and with no gcd and no division;
+    `mul` multiplies numerator lists (`_field_product` over a number field).
 
     The order of each term is read off its factors.  A minimum m reached by
     one term only is the answer.  Otherwise the sum is q^m * N / (C * D),
@@ -112,7 +120,7 @@ def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
         for t in terms:
             product = [1]
             for d in t[4]:
-                product = convolve(product, d, n)
+                product = mul(product, d, n)
             den_products.append(product)
         acc = [0] * n
         for t, (order, _, _, nums, _) in enumerate(terms):
@@ -121,7 +129,7 @@ def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
                 continue
             product = [scales[t]]
             for f in (*nums, *(p for s, p in enumerate(den_products) if s != t)):
-                product = convolve(product, f, n - k)
+                product = mul(product, f, n - k)
             for i, c in enumerate(product):
                 acc[k + i] += c
         for i, c in enumerate(acc):
@@ -439,6 +447,7 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     scaffold = {(e, c): _term((norm_at_z,) * max(e, 0),
                               den + (norm_at_z,) * max(-e, 0))
                 for e in range(-2, 3) for c, den in unit_dens.items()}
+    mul = convolve if point.is_rational else _field_product
     rng = random.Random(seed)
     violations: List[CertificateViolation] = []
     for s in range(samples):
@@ -450,7 +459,7 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
         value = INFINITY
         for j in range(r):
             v = _lazy_order([_times(coeff, row[j])
-                             for coeff, row in zip(coeffs_at_z, row_terms)])
+                             for coeff, row in zip(coeffs_at_z, row_terms)], mul)
             if v < value:
                 value = v
         claimed = all(e >= 0 for e in exponents)

@@ -159,3 +159,46 @@ def test_readme_library_example_runs_as_written():
               "den": poly_str(c.den, "x", compact=True)} for c in row.coords]
             for row in namespace["run"].basis.rows]
     assert rows == json.loads((GOLDEN / "cubic-Z0.json").read_text())["basis"]
+
+
+# every routine of the packed number-field kernel, under each name it is
+# called by
+PACKED_ROUTINES = [
+    ("precint.fields", "NumberField._residue"),
+    ("precint.fields", "_field_of"),
+    ("precint.fields", "_packed"),
+    ("precint.fields", "_packed_sum"),
+    ("precint.fields", "_packed_coefficient"),
+    ("precint.fields", "field_quotient"),
+    ("precint.fields", "_field_taylor_shift"),
+    ("precint.qvalues", "field_quotient"),
+    ("precint.verify", "_field_product"),
+]
+
+
+def test_rational_orbits_never_enter_the_number_field_kernel(monkeypatch, capsys):
+    """Over Q every product, sum, shift and quotient stays on the int
+    branch: with each packed number-field routine replaced by one that
+    raises, runs and a certificate on integer orbits print their recorded
+    output."""
+    import importlib
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational run entered the number-field kernel")
+
+    for module, name in PACKED_ROUTINES:
+        owner = importlib.import_module(module)
+        *path, attr = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr))
+        monkeypatch.setattr(owner, attr, refuse)
+    for name in ("cubic-Z4", "spread4-Z7"):
+        code = cli.main(_argv(name))
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    text = _certificate_json("certificate-cubic-0")
+    assert text.encode() == (GOLDEN / "certificate-cubic-0.json").read_bytes()
+    with pytest.raises(AssertionError, match="number-field kernel"):
+        cli.main(_argv("sqrt2-1"))

@@ -39,8 +39,8 @@ from precint import (
 )
 from precint import _zx
 from precint.exprs import poly_str
-from precint.fields import poly_gcd
-from precint.qvalues import fraction_series
+from precint.fields import NFElem, multiply, poly_gcd, taylor_shift
+from precint.qvalues import QSeries, fraction_series
 
 X = sympy.Symbol("x")
 
@@ -429,3 +429,181 @@ def test_galois_trace_sum_is_the_trace_of_g_over_x_minus_z(case, xs):
         quotient = to_sympy(Poly(coords)) * sympy.invert(
             sympy.Poly(x - offset, X, domain="QQ") - t, to_sympy(m))
         assert f.num.eval(x) / f.den.eval(x) == sympy_trace(quotient, m)
+
+
+# Number-field lists on the packed kernel.  Products of lists, Taylor shifts
+# at t + n and series quotients over a field compute each coefficient as one
+# int polynomial in t over its own denominator and reduce it once; here each
+# is recomputed in sympy as a polynomial in x and t, reduced mod m(t) at the
+# end.  `verify` shares this kernel with the main path; sympy shares nothing
+# with either.
+
+T = sympy.Symbol("t")
+EIGHTH = NumberField(Poly([-3, 0, 0, 0, 0, 0, 0, 0, 1]))  # Q(3^(1/8))
+KERNEL_FIELDS = FIELDS + [EIGHTH]
+KERNEL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+# large, pairwise coprime denominators, so no two coefficients share one
+COPRIME_DENS = [2 ** 61 - 1, 10 ** 9 + 7, 3 ** 41, 5 ** 29, 7 * 11 * 13 * 17]
+coordinates = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-2 ** 90, 2 ** 90), st.sampled_from(COPRIME_DENS)))
+
+
+@st.composite
+def field_lists(draw, count: int, max_size: int = 5):
+    """A field of KERNEL_FIELDS and `count` nonempty lists of its elements,
+    some of them zero."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    element = st.lists(coordinates, max_size=field.degree).map(field.element)
+    return field, [draw(st.lists(element, min_size=1, max_size=max_size))
+                   for _ in range(count)]
+
+
+def in_x_and_t(values) -> sympy.Poly:
+    """Coefficients of powers of x (number-field elements, `Poly`s in t or
+    rationals) as a sympy polynomial in x and t."""
+    terms = {}
+    for k, c in enumerate(values):
+        if isinstance(c, NFElem):
+            c = c.poly
+        for i, a in enumerate(c.coeffs if isinstance(c, Poly) else (Fraction(c),)):
+            if a:
+                terms[k, i] = sympy.Rational(a.numerator, a.denominator)
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, T, domain="QQ")
+
+
+def shifted_by(p: sympy.Poly, z: NFElem) -> sympy.Poly:
+    """p(x + z, t) by Horner's rule in sympy, z an element as a polynomial
+    in t."""
+    step = sympy.Poly(X, X, T, domain="QQ") + in_x_and_t([z])
+    acc = sympy.Poly(0, X, T, domain="QQ")
+    for k in range(p.degree(X), -1, -1):
+        coeff = {(0, j): c for (i, j), c in p.terms() if i == k}
+        acc = acc * step + sympy.Poly.from_dict(coeff or {(0, 0): 0}, X, T, domain="QQ")
+    return acc
+
+
+def reduced_coefficients(p: sympy.Poly, field: NumberField) -> list:
+    """The coefficients in x of a polynomial in x and t, lowest first, each
+    reduced mod the minimal polynomial in t, as `Poly`s in t."""
+    m = sympy.Poly(list(reversed(field.min_poly.coeffs)), T, domain="QQ")
+    if p.is_zero:
+        return []
+    rows = [{} for _ in range(p.degree(X) + 1)]
+    for (i, j), c in p.terms():
+        rows[i][(j,)] = c
+    return [from_sympy(sympy.Poly.from_dict(row or {(0,): 0}, T, domain="QQ").rem(m))
+            for row in rows]
+
+
+def assert_elements(values, expected: list, field: NumberField) -> None:
+    """Elements of the field, canonical, equal to the reduced coefficients
+    (missing ones zero)."""
+    expected = expected + [Poly.zero()] * (len(values) - len(expected))
+    assert len(values) == len(expected)
+    for c, e in zip(values, expected):
+        assert isinstance(c, NFElem) and c.field == field
+        assert_canonical(c.poly)
+        assert c.poly.degree < field.degree
+        assert c.poly == e
+
+
+@KERNEL_SETTINGS
+@given(field_lists(2), st.integers(0, 10))
+@example((EIGHTH, [[EIGHTH.element([Fraction(2 ** 80 + 1, 2 ** 61 - 1), 0, 0, 0, 0, 0, 0,
+                                    Fraction(-1, 10 ** 9 + 7)])] * 3,
+                   [EIGHTH.element([1, Fraction(5, 3 ** 41)] * 4), EIGHTH.zero,
+                    EIGHTH.element([0] * 7 + [Fraction(2 ** 90, 5 ** 29)])]]), 4)
+@example((FIELDS[3], [[FIELDS[3].element([Fraction(1, 3), 2 ** 100])],
+                      [FIELDS[3].element([0, Fraction(-5, 7)]), FIELDS[3].one]]), 1)
+def test_number_field_products_match_sympy(case, n):
+    """Products of number-field lists as `Poly`s, as `QSeries` (cut off at
+    the shorter operand) and by `multiply` with and without a cut-off n,
+    also against a list of ints over a denominator."""
+    field, (a, b) = case
+    expected = reduced_coefficients(in_x_and_t(a) * in_x_and_t(b), field)
+    size = len(a) + len(b) - 1
+    assert_elements(list((Poly(a) * Poly(b)).nums), expected, field)
+    assert multiply(a, 1, b, 1)[1] == 1
+    assert_elements(multiply(a, 1, b, 1)[0], expected[:size], field)
+    assert_elements(multiply(a, 1, b, 1, n)[0], expected[:min(n, size)], field)
+    ints = [3, 0, -(2 ** 70)]
+    with_ints = reduced_coefficients(
+        in_x_and_t([Fraction(c, 7) for c in ints]) * in_x_and_t(b), field)
+    assert_elements(multiply(ints, 7, b, 1, n)[0], with_ints[:min(n, len(b) + 2)], field)
+    if a[0] and b[0]:  # series known from q^0, so cut off at the shorter
+        height = (100, 0, 0)
+        product = QSeries(0, a, None, len(a), height) * QSeries(0, b, None, len(b), height)
+        assert product.prec == min(len(a), len(b))
+        assert_elements(product.coeffs, expected[:product.prec], field)
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(KERNEL_FIELDS),
+       st.lists(coordinates, min_size=2, max_size=7).filter(lambda cs: Poly(cs).degree >= 1),
+       st.integers(-5, 5), st.one_of(st.none(), st.integers(1, 4)))
+@example(EIGHTH, [Fraction(1, 2 ** 61 - 1), 0, Fraction(-7, 10 ** 9 + 7), 1, 2 ** 80], -4, 2)
+@example(FIELDS[3], [Fraction(-1, 2), 0, 2], 3, 1)  # 2t^2 - 1 vanishes at t
+@example(FIELDS[0], [-2, 0, 1], -3, 1)  # x^2 - 2 at t - 3, shifted by 3
+def test_number_field_taylor_shift_matches_sympy(field, coords, n, terms):
+    """p(x + t + n) for p over Q and over the field, with the `terms`
+    cut-off: it stops once `terms` coefficients from the first nonzero one
+    on are known; also at a point 2t/3 + n/5 with a denominator."""
+    unit = field.element([Fraction(1, 3), Fraction(2, 5)])
+    for z in (field.generator + n, field.generator * Fraction(2, 3) + Fraction(n, 5)):
+        for p in (Poly(coords), Poly(coords) * unit):
+            expected = reduced_coefficients(shifted_by(in_x_and_t(p.coeffs), z), field)
+            values, den = taylor_shift(p, z, terms)
+            assert den == 1
+            lead = next(k for k, e in enumerate(expected) if not e.is_zero)
+            length = p.degree + 1 if terms is None else min(p.degree + 1, lead + terms)
+            assert_elements(values, expected[:length], field)
+
+
+@KERNEL_SETTINGS
+@given(field_lists(2, max_size=4), st.integers(1, 5))
+@example((FIELDS[3], [[FIELDS[3].zero, FIELDS[3].element([Fraction(3, 2 ** 61 - 1), 1])],
+                      [FIELDS[3].element([0, Fraction(1, 10 ** 9 + 7)]),
+                       FIELDS[3].element([5])]]), 5)
+def test_number_field_fraction_series_matches_sympy(case, terms):
+    """num/den for polynomials in q over the field: the valuation is the
+    difference of orders, and the coefficients times the unit of den agree
+    with the unit of num modulo q^terms, reduced in sympy."""
+    field, (num, den) = case
+    num, den = Poly(num), Poly(den)
+    if den.is_zero or num.is_zero:
+        return
+    series = fraction_series(num, den, terms)
+    assert_series_quotient(series, in_x_and_t(num.coeffs), in_x_and_t(den.coeffs),
+                           field, terms)
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(KERNEL_FIELDS), nonzero_polys, nonzero_polys,
+       st.integers(-5, 5), st.integers(1, 5))
+@example(FIELDS[0], Poly([-2, 0, 1]), Poly([Fraction(1, 2 ** 61 - 1), 1]), 0, 3)
+@example(EIGHTH, Poly([1, 0, 0, 0, 0, 0, 0, 0, 1]), Poly([-3, 0, 0, 0, 0, 0, 0, 0, 1]), 2, 4)
+def test_number_field_shifted_series_matches_sympy(field, num, den, n, terms):
+    """f(t + n + q) for f in Q(x), and for f over the field."""
+    f = RationalFunction(num, den)
+    unit = field.element([Fraction(1, 7), 1])
+    for f in (f, RationalFunction(f.num * unit, f.den, _coprime=True)):
+        series = shifted_series(f, field.generator + n, terms)
+        sn, sd = (shifted_by(in_x_and_t(p.coeffs), field.generator + n)
+                  for p in (f.num, f.den))
+        assert_series_quotient(series, sn, sd, field, terms)
+
+
+def assert_series_quotient(series, num: sympy.Poly, den: sympy.Poly,
+                           field: NumberField, terms: int) -> None:
+    ns, ds = reduced_coefficients(num, field), reduced_coefficients(den, field)
+    a = next(k for k, c in enumerate(ns) if not c.is_zero)
+    b = next(k for k, c in enumerate(ds) if not c.is_zero)
+    assert series.valuation == a - b
+    assert series.prec == a - b + terms
+    coeffs = [series.coefficient(a - b + k) for k in range(terms)]
+    assert coeffs[0] != 0
+    residual = reduced_coefficients(
+        in_x_and_t(coeffs) * in_x_and_t(ds[b:]) - in_x_and_t(ns[a:]), field)
+    assert all(c.is_zero for c in residual[:terms])
