@@ -10,13 +10,20 @@ stays exact without a gcd in K(q) and runs on the integer kernel of
 known from their construction, and the q-adic value of a sum of such
 fractions is read lazily, lowest terms first, from its cross-multiplied
 numerator, built on the int numerators of the factors (over a number
-field on their packed form, `fields.multiply`) with no division.
+field on their packed form, `fields.multiply`) with no division.  A
+certificate sample reads the q-orders of its sums from the orders of their
+factors first, and builds a sum only when its least order is reached twice:
+its random units are tested at z on the powers of z and shifted to z + q
+only for such a tie.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -24,6 +31,7 @@ from .errors import PrecintError, SingularTransitionError
 from .fields import (
     INFINITY,
     AlgebraicPoint,
+    NFElem,
     Poly,
     RationalFunction,
     Valuation,
@@ -344,19 +352,47 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _random_unit(rng: random.Random, z) -> Tuple[Poly, int]:
+def _powers_of(z) -> List[Tuple[int, int, int]]:
+    """z^0, z^1 and z^2 as int lists over one int denominator (for a number
+    field the numerators in t of their residues), read by coefficient: entry
+    k holds coefficient k of each.  The denominator is dropped, as a sum of
+    the powers is only ever tested for zero."""
+    powers = []
+    for p in (1, z, z * z):
+        if isinstance(p, NFElem):
+            powers.append((p.poly.nums, p.poly.den))
+        else:
+            p = Fraction(p)
+            powers.append(((p.numerator,), p.denominator))
+    den = math.lcm(*(d for _, d in powers))
+    size = max(len(nums) for nums, _ in powers)
+    return list(zip(*([c * (den // d) for c in nums] + [0] * (size - len(nums))
+                      for nums, d in powers)))
+
+
+def _vanishes_at(coeffs: Sequence[int], powers: Sequence[Tuple[int, int, int]]) -> bool:
+    """Whether the polynomial with the ints `coeffs` (at most three, lowest
+    first) is zero at z, given the powers of z from `_powers_of`: whether
+    its shift to z + q has a zero constant term."""
+    for entry in powers:
+        if sum(map(operator.mul, coeffs, entry)):
+            return False
+    return True
+
+
+def _random_unit(rng: random.Random,
+                 powers: Sequence[Tuple[int, int, int]]) -> Tuple[List[int], int]:
     """A rational function with valuation exactly 0 at the point z (and all
-    of its conjugates), as its numerator already shifted to z + q and a
+    of its conjugates), as the int coefficients of its numerator and a
     shift c.  The numerator has small int coefficients and is drawn again
-    while its shift has a zero constant term: it vanishes at z exactly when
-    the point's minimal polynomial, irreducible with root z, divides it.
-    The denominator is 1 for c = 0 and otherwise the norm of the point
-    shifted by c, a unit by construction."""
+    while it vanishes at z, which is exactly when the point's minimal
+    polynomial, irreducible with root z, divides it; the test is made on
+    the powers of z, with no shift.  The denominator is 1 for c = 0 and
+    otherwise the norm of the point shifted by c, a unit by construction."""
     while True:
-        unit = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]).shift(z)
-        if unit.nums and unit.nums[0]:
-            break
-    return unit, rng.choice((0, 1, -1, 2))
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if not _vanishes_at(coeffs, powers):
+            return coeffs, rng.choice((0, 1, -1, 2))
 
 
 def _row_values(rows: Sequence[QuotientElement], table: _Table, z,
@@ -405,8 +441,13 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     polynomial with exponents in {-2..2}; a clean report means integrality
     of the combination is exactly equivalent to all exponents being
     nonnegative.  The sampled values are byte-for-byte what repeated
-    brute_val calls would compute; the table is simply built once, and
-    each unit is shifted to z + q once.  A window smaller than brute_val
+    brute_val calls would compute; the table is simply built once.  A term
+    of a sum has the sum of its factors' orders, a unit's being 0, so a
+    least order reached by one term only is the order of the sum, read with
+    no arithmetic.  A tied sum has at least its least order: it is read by
+    `_lazy_order`, lowest first, only while that order is below the least
+    order of the sample found so far, and only then are the sample's units
+    shifted to z + q, once each.  A window smaller than brute_val
     accepts, or a negative number of samples, raises PrecintError rather
     than report a check of the wrong table or of nothing.
 
@@ -448,18 +489,39 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
                               den + (norm_at_z,) * max(-e, 0))
                 for e in range(-2, 3) for c, den in unit_dens.items()}
     mul = convolve if point.is_rational else _field_product
+    # the q-order of every factor of a sum is known without arithmetic: a
+    # unit's is 0, and scaffold and row terms carry their own
+    row_orders = [[None if t is None else t[0] for t in row] for row in row_terms]
+    powers = _powers_of(z)
     rng = random.Random(seed)
     violations: List[CertificateViolation] = []
     for s in range(samples):
         exponents = tuple(rng.randint(-2, 2) for _ in range(r))
-        coeffs_at_z = []
-        for e in exponents:
-            unit, c = _random_unit(rng, z)
-            coeffs_at_z.append(_times(_term((unit,), ()), scaffold[e, c]))
+        units = [_random_unit(rng, powers) for _ in exponents]
+        orders = [scaffold[e, c][0] for e, (_, c) in zip(exponents, units)]
         value = INFINITY
+        tied = []
         for j in range(r):
-            v = _lazy_order([_times(coeff, row[j])
-                             for coeff, row in zip(coeffs_at_z, row_terms)], mul)
+            term_orders = [k + row[j] for k, row in zip(orders, row_orders)
+                           if row[j] is not None]
+            least = min(term_orders, default=INFINITY)
+            if term_orders.count(least) > 1:
+                tied.append((least, j))
+            elif least < value:
+                value = least
+        # a tied sum has an order of at least its minimum, so only a tie
+        # whose minimum is below the value so far can lower it; reading it
+        # needs the units, each shifted once per sample
+        coeffs_at_z = None
+        for least, j in sorted(tied):
+            if least >= value:
+                break
+            if coeffs_at_z is None:
+                coeffs_at_z = [
+                    _times(_term((Poly(coeffs).shift(z),), ()), scaffold[e, c])
+                    for e, (coeffs, c) in zip(exponents, units)]
+            v = _lazy_order([_times(coeff, row[j]) for coeff, row
+                             in zip(coeffs_at_z, row_terms)], mul)
             if v < value:
                 value = v
         claimed = all(e >= 0 for e in exponents)

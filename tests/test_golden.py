@@ -5,7 +5,10 @@ The `global-basis` files in `tests/golden/` hold the stdout of each case as
 recorded before the integer kernel of `fields` and `qvalues` replaced
 `Fraction` coefficients; the `certificate-*` files hold the JSON report of
 a certificate of the standard basis where it is not integral, as recorded
-before the oracle's sample loop moved onto that kernel.  A passing report
+before the oracle's sample loop moved onto that kernel, and, for
+`certificate-rational-half` (a point that is a `Fraction`) and
+`certificate-half-1` (a minimal polynomial that is not integral), before
+the loop read q-orders from the orders of the factors.  A passing report
 prints no values, so only failing ones pin the exact q-orders and the
 random stream.  A change of representation or of algorithm that moves a
 single printed character fails here.  Regenerate a file only for an
@@ -37,6 +40,8 @@ SQRT2 = "x^2 - 2 + S^2"
 CUBIC_FIELD = "(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2"
 # the minimal polynomial x^2 - 1/2 of its orbit has a non-integral coefficient
 HALF = "(2*x^2-1) + x*S + (2*x^2-1)*S^2"
+# an orbit 1/2 + Z: the point is a Fraction
+RATIONAL_HALF = "(2*x-1)*(x+3) + S + (2*x+5)*S^2"
 
 CASES = {
     "cubic-Z0": (CUBIC, "Z=0"),
@@ -72,6 +77,8 @@ CERTIFICATES = {
     "certificate-sqrt2-1": (SQRT2, "root(x^2-2)+1"),
     "certificate-cubic-field-2": (CUBIC_FIELD, "root(x^3-2)+2"),
     "certificate-ord4-7": (ORD4, "7"),
+    "certificate-rational-half": (RATIONAL_HALF, "1/2"),
+    "certificate-half-1": (HALF, "root(x^2-1/2)+1"),
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,9 +36,20 @@ from precint import (
     random_operators,
     val_at,
 )
-from precint.fields import poly_gcd
+from precint.fields import convolve, poly_gcd
+from precint.ore import default_anchor
 from precint.valuation import detect_orbits
-from precint.verify import _lazy_order, _term
+from precint.verify import (
+    _field_product,
+    _fresh_solution_table,
+    _lazy_order,
+    _least_window,
+    _powers_of,
+    _row_values,
+    _term,
+    _times,
+    _vanishes_at,
+)
 from conftest import el, op, pt, random_rf
 
 Q = Poly.x()  # the same dense representation serves the variable q
@@ -391,6 +403,112 @@ def test_certificate_at_algebraic_point():
         report = certificate(operator, run.basis, orbit.shifted(n),
                              samples=40, seed=3)
         assert report.passed
+
+
+# a nonzero polynomial with coefficients in [-3, 3] that vanishes at each
+# point, when there is one of degree at most 2
+VANISHING = {
+    "0": (0, 1),
+    "7": None,
+    "1/2": (-1, 2),
+    "root(x^2-2)+1": (-1, -2, 1),
+    "root(x^2-1/2)": (-1, 0, 2),
+    "root(x^2-1/2)+1": None,
+    "root(x^3-2)+2": None,
+}
+
+
+@pytest.mark.parametrize("text", sorted(VANISHING))
+def test_a_unit_is_redrawn_exactly_when_its_shift_has_a_zero_constant_term(text):
+    z = pt(text).value()
+    powers = _powers_of(z)
+    redrawn = set()
+    for n in (1, 2, 3):
+        for coeffs in itertools.product(range(-3, 4), repeat=n):
+            shifted = Poly(coeffs).shift(z)
+            vanishes = _vanishes_at(coeffs, powers)
+            assert vanishes == (shifted.is_zero or not shifted.nums[0]), coeffs
+            if vanishes and any(coeffs):
+                redrawn.add(coeffs)
+    if VANISHING[text] is not None:
+        assert VANISHING[text] in redrawn
+
+
+def _reference_violations(modulus, basis, point, samples, seed):
+    """The certificate's sample loop as it was before it read orders first:
+    every unit shifted to z + q, every coordinate built as a term and every
+    sum read by `_lazy_order`."""
+    r, orbit = modulus.order, point.orbit()
+    anchor = default_anchor(modulus, orbit) - _least_window(modulus, orbit) - 2
+    table = _fresh_solution_table(modulus, orbit, anchor, point.offset,
+                                  point.offset + r - 1)
+    z = orbit.value() + point.offset
+    row_terms = [[_term((num,), (den,)) for num in nums]
+                 for nums, den in _row_values(basis.rows, table, z, point.offset)]
+    norm = galois_norm_uniformizer(point).shift(z)
+    unit_dens = {c: (galois_norm_uniformizer(point.shifted(c)).shift(z),)
+                 for c in (1, -1, 2)}
+    unit_dens[0] = ()
+    mul = convolve if point.is_rational else _field_product
+    rng = random.Random(seed)
+    out = []
+    for s in range(samples):
+        exponents = tuple(rng.randint(-2, 2) for _ in range(r))
+        coords = []
+        for e in exponents:
+            while True:
+                unit = Poly([rng.randint(-3, 3)
+                             for _ in range(rng.randint(1, 3))]).shift(z)
+                if unit.nums and unit.nums[0]:
+                    break
+            den = unit_dens[rng.choice((0, 1, -1, 2))]
+            coords.append(_term((unit,) + (norm,) * max(e, 0),
+                                den + (norm,) * max(-e, 0)))
+        value = min(_lazy_order([_times(c, row[j])
+                                 for c, row in zip(coords, row_terms)], mul)
+                    for j in range(r))
+        claimed = all(e >= 0 for e in exponents)
+        if (value >= 0) != claimed:
+            out.append((s, exponents,
+                        value if value is not INFINITY else "infinity", claimed))
+    return out
+
+
+# operator, point, the right bounds of a global run treating the point, and
+# whether some sample there has a tied sum below its other sums, which is
+# read by `_lazy_order`; at root(x^2-2)+1 no sum of these bases ties
+DIFFERENTIAL = {
+    "cubic": ("(x+2)^2 + x*S^2 + (x+2)*S^3", "0", {"Z": 0}, True),
+    "sqrt2": ("x^2 - 2 + S^2", "root(x^2-2)+1", {"-2+x^2": 1}, False),
+    "half": ("(2*x-1)*(x+3) + S + (2*x+5)*S^2", "1/2", {"-1/2+x": 0, "Z": 0},
+             True),
+    "cubic-field": ("(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2",
+                    "root(x^3-2)+2", {"-2+x^3": 2}, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_certificate_agrees_with_the_loop_that_shifts_every_unit(name, monkeypatch):
+    text, where, bounds, ties = DIFFERENTIAL[name]
+    operator, point = op(text), pt(where)
+    run = global_integral_basis(operator, ZSpec(bounds))
+    assert point in [entry.orbit.shifted(n) for entry in run.processed
+                     for n in entry.points]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _lazy_order(*args)
+
+    monkeypatch.setattr("precint.verify._lazy_order", counted)
+    for basis in (BasisMatrix.standard(operator.order), run.basis):
+        for seed in range(6):
+            report = certificate(operator, basis, point, samples=40, seed=seed)
+            assert [(v.sample, v.exponents, v.value, v.claimed_integral)
+                    for v in report.violations] == _reference_violations(
+                        operator, basis, point, 40, seed)
+    # with a tie the units were shifted and the sum read, not only orders
+    assert bool(calls) == ties
 
 
 # -- the main path against the oracle on wider operators -------------------------
