@@ -13,12 +13,15 @@ factorization over Q by the int-list routines of `_zx`.  Exact `Fraction`
 coefficients are rebuilt only for readers.
 A number-field element is its residue modulo the minimal polynomial m, one
 such polynomial in the generator t, so number fields run on the same
-kernel.  Lists of elements (the coefficients of a polynomial or a series
-over the field) are multiplied, Taylor-shifted and expanded as series on a
-packed form: each entry's int numerators in t over its own denominator,
-as it is held.  An output coefficient is built as one int polynomial in t
-over that coefficient's common denominator and reduced mod m once, by int
-pseudo-division (`NumberField._residue`), not once per product.
+kernel; its inverse solves the int system of multiplication by it.  Lists
+of elements are multiplied, Taylor-shifted and expanded as series on a
+packed form: each entry's int numerators in t over its own denominator.
+An output coefficient is built as one int polynomial in t over that
+coefficient's common denominator and reduced mod m once, by int
+pseudo-division (`NumberField._reduce`), not once per product.  The
+Taylor coefficients at a point are its Hasse derivatives, each reduced
+once (`packed_taylor`).  A series over the field keeps them packed (see
+qvalues); a polynomial over the field holds `NFElem`s.
 Sums over the conjugates of a point come from Lagrange interpolation at the
 roots of its minimal polynomial (`galois_trace_sum`), with no field trace.
 
@@ -171,11 +174,11 @@ def summands(a: Sequence, da: int, b: Sequence, db: int) -> Tuple[Sequence, Sequ
 def multiply(a: Sequence, da: int, b: Sequence, db: int,
              n: Optional[int] = None) -> Tuple[list, int]:
     """The product of two nonempty numerator lists (only its first n
-    coefficients when n is given): ints over the product of their
-    denominators, or, with a number field involved, elements of that field
-    over 1, each coefficient summed on the packed form and reduced once.
-    The int lists of a number-field run (the certificate's) stay on
-    `convolve`."""
+    coefficients when n is given), as `Poly` holds them: ints over the
+    product of their denominators, or, with a number field involved,
+    elements of that field over 1, each coefficient summed on the packed
+    form and reduced once.  The int lists of a number-field run (the
+    certificate's) stay on `convolve`."""
     if type(a[0]) is int and type(b[0]) is int:
         return convolve(a, b, n), da * db
     field = _field_of(a, b)
@@ -451,21 +454,23 @@ _ONE = Poly._of((1,))
 
 
 def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
-    """The coefficients of p(X + z), lowest first, by synthetic division in
-    place (`cs[i] += z*cs[i+1]`, one pass per coefficient).  Given `terms`,
-    the passes stop once that many coefficients from the first nonzero one
-    on are known (fewer when p runs out: the rest are zero).
+    """The coefficients of p(X + z), lowest first.  Given `terms`, they
+    stop once that many from the first nonzero one on are known (fewer
+    when p runs out: the rest are zero).
 
-    Returns (nums, den) as `Poly` holds them: over Q with a rational z, int
-    numerators over an int den (for z = zn/zd, zd^n * p(X + z) is r(Y + zn)
-    at Y = zd*X with r_i = c_i * zd^(n-i), all on ints); otherwise NFElems
-    over 1 (`_field_taylor_shift`).
+    Returns (nums, den) as `Poly` holds them.  Over Q with a rational z
+    they are int numerators over an int den, by synthetic division in place
+    (`cs[i] += z*cs[i+1]`, one pass per coefficient; for z = zn/zd,
+    zd^n * p(X + z) is r(Y + zn) at Y = zd*X with r_i = c_i * zd^(n-i), all
+    on ints).  Over a number field they are NFElems over 1, built from the
+    packed Taylor coefficients (`packed_taylor`).
     """
     n = len(p.nums) - 1
     if n < 1 or not z:
         return list(p.nums), p.den
     if not p.rational or isinstance(z, NFElem):
-        return _field_taylor_shift(p, z, terms), 1
+        field = z.field if type(z) is NFElem else _field_of(p.nums)
+        return [NFElem(field, Poly._of(*c)) for c in packed_taylor(p, z, field, terms)], 1
     zn, zd = _rational_parts(z)
     if zd == 1:
         cs = list(p.nums)
@@ -523,23 +528,6 @@ def poly_gcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     return u, a // u, b // u
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd over a field: returns (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a, b
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
-    while not r1.is_zero:
-        q, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading
-    inv = 1 / lead
-    return r0 * inv, s0 * inv, t0 * inv
-
-
 # ---------------------------------------------------------------------------
 # Number fields
 # ---------------------------------------------------------------------------
@@ -595,12 +583,12 @@ class NumberField:
     def one(self) -> "NFElem":
         return NFElem(self, _ONE)
 
-    def _residue(self, r: list, den: int) -> "NFElem":
-        """The element r(t)/den for int coefficients r of any degree: r is
-        reduced mod m by int pseudo-division (m = M/lc with M the int
-        numerators of m, so a non-integral m is no special case), scaling
-        by lc only when a step needs it, then content-reduced once.  The
-        list r is consumed."""
+    def _reduce(self, r: Sequence[int], den: int) -> "Packed":
+        """The residue of r(t)/den mod m, packed, for int coefficients r of
+        any degree: r is reduced by int pseudo-division (m = M/lc with M
+        the int numerators of m, so a non-integral m is no special case),
+        scaling by lc only when a step needs it, then trimmed and
+        content-reduced once.  The list r is consumed."""
         m = self.min_poly.nums
         d, lc = len(m) - 1, m[-1]
         for k in range(len(r) - 1, d - 1, -1):
@@ -616,15 +604,80 @@ class NumberField:
                 c //= lc
             for i in range(d):
                 r[k - d + i] -= c * m[i]
-        return NFElem(self, Poly._of(r[:d], den))
+        k = min(len(r), d)
+        while k and not r[k - 1]:
+            k -= 1
+        if not k:
+            return (), 1
+        r = r[:k]
+        if den != 1:
+            r, den = lowest_terms(r, den)
+        return r, den
+
+    def _residue(self, r: Sequence[int], den: int) -> "NFElem":
+        """The element r(t)/den for int coefficients r of any degree
+        (`_reduce`)."""
+        nums, den = self._reduce(r, den)
+        return NFElem(self, Poly._of(nums, den))
+
+    def _inverse(self, a: Sequence[int], den: int) -> "Packed":
+        """The inverse of the nonzero residue a(t)/den, packed: the s with
+        a*s = 1 mod m, from the d x d system of multiplication by a on 1,
+        t, ..., t^(d-1).  Column j holds lc^j * (a*t^j mod m), ints (the
+        step t*col subtracts the top entry times M), so s_j = u_j * den *
+        lc^j for the solution u of the int system C u = e_0.  That system
+        is solved by fraction-free (Bareiss) elimination and one exact
+        back-substitution of y = det * u, which is integral."""
+        m = self.min_poly.nums
+        d, lc = len(m) - 1, m[-1]
+        col = list(a) + [0] * (d - len(a))
+        cols = [col]
+        for _ in range(d - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if lc != 1:
+                col = [lc * c for c in col]
+            if top:
+                col = [c - top * mi for c, mi in zip(col, m)]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if rows[i][k]), None)
+            if p is None:
+                raise PrecintError("minimal polynomial is not irreducible")
+            rows[k], rows[p] = rows[p], rows[k]
+            top = rows[k]
+            pivot = top[k]
+            for i in range(k + 1, d):
+                row, c = rows[i], rows[i][k]
+                rows[i] = [(pivot * x - c * y) // prev for x, y in zip(row, top)]
+            prev = pivot
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = prev * row[d]
+            for j in range(i + 1, d):
+                acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        scale = den
+        for j in range(d):
+            y[j] *= scale
+            scale *= lc
+        k = d
+        while not y[k - 1]:
+            k -= 1
+        nums, den = lowest_terms(y[:k], prev)
+        return nums, den
 
 
 class NFElem:
     """An element of a number field, held as its residue modulo the minimal
     polynomial: a `Poly` over Q in the generator t, of degree below the
     field's.  Sums are `Poly` sums, products int convolutions reduced once
-    by pseudo-division (`NumberField._residue`), so number-field arithmetic
-    runs on the integer kernel too."""
+    by pseudo-division (`NumberField._residue`) and the inverse an int
+    system (`NumberField._inverse`), so number-field arithmetic runs on
+    the integer kernel too."""
 
     __slots__ = ("field", "poly")
 
@@ -702,13 +755,11 @@ class NFElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "NFElem":
-        """Multiplicative inverse via extended gcd with the minimal polynomial."""
+        """Multiplicative inverse, on ints (`NumberField._inverse`)."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in a number field")
-        g, s, _ = poly_xgcd(self.poly, self.field.min_poly)
-        if g.degree != 0:
-            raise PrecintError("minimal polynomial is not irreducible")
-        return NFElem(self.field, s)
+        return NFElem(self.field, Poly._of(*self.field._inverse(self.poly.nums,
+                                                                 self.poly.den)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -731,11 +782,15 @@ class NFElem:
 # ---------------------------------------------------------------------------
 
 # A packed constant is (nums, den): the int numerators in t of an element's
-# residue over its own denominator, as its `poly` holds them, or (c,) over
-# the list's den for an int numerator c.  The kernels below build each output
-# coefficient as one int polynomial in t over that coefficient's common
-# denominator and reduce it mod m once.  A whole list is never put over one
-# denominator: the lcm would inflate every numerator.
+# residue mod m over its own denominator, as its `poly` holds them, or (c,)
+# over the list's den for an int numerator c; zero has no numerators.  A
+# `QSeries` over a number field holds its coefficients in this form, and so
+# do the Taylor coefficients at a point; `NFElem`s are built only for
+# readers and for `Poly`s over the field.  The kernels below build each
+# output coefficient as one int polynomial in t over that coefficient's
+# common denominator and reduce it mod m once (`NumberField._reduce`).  A
+# whole list is never put over one denominator: the lcm would inflate every
+# numerator.
 Packed = Tuple[Sequence[int], int]
 
 
@@ -800,59 +855,74 @@ def _packed_coefficient(pa: Sequence[Packed], pb: Sequence[Packed], k: int) -> T
     return acc, den
 
 
-def field_quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
-                   terms: int) -> list:
-    """The first `terms` coefficients of (num/num_den) / (den/den_den) over
-    a number field, for numerator lists (as `Poly` holds them) whose
-    denominator has a nonzero constant term d0: out_k = (num_k - sum out_i
-    den_(k-i)) / d0, the sum one packed coefficient reduced once, then
-    multiplied by the inverse of d0, computed once."""
-    field = _field_of(num, den)
-    d0 = den[0]
-    inv = d0.inverse() if type(d0) is NFElem else field.from_rational(Fraction(den_den, d0))
-    num, den = _packed(num, num_den, field), _packed(den, den_den, field)
-    out: list = []
-    done: List[Packed] = []  # the packed form of out
+def field_quotient(field: NumberField, num: Sequence[Packed], den: Sequence[Packed],
+                   terms: int) -> List[Packed]:
+    """The first `terms` coefficients of num / den over the field, packed,
+    for packed lists whose denominator has a nonzero constant term d0:
+    out_k = (num_k - sum out_i den_(k-i)) / d0, the sum one packed
+    coefficient reduced once, then multiplied by the inverse of d0,
+    computed once on ints, and reduced again."""
+    inv, inv_den = field._inverse(*den[0])
+    out: List[Packed] = []
     for k in range(terms):
-        acc, acc_den = _packed_coefficient(done, den, k)
+        acc, acc_den = _packed_coefficient(out, den, k)
         nk, nk_den = num[k] if k < len(num) else ((), 1)
-        e = field._residue(*_packed_sum(nk, nk_den, [-c for c in acc], acc_den)) * inv
-        out.append(e)
-        done.append((e.poly.nums, e.poly.den))
+        s, s_den = field._reduce(*_packed_sum(nk, nk_den, [-c for c in acc], acc_den))
+        out.append(field._reduce(convolve(s, inv), s_den * inv_den) if s else ((), 1))
     return out
 
 
-def _field_taylor_shift(p: Poly, z, terms: Optional[int]) -> list:
-    """`taylor_shift` over a number field, as elements of it.  With z =
-    zn/zd (zn an int polynomial in t), entry i starts as c_i * zd^(n-i) and
-    the synthetic division runs with zn on int polynomials in t, each over
-    its own denominator; coefficient j, cs[j] / zd^(n-j), is reduced once,
-    when its pass is done, and the `terms` cut-off reads that value."""
+def packed_taylor(p: Poly, z, field: NumberField,
+                  terms: Optional[int] = None) -> List[Packed]:
+    """The coefficients of p(X + z) over the field, packed, lowest first:
+    coefficient k is the Hasse derivative sum_i C(i, k) p_i z^(i-k),
+    reduced mod m once.  Given `terms`, they stop once that many from the
+    first nonzero one on are known (fewer when p runs out: the rest are
+    zero).
+
+    Every point precint shifts to is t + n.  For p over Q and z = t + c or
+    a rational c, p is first shifted by c on ints (`taylor_shift`), and
+    derivative k is the int polynomial sum_i C(i, k) P_i t^(i-k) in t (the
+    constant P_k when z = c).  Any other p or z evaluates the derivatives
+    by Horner's rule on the packed form, each one built as one int
+    polynomial in t over its own denominator.
+    """
     if type(z) is NFElem:
-        field, zn, zd = z.field, z.poly.nums, z.poly.den
+        zn, zd = z.poly.nums, z.poly.den
     else:
-        zc, zd = _rational_parts(z)
-        field, zn = _field_of(p.nums), (zc,)
+        c, zd = _rational_parts(z)
+        zn = (c,) if c else ()
     n = len(p.nums) - 1
-    cs, dens = [], []
-    for i, (nums, den) in enumerate(_packed(p.nums, p.den, field)):
-        scale = zd ** (n - i)
-        cs.append([c * scale for c in nums])
-        dens.append(den)
-    out = []
+    if p.rational and (len(zn) < 2 or len(zn) == 2 and zn[1] == zd):
+        cs, den = taylor_shift(p, Fraction(zn[0], zd) if zn else 0)
+
+        def derivative(k: int) -> Tuple[list, int]:
+            if len(zn) < 2:
+                return [cs[k]], den
+            return [math.comb(i, k) * cs[i] for i in range(k, n + 1)], den
+    else:
+        pk = _packed(p.nums, p.den, field)
+
+        def derivative(k: int) -> Tuple[list, int]:
+            acc: list = []
+            den = 1
+            for i in range(n, k - 1, -1):
+                if acc:
+                    acc, den = convolve(acc, zn), den * zd
+                cn, cd = pk[i]
+                if cn:
+                    b = math.comb(i, k)
+                    acc, den = _packed_sum(acc, den, [b * x for x in cn], cd)
+            return acc, den
+    out: List[Packed] = []
     lead = None
-    for j in range(n):
-        for i in range(n - 1, j - 1, -1):
-            if cs[i + 1]:
-                cs[i], dens[i] = _packed_sum(cs[i], dens[i], convolve(zn, cs[i + 1]),
-                                             dens[i + 1])
-        out.append(field._residue(cs[j], dens[j] * zd ** (n - j)))
+    for k in range(n + 1):
+        out.append(field._reduce(*derivative(k)))
         if terms is not None:
-            if lead is None and out[j]:
-                lead = j
-            if lead is not None and j - lead + 1 >= terms:
-                return out
-    out.append(field._residue(cs[n], dens[n]))
+            if lead is None and out[k][0]:
+                lead = k
+            if lead is not None and k - lead + 1 >= terms:
+                break
     return out
 
 
@@ -1144,15 +1214,31 @@ def _orbit_normalize(min_poly: Poly) -> tuple:
     return min_poly.shift(s), s
 
 
+# The highest degree of a point, hence of the number field its orbit's
+# arithmetic runs in.  The cost climbs steeply with the degree: the orbit
+# of `(x^d-3) + x*S + (x^d-3)*S^2` at `x^d-3=3` takes about 2.5 s at d=8
+# and 18 s at d=12, and did not finish in 300 s at d=16 (one process on a
+# shared 2-vCPU VM).  A point named by the user or an orbit detected in an
+# operator of higher degree is refused at once, before any table is built.
+MAX_FIELD_DEGREE = 12
+
+
 class AlgebraicPoint:
     """A point rho + offset, with rho a root of a shift-normalized minimal
     polynomial.  Conjugate points share one object; the orbit of the point
-    is the set rho + Z."""
+    is the set rho + Z.  Its degree is at most MAX_FIELD_DEGREE."""
 
     __slots__ = ("min_poly", "offset")
 
     def __init__(self, min_poly: Poly, offset: int, _normalized: bool = False):
         if not _normalized:
+            if min_poly.degree > MAX_FIELD_DEGREE:
+                from .exprs import poly_str
+
+                raise PrecintError(
+                    f"a root of {poly_str(min_poly.monic(), 'x')} has degree "
+                    f"{min_poly.degree}, more than the limit of {MAX_FIELD_DEGREE} "
+                    f"on the degree of a point")
             min_poly = min_poly.monic()
             if not is_irreducible(min_poly):
                 raise ValueError("point requires an irreducible minimal polynomial")

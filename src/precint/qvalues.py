@@ -17,11 +17,16 @@ divide only by exact polynomials with a nonzero constant term, and the
 determinant's valuation is read from the pivots of a division-free
 elimination.
 
-Over a number field K = Q[t]/(m) the coefficients are elements of K, but
-products and expansions run on their packed form (see fields): each
-output coefficient is one int polynomial in t over its own common
-denominator, reduced mod m once, and an expansion multiplies it by the
-inverse of the denominator's constant term, computed once per expansion.
+Over a number field K = Q[t]/(m) a series is a `FieldSeries`, the one
+place that knows the field: its coefficients stay packed from the Taylor
+coefficients at the point to the reader (see fields), each one's int
+numerators in t over its own denominator, reduced mod m.  Every output
+coefficient of a sum, product or expansion is one int polynomial in t
+over its own common denominator, reduced mod m once, and an expansion
+multiplies it by the inverse of the denominator's constant term,
+computed once per expansion on ints.  Readers (`coeffs`, `coefficient`)
+get `NFElem`s.  A series over Q never tests for a field: an operation
+with a `FieldSeries` on either side runs the `FieldSeries` method.
 
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
@@ -36,18 +41,27 @@ to a precision past that bound is exactly zero, and becomes `ZERO`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .fields import (
     INFINITY,
+    NFElem,
+    NumberField,
+    Packed,
     Poly,
     RationalFunction,
     Valuation,
+    _field_of,
+    _packed,
+    _packed_coefficient,
+    _packed_sum,
+    convolve,
     field_quotient,
     from_exact,
     lowest_terms,
-    multiply,
+    packed_taylor,
     summands,
     taylor_shift,
 )
@@ -64,11 +78,11 @@ class QSeries:
     """A truncated Laurent series in q: the coefficients of q^val, ...,
     q^(prec-1), the first of them nonzero, plus O(q^prec).
 
-    The coefficients are held as `Poly` holds them: over Q, int numerators
+    Over Q the coefficients are held as `Poly` holds them: int numerators
     `nums` over one positive int `den`, content-reduced, so sums, products
-    and expansions run on ints; over a number field, NFElems over 1, whose
-    products and expansions run on their packed int numerators too.  `coeffs`
-    and `coefficient(n)` rebuild exact values for readers.
+    and expansions run on ints.  A series over a number field is a
+    `FieldSeries`.  `coeffs` and `coefficient(n)` rebuild exact values for
+    readers.
 
     Three states: a known leading term (`nums` nonempty), zero to
     precision `prec` (`nums` empty, `val == prec`), and exactly zero
@@ -78,10 +92,8 @@ class QSeries:
 
     __slots__ = ("val", "nums", "den", "prec", "height")
 
-    def __init__(self, val: int, nums: Sequence, den: Optional[int], prec: int,
+    def __init__(self, val: int, nums: Sequence[int], den: int, prec: int,
                  height: Height):
-        if den is None:  # exact constants
-            nums, den = from_exact(nums)
         lead = 0
         while lead < len(nums) and not nums[lead]:
             lead += 1
@@ -101,6 +113,17 @@ class QSeries:
         self.den = den
         self.prec = prec
         self.height = height
+
+    @staticmethod
+    def of(val: int, values: Sequence, prec: int, height: Height) -> "QSeries":
+        """The series q^val * (values[0] + values[1] q + ...) + O(q^prec)
+        from exact constants: ints and Fractions, or elements of one number
+        field among them (a `FieldSeries`)."""
+        nums, den = from_exact(values)
+        if nums and type(nums[0]) is NFElem:
+            field = nums[0].field
+            return FieldSeries(field, val, _packed(nums, 1, field), prec, height)
+        return QSeries(val, nums, den, prec, height)
 
     def __repr__(self):
         if self.prec is INFINITY:
@@ -125,7 +148,7 @@ class QSeries:
     @property
     def coeffs(self) -> List:
         """The exact coefficients of q^val, ..., q^(prec-1)."""
-        return [Fraction(c, self.den) if type(c) is int else c for c in self.nums]
+        return [Fraction(c, self.den) for c in self.nums]
 
     @property
     def valuation(self) -> Valuation:
@@ -142,8 +165,7 @@ class QSeries:
         if n >= self.prec:
             raise PrecisionLoss(f"coefficient of q^{n} of a series known "
                                 f"to O(q^{self.prec})")
-        c = self.nums[n - self.val]
-        return Fraction(c, self.den) if type(c) is int else c
+        return Fraction(self.nums[n - self.val], self.den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -183,8 +205,8 @@ class QSeries:
                 return ZERO
             if self.prec is INFINITY:
                 return self
-            return QSeries(self.val, [c * other for c in self.coeffs], None,
-                           self.prec, self.height)
+            return QSeries.of(self.val, [c * other for c in self.coeffs],
+                              self.prec, self.height)
         if self.prec is INFINITY or other.prec is INFINITY:
             return ZERO
         ha, hb = self.height, other.height
@@ -195,11 +217,119 @@ class QSeries:
             return QSeries(prec, [], 1, prec, height)
         val = self.val + other.val
         n = min(len(self.nums), len(other.nums))
-        nums, den = multiply(self.nums, self.den, other.nums, other.den, n)
-        return QSeries(val, nums, den, val + n, height)
+        return QSeries(val, convolve(self.nums, other.nums, n), self.den * other.den,
+                       val + n, height)
 
 
 ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))
+
+
+class FieldSeries(QSeries):
+    """A `QSeries` over a number field K = Q[t]/(m): each coefficient is
+    packed, the int numerators in t of its residue mod m over its own
+    denominator (`fields.Packed`, zero with no numerators), and `den` is 1.
+    Sums, products and negation run on the packed form, with each output
+    coefficient reduced mod m once; an operand over Q is packed first.
+    `coeffs` and `coefficient(n)` build `NFElem`s for readers (a constant
+    multiple, which the main path never forms, is built from them)."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: NumberField, val: int, nums: Sequence[Packed], prec: int,
+                 height: Height):
+        lead = 0
+        while lead < len(nums) and not nums[lead][0]:
+            lead += 1
+        if lead:
+            nums = nums[lead:]
+        if not nums:
+            val = prec
+            if prec is not INFINITY and prec > height[0] - height[2]:
+                val = prec = INFINITY  # zero past the bound: exactly zero
+        else:
+            val += lead
+        self.field = field
+        self.val = val
+        self.nums = nums
+        self.den = 1
+        self.prec = prec
+        self.height = height
+
+    @property
+    def coeffs(self) -> List:
+        field = self.field
+        return [NFElem(field, Poly._of(*c)) for c in self.nums]
+
+    def coefficient(self, n: int):
+        if n < self.val or n >= self.prec:
+            return super().coefficient(n)
+        return NFElem(self.field, Poly._of(*self.nums[n - self.val]))
+
+    def _packed_operand(self, other: QSeries) -> "FieldSeries":
+        """other as a series over this one's field."""
+        field = self.field
+        if type(other) is FieldSeries:
+            if other.field is not field and other.field != field:
+                raise ValueError("mixing elements of different number fields")
+            return other
+        den = other.den
+        nums = []
+        for c in other.nums:
+            g = math.gcd(c, den)
+            nums.append(((c // g,), den // g) if c else ((), 1))
+        return FieldSeries(field, other.val, nums, other.prec, other.height)
+
+    def __add__(self, other: QSeries) -> QSeries:
+        if other.prec is INFINITY:
+            return self
+        if self.prec is INFINITY:
+            return other
+        field = self.field
+        other = self._packed_operand(other)
+        ha, hb = self.height, other.height
+        height = (max(ha[0] + hb[1], hb[0] + ha[1]), ha[1] + hb[1], ha[2] + hb[2])
+        prec = min(self.prec, other.prec)
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        if a.val >= prec:
+            return FieldSeries(field, prec, [], prec, height)
+        out = list(a.nums[:prec - a.val])
+        off = b.val - a.val
+        for k, (bn, bd) in enumerate(b.nums[:max(0, prec - b.val)]):
+            an, ad = out[off + k]
+            if not an:
+                out[off + k] = bn, bd
+            elif bn:
+                out[off + k] = field._reduce(*_packed_sum(an, ad, bn, bd))
+        return FieldSeries(field, a.val, out, prec, height)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FieldSeries":
+        if self.prec is INFINITY:
+            return self
+        return FieldSeries(self.field, self.val, [([-c for c in n], d) for n, d in self.nums],
+                           self.prec, self.height)
+
+    def __mul__(self, other) -> QSeries:
+        if not isinstance(other, QSeries):  # a constant, times each coefficient
+            return super().__mul__(other)
+        field = self.field
+        if self.prec is INFINITY or other.prec is INFINITY:
+            return ZERO
+        other = self._packed_operand(other)
+        ha, hb = self.height, other.height
+        height = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
+        if not (self.nums and other.nums):
+            # val is a lower bound on the valuation in every state
+            prec = min(self.prec + other.val, other.prec + self.val)
+            return FieldSeries(field, prec, [], prec, height)
+        val = self.val + other.val
+        n = min(len(self.nums), len(other.nums))
+        pa, pb = self.nums, other.nums
+        return FieldSeries(field, val, [field._reduce(*_packed_coefficient(pa, pb, k))
+                                        for k in range(n)], val + n, height)
+
+    __rmul__ = __mul__
 
 
 def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
@@ -210,8 +340,8 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
 
     Over Q it runs on ints: with d0 = den[0] and P = d0^terms, every
     w_k = out_k * P is an int, w_k = (num_k * P - sum w_i den_(k-i)) / d0,
-    and that division is exact.  Over a number field it runs on the
-    packed form (`fields.field_quotient`)."""
+    and that division is exact.  With a number-field element among them it
+    runs on the packed form (`fields.field_quotient`)."""
     d0 = den[0]
     if type(d0) is int and type(num[0]) is int:
         scale = d0 ** terms
@@ -224,8 +354,10 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
         if den_den != 1:
             w = [c * den_den for c in w]
         return QSeries(val, w, scale * num_den, val + terms, height)
-    return QSeries(val, field_quotient(num, num_den, den, den_den, terms), 1,
-                   val + terms, height)
+    field = _field_of(num, den)
+    return FieldSeries(field, val, field_quotient(field, _packed(num, num_den, field),
+                                                  _packed(den, den_den, field), terms),
+                       val + terms, height)
 
 
 def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:
@@ -258,12 +390,28 @@ def _taylor(p: Poly, z, terms: int) -> Tuple[int, List, int]:
     return order, cs[order:order + terms], den
 
 
+def _packed_taylor(p: Poly, z: NFElem, terms: int) -> Tuple[int, List[Packed]]:
+    """(a, t) with p(z + q) = q^a * (t[0] + t[1] q + ...), t[0] != 0, and
+    at most `terms` packed entries in t (`fields.packed_taylor`)."""
+    cs = packed_taylor(p, z, z.field, terms)
+    order = 0
+    while not cs[order][0]:
+        order += 1
+    return order, cs[order:order + terms]
+
+
 def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
     """f(z + q) for f in K(x), with `terms` coefficients from its valuation
     on, by truncated Taylor shifts of its numerator and denominator (the
-    exact shifted rational function is never formed)."""
+    exact shifted rational function is never formed).  At a point z of a
+    number field the Taylor coefficients stay packed into the quotient."""
     if f.is_zero:
         return ZERO
+    if type(z) is NFElem:
+        a, num = _packed_taylor(f.num, z, terms)
+        b, den = _packed_taylor(f.den, z, terms)
+        return FieldSeries(z.field, a - b, field_quotient(z.field, num, den, terms),
+                           a - b + terms, (f.num.degree, f.den.degree, b))
     a, num, num_den = _taylor(f.num, z, terms)
     b, den, den_den = _taylor(f.den, z, terms)
     return _quotient(num, num_den, den, den_den, a - b, terms,

@@ -407,6 +407,51 @@ def test_far_point_is_refused_at_once(capsys, monkeypatch, argv, position,
     assert len(steps) < 100
 
 
+D13 = "(x^13-3) + x*S + (x^13-3)*S^2"
+
+
+@pytest.mark.parametrize("argv", [
+    ("global-basis", "--right-bound", "x^13-3=3"),
+    ("verify", "--right-bound", "x^13-3=3", "--samples", "2"),
+    ("verify", "--at", "root(x^13-3)", "--samples", "2"),
+    ("local-basis", "--at", "root(x^13-3)+1"),
+    ("val", "--element", "S", "--at", "root(x^13-3)"),
+    ("solutions", "--orbit", "root(x^13-3)", "--from", "0", "--to", "2"),
+])
+def test_point_over_the_degree_limit_is_refused_at_once(capsys, monkeypatch, argv):
+    """A point or detected orbit of degree 13, over MAX_FIELD_DEGREE, ends
+    every subcommand with exit code 2 and an error naming the degree and
+    the limit, in under a second and before any table is built."""
+    import time
+
+    from precint import fields, ore
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a solution table was built")
+
+    monkeypatch.setattr(ore.SolutionBasis, "__init__", no_table)
+    assert fields.MAX_FIELD_DEGREE == 12
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--operator", D13, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: a root of -3 + x^13 has degree 13, more than the "
+                   "limit of 12 on the degree of a point\n")
+
+
+def test_points_of_degree_twelve_are_accepted():
+    """Degree 12, the limit, passes every entry point of the check; a run
+    there takes too long for this suite."""
+    from precint import AlgebraicPoint, Poly, parse_point
+    from precint.valuation import detect_orbits
+
+    m = Poly([-3] + [0] * 11 + [1])
+    assert AlgebraicPoint(m, 2).degree == 12
+    assert parse_point("root(x^12-3)+1") == AlgebraicPoint(m, 1)
+    operator = parse_operator("(x^12-3) + x*S + (x^12-3)*S^2")
+    assert [o.degree for o in detect_orbits(operator)] == [12]
+
+
 def test_worklist_at_its_limit_reads_within_the_table_reach(capsys):
     """x*(x-99) + S has its worklist 0..99 at the limit of 100 offsets, and
     its growth is read at 100, MAX_TABLE_REACH right of the window 0..0."""

@@ -39,8 +39,8 @@ from precint import (
 )
 from precint import _zx
 from precint.exprs import poly_str
-from precint.fields import NFElem, multiply, poly_gcd, taylor_shift
-from precint.qvalues import QSeries, fraction_series
+from precint.fields import INFINITY, NFElem, multiply, packed_taylor, poly_gcd, taylor_shift
+from precint.qvalues import ZERO, FieldSeries, QSeries, fraction_series
 
 X = sympy.Symbol("x")
 
@@ -534,7 +534,7 @@ def test_number_field_products_match_sympy(case, n):
     assert_elements(multiply(ints, 7, b, 1, n)[0], with_ints[:min(n, len(b) + 2)], field)
     if a[0] and b[0]:  # series known from q^0, so cut off at the shorter
         height = (100, 0, 0)
-        product = QSeries(0, a, None, len(a), height) * QSeries(0, b, None, len(b), height)
+        product = QSeries.of(0, a, len(a), height) * QSeries.of(0, b, len(b), height)
         assert product.prec == min(len(a), len(b))
         assert_elements(product.coeffs, expected[:product.prec], field)
 
@@ -607,3 +607,170 @@ def assert_series_quotient(series, num: sympy.Poly, den: sympy.Poly,
     residual = reduced_coefficients(
         in_x_and_t(coeffs) * in_x_and_t(ds[b:]) - in_x_and_t(ns[a:]), field)
     assert all(c.is_zero for c in residual[:terms])
+
+
+# The packed kernel itself: the int inverse, the Taylor coefficients by Hasse
+# derivatives and series over a field, which hold packed residues and build
+# `NFElem`s only for readers.  Degree 1 (x - 3/2), the fields above and a
+# cubic with non-integral coefficients.
+LINEAR = NumberField(Poly([Fraction(-3, 2), 1]))
+ODD_CUBIC = NumberField(Poly([Fraction(-1, 3), Fraction(1, 2), Fraction(-5, 7), 1]))
+PACKED_FIELDS = [LINEAR] + KERNEL_FIELDS + [ODD_CUBIC]
+
+
+def assert_packed(entry, field: NumberField) -> None:
+    """A packed residue as the kernel holds it: int numerators in t of
+    degree below the field's, no trailing zero, over a positive int
+    denominator sharing no factor with them; zero has none, over 1."""
+    nums, den = entry
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert len(nums) <= field.degree
+    if not nums:
+        assert den == 1
+    else:
+        assert nums[-1] and den > 0 and math.gcd(den, *nums) == 1
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(PACKED_FIELDS), st.lists(coordinates, max_size=8))
+def test_int_inverse_matches_sympy(field, coords):
+    """The inverse from the int system of multiplication, against sympy's
+    `invert`, over fields of degree 1, 2, 3 and 8 (also x^2 - 1/2 and a
+    cubic with non-integral coefficients), for a drawn element, the
+    generator and a unit with large coprime denominators; zero has none."""
+    unit = [Fraction(2 ** 80 + 1, 2 ** 61 - 1), 0, Fraction(-1, 10 ** 9 + 7)]
+    m = to_sympy(field.min_poly)
+    for a in (field.element(coords[:field.degree]), field.generator,
+              field.element(unit[:field.degree])):
+        if a.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            continue
+        packed = field._inverse(a.poly.nums, a.poly.den)
+        assert_packed(packed, field)
+        inverse = a.inverse()
+        assert (inverse.poly.nums, inverse.poly.den) == (tuple(packed[0]), packed[1])
+        assert inverse.poly == from_sympy(sympy.invert(to_sympy(a.poly), m))
+        assert a * inverse == field.one
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(PACKED_FIELDS),
+       st.lists(coordinates, min_size=1, max_size=6).filter(lambda cs: any(cs)),
+       st.integers(-5, 5), st.one_of(st.none(), st.integers(1, 4)))
+@example(EIGHTH, [Fraction(1, 2 ** 61 - 1), 0, Fraction(-7, 10 ** 9 + 7), 1, 2 ** 80], -5, None)
+@example(FIELDS[0], [-2, 0, 1], -3, 1)  # x^2 - 2 at t - 3, shifted by 3
+@example(ODD_CUBIC, [1, 0, 0, 1], 5, 2)
+def test_packed_taylor_matches_sympy(field, coords, c, terms):
+    """The packed Taylor coefficients of p(x + z) against sympy, for p over
+    Q and over the field: at t + c for every c in [-5, 5] and at t + c/2
+    (the Hasse derivatives after a shift on ints), and at 2t/3 + c/5 (by
+    Horner's rule), truncated and in full."""
+    unit = field.element([Fraction(1, 3), Fraction(2, 5)][:field.degree])
+    t = field.generator
+    for z in (t + c, t + Fraction(c, 2), t * Fraction(2, 3) + Fraction(c, 5)):
+        for p in (Poly(coords), Poly(coords) * unit):
+            expected = reduced_coefficients(shifted_by(in_x_and_t(p.coeffs), z), field)
+            packed = packed_taylor(p, z, field, terms)
+            for entry in packed:
+                assert_packed(entry, field)
+            lead = next((k for k, e in enumerate(expected) if not e.is_zero), 0)
+            length = p.degree + 1 if terms is None else min(p.degree + 1, lead + terms)
+            expected += [Poly.zero()] * (length - len(expected))
+            assert [Poly._of(*e) for e in packed] == expected[:length]
+
+
+def reference_terms(s) -> dict:
+    """The coefficients a series claims, by power, as exact values."""
+    if s.is_zero:
+        return {}
+    return {n: s.coefficient(n) for n in range(s.val, s.prec)}
+
+
+def assert_series_as(s, terms: dict, lo: int, prec, height, field) -> None:
+    """s is the series with these coefficients from q^lo up to O(q^prec)
+    and this height: exactly zero only when every one is zero past the
+    height's bound; a series over the field holds packed residues."""
+    assert s.height == height or s.is_zero
+    values = [terms.get(n, 0) for n in range(lo, prec)] if prec is not INFINITY else []
+    if s.is_zero:
+        assert not any(values)
+        assert prec is INFINITY or prec > height[0] - height[2]
+        return
+    assert s.prec == prec
+    assert [s.coefficient(n) for n in range(lo, prec)] == values
+    assert s.known == any(values)
+    if isinstance(s, FieldSeries):
+        assert s.field == field
+        for entry in s.nums:
+            assert_packed(entry, field)
+    else:
+        assert all(type(c) is int for c in s.nums)
+
+
+@st.composite
+def packed_series(draw, field: NumberField, over_field: bool):
+    """A series over the field or over Q, in one of the three states:
+    known from its valuation on, zero to its precision, or ZERO."""
+    state = draw(st.sampled_from(["known", "known", "zero", "ZERO"]))
+    if state == "ZERO":
+        return ZERO
+    val = draw(st.integers(-2, 2))
+    height = (draw(st.integers(0, 8)), draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    if over_field:
+        value = st.lists(coordinates, max_size=field.degree).map(field.element)
+    else:
+        value = coordinates
+    length = draw(st.integers(1, 4))
+    if state == "zero":
+        values = [field.zero if over_field else 0] * length
+    else:
+        values = draw(st.lists(value, min_size=length, max_size=length))
+        if not values[0]:
+            values[0] = field.one if over_field else Fraction(1)
+    return QSeries.of(val, values, val + length, height)
+
+
+@SETTINGS
+@given(st.sampled_from(PACKED_FIELDS), st.booleans(), st.data())
+def test_packed_series_arithmetic_matches_elements(field, mixed, data):
+    """+, -, * and a constant * of series over a field, packed, against the
+    same operations on their `NFElem` coefficients, with precision and
+    height as the rules of qvalues give them; the second operand is over Q
+    when `mixed` (int lists appear at algebraic points for constant
+    coordinates)."""
+    a = data.draw(packed_series(field, True))
+    b = data.draw(packed_series(field, not mixed))
+    ta, tb = reference_terms(a), reference_terms(b)
+    ha, hb = a.height, b.height
+    for x, y, tx, ty in ((a, b, ta, tb), (b, a, tb, ta)):
+        for sign in (1, -1):
+            total = x + y if sign == 1 else x - y
+            if x.is_zero or y.is_zero:
+                other, terms = (y, ty) if x.is_zero else (x, tx)
+                expected = {n: sign * c if other is y else c for n, c in terms.items()}
+                assert reference_terms(total) == expected
+                continue
+            prec = min(x.prec, y.prec)
+            height = (max(ha[0] + hb[1], hb[0] + ha[1]), ha[1] + hb[1], ha[2] + hb[2])
+            terms = {n: tx.get(n, 0) + sign * ty.get(n, 0) for n in range(min(x.val, y.val), prec)}
+            assert_series_as(total, terms, min(x.val, y.val), prec, height, field)
+        product = x * y
+        if x.is_zero or y.is_zero:
+            assert product.is_zero
+            continue
+        prec = min(x.prec + y.val, y.prec + x.val)
+        height = tuple(i + j for i, j in zip(ha, hb))
+        terms = {n: sum((c * ty.get(n - i, 0) for i, c in tx.items()), Fraction(0))
+                 for n in range(x.val + y.val, prec)}
+        assert_series_as(product, terms, x.val + y.val, prec, height, field)
+    coords = data.draw(st.lists(coordinates, max_size=field.degree))
+    for c in (field.element(coords), Fraction(-7, 3), 5, 0):
+        for scaled in (a * c, c * a if isinstance(a, FieldSeries) else a * c):
+            if a.is_zero or not c:
+                assert scaled.is_zero
+                continue
+            terms = {n: v * c for n, v in ta.items()}
+            assert_series_as(scaled, terms, a.val, a.prec, a.height, field)
