@@ -53,9 +53,10 @@ def _coeff_str(c, compact: bool) -> tuple:
     Genuine number-field constants need parentheses.
     """
     if isinstance(c, NFElem):
-        if c.poly.degree < 1:
-            return _coeff_str(c.poly[0], compact)
-        return poly_str(c.poly, "t", compact=compact), False
+        p = c.poly
+        if p.degree < 1:
+            return _coeff_str(p[0], compact)
+        return poly_str(p, "t", compact=compact), False
     c = Fraction(c)
     if c.denominator == 1:
         return _int_str(c.numerator), True

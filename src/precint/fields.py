@@ -11,17 +11,16 @@ routine (`convolve`), division with remainder by pseudo-division, Taylor
 shifts by synthetic division, and gcds (with cofactors) and
 factorization over Q by the int-list routines of `_zx`.  Exact `Fraction`
 coefficients are rebuilt only for readers.
-A number-field element is its residue modulo the minimal polynomial m, one
-such polynomial in the generator t, so number fields run on the same
-kernel; its inverse solves the int system of multiplication by it.  Lists
-of elements are multiplied, Taylor-shifted and expanded as series on a
-packed form: each entry's int numerators in t over its own denominator.
-An output coefficient is built as one int polynomial in t over that
-coefficient's common denominator and reduced mod m once, by int
-pseudo-division (`NumberField._reduce`), not once per product.  The
-Taylor coefficients at a point are its Hasse derivatives, each reduced
-once (`packed_taylor`).  A series over the field keeps them packed (see
-qvalues); a polynomial over the field holds `NFElem`s.
+A number-field element is its residue modulo the minimal polynomial m,
+held the same way: int numerators in the generator t over one
+content-reduced denominator, so number fields run on the same kernel; its
+inverse solves the int system of multiplication by it.  That is the one
+form of a constant of the field: polynomials and series over the field
+hold the elements themselves.  A product of lists of elements builds each
+output coefficient as one int polynomial in t over that coefficient's
+common denominator and reduces it mod m once, by int pseudo-division
+(`NumberField._reduce`), not once per product.  The Taylor coefficients at
+a point are its Hasse derivatives, each reduced once (`packed_taylor`).
 Sums over the conjugates of a point come from Lagrange interpolation at the
 roots of its minimal polynomial (`galois_trace_sum`), with no field trace.
 
@@ -176,17 +175,17 @@ def multiply(a: Sequence, da: int, b: Sequence, db: int,
     """The product of two nonempty numerator lists (only its first n
     coefficients when n is given), as `Poly` holds them: ints over the
     product of their denominators, or, with a number field involved,
-    elements of that field over 1, each coefficient summed on the packed
-    form and reduced once.  The int lists of a number-field run (the
+    elements of that field over 1, each coefficient summed on the elements'
+    numerators and reduced once.  The int lists of a number-field run (the
     certificate's) stay on `convolve`."""
     if type(a[0]) is int and type(b[0]) is int:
         return convolve(a, b, n), da * db
     field = _field_of(a, b)
-    pa, pb = _packed(a, da, field), _packed(b, db, field)
+    a, b = field._lift(a, da), field._lift(b, db)
     size = len(a) + len(b) - 1
     if n is not None and n < size:
         size = n
-    return [field._residue(*_packed_coefficient(pa, pb, k)) for k in range(size)], 1
+    return [field._reduce(*_packed_coefficient(a, b, k)) for k in range(size)], 1
 
 
 class Poly:
@@ -462,15 +461,16 @@ def taylor_shift(p: Poly, z, terms: Optional[int] = None) -> Tuple[list, int]:
     they are int numerators over an int den, by synthetic division in place
     (`cs[i] += z*cs[i+1]`, one pass per coefficient; for z = zn/zd,
     zd^n * p(X + z) is r(Y + zn) at Y = zd*X with r_i = c_i * zd^(n-i), all
-    on ints).  Over a number field they are NFElems over 1, built from the
-    packed Taylor coefficients (`packed_taylor`).
+    on ints).  Over a number field they are NFElems over 1, the Taylor
+    coefficients of `packed_taylor`.  A constant p is returned as it is, so
+    a rational constant stays over Q at any point.
     """
     n = len(p.nums) - 1
     if n < 1 or not z:
         return list(p.nums), p.den
     if not p.rational or isinstance(z, NFElem):
         field = z.field if type(z) is NFElem else _field_of(p.nums)
-        return [NFElem(field, Poly._of(*c)) for c in packed_taylor(p, z, field, terms)], 1
+        return packed_taylor(p, z, field, terms), 1
     zn, zd = _rational_parts(z)
     if zd == 1:
         cs = list(p.nums)
@@ -566,10 +566,11 @@ class NumberField:
         """The element sum coords[k] * t^k, from at most `degree` rationals."""
         if len(coords) > self.degree:
             raise ValueError("too many coordinates")
-        return NFElem(self, Poly(coords))
+        return self._reduce(*from_exact(coords))
 
     def from_rational(self, c) -> "NFElem":
-        return NFElem(self, Poly((c,)))
+        n, d = _rational_parts(c)
+        return NFElem(self, (n,), d) if n else self.zero
 
     @property
     def generator(self) -> "NFElem":
@@ -577,18 +578,20 @@ class NumberField:
 
     @property
     def zero(self) -> "NFElem":
-        return NFElem(self, _ZERO)
+        return NFElem(self, (), 1)
 
     @property
     def one(self) -> "NFElem":
-        return NFElem(self, _ONE)
+        return NFElem(self, (1,), 1)
 
-    def _reduce(self, r: Sequence[int], den: int) -> "Packed":
-        """The residue of r(t)/den mod m, packed, for int coefficients r of
-        any degree: r is reduced by int pseudo-division (m = M/lc with M
-        the int numerators of m, so a non-integral m is no special case),
-        scaling by lc only when a step needs it, then trimmed and
-        content-reduced once.  The list r is consumed."""
+    def _reduce(self, r: List[int], den: int) -> "NFElem":
+        """The element r(t)/den for int coefficients r of any degree: r is
+        reduced mod m by int pseudo-division (m = M/lc with M the int
+        numerators of m, so a non-integral m is no special case), scaling
+        by lc only when a step needs it, then trimmed and content-reduced
+        once.  Below the field's degree (a sum of elements) only the
+        trimming and the content reduction are left.  The list r is
+        consumed."""
         m = self.min_poly.nums
         d, lc = len(m) - 1, m[-1]
         for k in range(len(r) - 1, d - 1, -1):
@@ -608,25 +611,19 @@ class NumberField:
         while k and not r[k - 1]:
             k -= 1
         if not k:
-            return (), 1
+            return self.zero
         r = r[:k]
         if den != 1:
             r, den = lowest_terms(r, den)
-        return r, den
+        return NFElem(self, tuple(r), den)
 
-    def _residue(self, r: Sequence[int], den: int) -> "NFElem":
-        """The element r(t)/den for int coefficients r of any degree
-        (`_reduce`)."""
-        nums, den = self._reduce(r, den)
-        return NFElem(self, Poly._of(nums, den))
-
-    def _inverse(self, a: Sequence[int], den: int) -> "Packed":
-        """The inverse of the nonzero residue a(t)/den, packed: the s with
-        a*s = 1 mod m, from the d x d system of multiplication by a on 1,
-        t, ..., t^(d-1).  Column j holds lc^j * (a*t^j mod m), ints (the
-        step t*col subtracts the top entry times M), so s_j = u_j * den *
-        lc^j for the solution u of the int system C u = e_0.  That system
-        is solved by fraction-free (Bareiss) elimination and one exact
+    def _inverse(self, a: Sequence[int], den: int) -> "NFElem":
+        """The inverse of the nonzero residue a(t)/den: the s with a*s = 1
+        mod m, from the d x d system of multiplication by a on 1, t, ...,
+        t^(d-1).  Column j holds lc^j * (a*t^j mod m), ints (the step
+        t*col subtracts the top entry times M), so s_j = u_j * den * lc^j
+        for the solution u of the int system C u = e_0.  That system is
+        solved by fraction-free (Bareiss) elimination and one exact
         back-substitution of y = det * u, which is integral."""
         m = self.min_poly.nums
         d, lc = len(m) - 1, m[-1]
@@ -668,22 +665,44 @@ class NumberField:
         while not y[k - 1]:
             k -= 1
         nums, den = lowest_terms(y[:k], prev)
-        return nums, den
+        return NFElem(self, tuple(nums), den)
+
+    def _lift(self, values: Sequence, den: int) -> List["NFElem"]:
+        """Numerators over den as elements of this field: its elements
+        (over 1) pass through, and an int c becomes c/den."""
+        out = []
+        for c in values:
+            if type(c) is NFElem:
+                if c.field is not self and c.field != self:
+                    raise ValueError("mixing elements of different number fields")
+                out.append(c)
+            elif c:
+                g = math.gcd(c, den)
+                out.append(NFElem(self, (c // g,), den // g))
+            else:
+                out.append(self.zero)
+        return out
 
 
 class NFElem:
     """An element of a number field, held as its residue modulo the minimal
-    polynomial: a `Poly` over Q in the generator t, of degree below the
-    field's.  Sums are `Poly` sums, products int convolutions reduced once
-    by pseudo-division (`NumberField._residue`) and the inverse an int
-    system (`NumberField._inverse`), so number-field arithmetic runs on
-    the integer kernel too."""
+    polynomial m, the way a `Poly` over Q holds its coefficients: int
+    numerators `nums` in the generator t (a tuple, ascending, no trailing
+    zero, fewer than the field's degree) over a positive int `den` that
+    shares no factor with them; zero has no numerators, over 1.  Every
+    element is built in this form, so `==` and `hash` read it as it is.
+    Sums are int sums, products int convolutions reduced mod m once
+    (`NumberField._reduce`) and the inverse an int system
+    (`NumberField._inverse`), so number-field arithmetic runs on the
+    integer kernel too.  The public constructors are
+    `NumberField.element`, `from_rational`, `zero` and `one`."""
 
-    __slots__ = ("field", "poly")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: NumberField, poly: Poly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "poly", poly)
+    def __init__(self, field: NumberField, nums: Tuple[int, ...], den: int):
+        _set(self, "field", field)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElem is immutable")
@@ -698,68 +717,71 @@ class NFElem:
         return None
 
     @property
+    def poly(self) -> Poly:
+        """The residue as a `Poly` in t, for readers."""
+        return Poly._of(self.nums, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.poly.nums
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.poly.nums)
+        return bool(self.nums)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.poly == o.poly
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash(("NFElem", self.field.min_poly, self.poly))
+        return hash(("NFElem", self.field.min_poly, self.nums, self.den))
 
     def __repr__(self):
         return f"NFElem({self.poly!r})"
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, self.poly + other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, self.poly + o.poly)
+        if not o.nums:
+            return self
+        if not self.nums:
+            return o
+        return self.field._reduce(*_packed_sum(self.nums, self.den, o.nums, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, -self.poly)
+        return NFElem(self.field, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, self.poly - o.poly)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return NFElem(self.field, self.poly * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.poly, o.poly
-        if not a.nums or not b.nums:
+        if not self.nums or not o.nums:
             return self.field.zero
-        return self.field._residue(convolve(a.nums, b.nums), a.den * b.den)
+        return self.field._reduce(convolve(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NFElem":
         """Multiplicative inverse, on ints (`NumberField._inverse`)."""
-        if self.is_zero:
+        if not self.nums:
             raise ZeroDivisionError("inverse of zero in a number field")
-        return NFElem(self.field, Poly._of(*self.field._inverse(self.poly.nums,
-                                                                 self.poly.den)))
+        return self.field._inverse(self.nums, self.den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -781,37 +803,17 @@ class NFElem:
 # Number-field lists on ints
 # ---------------------------------------------------------------------------
 
-# A packed constant is (nums, den): the int numerators in t of an element's
-# residue mod m over its own denominator, as its `poly` holds them, or (c,)
-# over the list's den for an int numerator c; zero has no numerators.  A
-# `QSeries` over a number field holds its coefficients in this form, and so
-# do the Taylor coefficients at a point; `NFElem`s are built only for
-# readers and for `Poly`s over the field.  The kernels below build each
-# output coefficient as one int polynomial in t over that coefficient's
-# common denominator and reduce it mod m once (`NumberField._reduce`).  A
-# whole list is never put over one denominator: the lcm would inflate every
-# numerator.
-Packed = Tuple[Sequence[int], int]
+# The kernels below take lists of elements (a list of int numerators over Q
+# that meets one is lifted first, `NumberField._lift`), read each element's
+# int numerators in t over its own denominator, build each output
+# coefficient as one int polynomial in t over that coefficient's common
+# denominator and reduce it mod m once (`NumberField._reduce`).  A whole list
+# is never put over one denominator: the lcm would inflate every numerator.
 
 
 def _field_of(*lists: Sequence) -> NumberField:
     """The field of the first number-field element in the lists."""
     return next(c.field for values in lists for c in values if type(c) is NFElem)
-
-
-def _packed(values: Sequence, den: int, field: NumberField) -> List[Packed]:
-    """Numerators over den (elements of `field` over 1, or ints) as packed
-    constants."""
-    out = []
-    for c in values:
-        if type(c) is NFElem:
-            if c.field is not field and c.field != field:
-                raise ValueError("mixing elements of different number fields")
-            p = c.poly
-            out.append((p.nums, p.den))
-        else:
-            out.append(((c,) if c else (), den))
-    return out
 
 
 def _packed_sum(a: Sequence[int], da: int, b: Sequence[int], db: int) -> Tuple[list, int]:
@@ -822,18 +824,18 @@ def _packed_sum(a: Sequence[int], da: int, b: Sequence[int], db: int) -> Tuple[l
     return _zx._add(a, b), da
 
 
-def _packed_coefficient(pa: Sequence[Packed], pb: Sequence[Packed], k: int) -> Tuple[list, int]:
-    """Coefficient k of the product of two packed lists, unreduced: the sum
-    of the int convolutions pa[i]*pb[k-i] over their common denominator,
-    ([], 1) when every term is zero."""
+def _packed_coefficient(a: Sequence[NFElem], b: Sequence[NFElem], k: int) -> Tuple[list, int]:
+    """Coefficient k of the product of two lists of elements, unreduced:
+    the sum of the int convolutions of the numerators of a[i] and b[k-i]
+    over their common denominator, ([], 1) when every term is zero."""
     acc: list = []
     den = 1
-    for i in range(max(0, k - len(pb) + 1), min(k + 1, len(pa))):
-        an, ad = pa[i]
-        bn, bd = pb[k - i]
+    for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+        ea, eb = a[i], b[k - i]
+        an, bn = ea.nums, eb.nums
         if not an or not bn:
             continue
-        scale, td = 1, ad * bd
+        scale, td = 1, ea.den * eb.den
         if not acc:
             den = td
         elif td != den:
@@ -855,26 +857,26 @@ def _packed_coefficient(pa: Sequence[Packed], pb: Sequence[Packed], k: int) -> T
     return acc, den
 
 
-def field_quotient(field: NumberField, num: Sequence[Packed], den: Sequence[Packed],
-                   terms: int) -> List[Packed]:
-    """The first `terms` coefficients of num / den over the field, packed,
-    for packed lists whose denominator has a nonzero constant term d0:
-    out_k = (num_k - sum out_i den_(k-i)) / d0, the sum one packed
-    coefficient reduced once, then multiplied by the inverse of d0,
-    computed once on ints, and reduced again."""
-    inv, inv_den = field._inverse(*den[0])
-    out: List[Packed] = []
+def field_quotient(field: NumberField, num: Sequence[NFElem], den: Sequence[NFElem],
+                   terms: int) -> List[NFElem]:
+    """The first `terms` coefficients of num / den over the field, for lists
+    of elements whose denominator has a nonzero constant term d0:
+    out_k = (num_k - sum out_i den_(k-i)) / d0, the sum one coefficient
+    reduced once, then multiplied by the inverse of d0, computed once on
+    ints."""
+    inv = den[0].inverse()
+    out: List[NFElem] = []
     for k in range(terms):
         acc, acc_den = _packed_coefficient(out, den, k)
-        nk, nk_den = num[k] if k < len(num) else ((), 1)
-        s, s_den = field._reduce(*_packed_sum(nk, nk_den, [-c for c in acc], acc_den))
-        out.append(field._reduce(convolve(s, inv), s_den * inv_den) if s else ((), 1))
+        nk = num[k] if k < len(num) else field.zero
+        out.append(field._reduce(*_packed_sum(nk.nums, nk.den, [-c for c in acc], acc_den))
+                   * inv)
     return out
 
 
 def packed_taylor(p: Poly, z, field: NumberField,
-                  terms: Optional[int] = None) -> List[Packed]:
-    """The coefficients of p(X + z) over the field, packed, lowest first:
+                  terms: Optional[int] = None) -> List[NFElem]:
+    """The coefficients of p(X + z) over the field, lowest first:
     coefficient k is the Hasse derivative sum_i C(i, k) p_i z^(i-k),
     reduced mod m once.  Given `terms`, they stop once that many from the
     first nonzero one on are known (fewer when p runs out: the rest are
@@ -884,11 +886,11 @@ def packed_taylor(p: Poly, z, field: NumberField,
     a rational c, p is first shifted by c on ints (`taylor_shift`), and
     derivative k is the int polynomial sum_i C(i, k) P_i t^(i-k) in t (the
     constant P_k when z = c).  Any other p or z evaluates the derivatives
-    by Horner's rule on the packed form, each one built as one int
+    by Horner's rule on the elements' numerators, each one built as one int
     polynomial in t over its own denominator.
     """
     if type(z) is NFElem:
-        zn, zd = z.poly.nums, z.poly.den
+        zn, zd = z.nums, z.den
     else:
         c, zd = _rational_parts(z)
         zn = (c,) if c else ()
@@ -901,7 +903,7 @@ def packed_taylor(p: Poly, z, field: NumberField,
                 return [cs[k]], den
             return [math.comb(i, k) * cs[i] for i in range(k, n + 1)], den
     else:
-        pk = _packed(p.nums, p.den, field)
+        pk = field._lift(p.nums, p.den)
 
         def derivative(k: int) -> Tuple[list, int]:
             acc: list = []
@@ -909,17 +911,17 @@ def packed_taylor(p: Poly, z, field: NumberField,
             for i in range(n, k - 1, -1):
                 if acc:
                     acc, den = convolve(acc, zn), den * zd
-                cn, cd = pk[i]
-                if cn:
+                c = pk[i]
+                if c:
                     b = math.comb(i, k)
-                    acc, den = _packed_sum(acc, den, [b * x for x in cn], cd)
+                    acc, den = _packed_sum(acc, den, [b * x for x in c.nums], c.den)
             return acc, den
-    out: List[Packed] = []
+    out: List[NFElem] = []
     lead = None
     for k in range(n + 1):
         out.append(field._reduce(*derivative(k)))
         if terms is not None:
-            if lead is None and out[k][0]:
+            if lead is None and out[k]:
                 lead = k
             if lead is not None and k - lead + 1 >= terms:
                 break

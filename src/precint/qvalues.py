@@ -18,15 +18,17 @@ determinant's valuation is read from the pivots of a division-free
 elimination.
 
 Over a number field K = Q[t]/(m) a series is a `FieldSeries`, the one
-place that knows the field: its coefficients stay packed from the Taylor
-coefficients at the point to the reader (see fields), each one's int
-numerators in t over its own denominator, reduced mod m.  Every output
-coefficient of a sum, product or expansion is one int polynomial in t
-over its own common denominator, reduced mod m once, and an expansion
+place that knows the field.  Its coefficients are `NFElem`s, from the
+Taylor coefficients at the point to the reader: each element is its int
+numerators in t over its own denominator (see fields).  Every output
+coefficient of a product or expansion is one int polynomial in t over
+its own common denominator, reduced mod m once, and an expansion
 multiplies it by the inverse of the denominator's constant term,
-computed once per expansion on ints.  Readers (`coeffs`, `coefficient`)
-get `NFElem`s.  A series over Q never tests for a field: an operation
-with a `FieldSeries` on either side runs the `FieldSeries` method.
+computed once per expansion on ints.  A constant coordinate over Q stays
+a series over Q at an algebraic point too, and is lifted into the field
+only where it meets a `FieldSeries`.  A series over Q never tests for a
+field: an operation with a `FieldSeries` on either side runs the
+`FieldSeries` method.
 
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
@@ -41,7 +43,6 @@ to a precision past that bound is exactly zero, and becomes `ZERO`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -49,19 +50,15 @@ from .fields import (
     INFINITY,
     NFElem,
     NumberField,
-    Packed,
     Poly,
     RationalFunction,
     Valuation,
     _field_of,
-    _packed,
     _packed_coefficient,
-    _packed_sum,
     convolve,
     field_quotient,
     from_exact,
     lowest_terms,
-    packed_taylor,
     summands,
     taylor_shift,
 )
@@ -121,8 +118,7 @@ class QSeries:
         field among them (a `FieldSeries`)."""
         nums, den = from_exact(values)
         if nums and type(nums[0]) is NFElem:
-            field = nums[0].field
-            return FieldSeries(field, val, _packed(nums, 1, field), prec, height)
+            return FieldSeries(nums[0].field, val, nums, prec, height)
         return QSeries(val, nums, den, prec, height)
 
     def __repr__(self):
@@ -225,59 +221,40 @@ ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))
 
 
 class FieldSeries(QSeries):
-    """A `QSeries` over a number field K = Q[t]/(m): each coefficient is
-    packed, the int numerators in t of its residue mod m over its own
-    denominator (`fields.Packed`, zero with no numerators), and `den` is 1.
-    Sums, products and negation run on the packed form, with each output
-    coefficient reduced mod m once; an operand over Q is packed first.
-    `coeffs` and `coefficient(n)` build `NFElem`s for readers (a constant
-    multiple, which the main path never forms, is built from them)."""
+    """A `QSeries` over a number field K = Q[t]/(m): its coefficients are
+    `NFElem`s, held and read as they are, and `den` is 1.  Sums, products
+    and negation run on the elements' int numerators, with each output
+    coefficient of a product reduced mod m once; an operand over Q is
+    lifted into the field first.  A row coordinate that is a constant over
+    Q expands as a series over Q even at an algebraic point, and is lifted
+    only where it meets a `FieldSeries`.  A constant multiple, which the
+    main path never forms, is built from the coefficients."""
 
     __slots__ = ("field",)
 
-    def __init__(self, field: NumberField, val: int, nums: Sequence[Packed], prec: int,
+    def __init__(self, field: NumberField, val: int, nums: Sequence[NFElem], prec: int,
                  height: Height):
-        lead = 0
-        while lead < len(nums) and not nums[lead][0]:
-            lead += 1
-        if lead:
-            nums = nums[lead:]
-        if not nums:
-            val = prec
-            if prec is not INFINITY and prec > height[0] - height[2]:
-                val = prec = INFINITY  # zero past the bound: exactly zero
-        else:
-            val += lead
         self.field = field
-        self.val = val
-        self.nums = nums
-        self.den = 1
-        self.prec = prec
-        self.height = height
+        QSeries.__init__(self, val, nums, 1, prec, height)
 
     @property
     def coeffs(self) -> List:
-        field = self.field
-        return [NFElem(field, Poly._of(*c)) for c in self.nums]
+        return list(self.nums)
 
     def coefficient(self, n: int):
         if n < self.val or n >= self.prec:
             return super().coefficient(n)
-        return NFElem(self.field, Poly._of(*self.nums[n - self.val]))
+        return self.nums[n - self.val]
 
-    def _packed_operand(self, other: QSeries) -> "FieldSeries":
+    def _operand(self, other: QSeries) -> "FieldSeries":
         """other as a series over this one's field."""
         field = self.field
         if type(other) is FieldSeries:
             if other.field is not field and other.field != field:
                 raise ValueError("mixing elements of different number fields")
             return other
-        den = other.den
-        nums = []
-        for c in other.nums:
-            g = math.gcd(c, den)
-            nums.append(((c // g,), den // g) if c else ((), 1))
-        return FieldSeries(field, other.val, nums, other.prec, other.height)
+        return FieldSeries(field, other.val, field._lift(other.nums, other.den),
+                           other.prec, other.height)
 
     def __add__(self, other: QSeries) -> QSeries:
         if other.prec is INFINITY:
@@ -285,7 +262,7 @@ class FieldSeries(QSeries):
         if self.prec is INFINITY:
             return other
         field = self.field
-        other = self._packed_operand(other)
+        other = self._operand(other)
         ha, hb = self.height, other.height
         height = (max(ha[0] + hb[1], hb[0] + ha[1]), ha[1] + hb[1], ha[2] + hb[2])
         prec = min(self.prec, other.prec)
@@ -294,12 +271,8 @@ class FieldSeries(QSeries):
             return FieldSeries(field, prec, [], prec, height)
         out = list(a.nums[:prec - a.val])
         off = b.val - a.val
-        for k, (bn, bd) in enumerate(b.nums[:max(0, prec - b.val)]):
-            an, ad = out[off + k]
-            if not an:
-                out[off + k] = bn, bd
-            elif bn:
-                out[off + k] = field._reduce(*_packed_sum(an, ad, bn, bd))
+        for k, c in enumerate(b.nums[:max(0, prec - b.val)]):
+            out[off + k] += c
         return FieldSeries(field, a.val, out, prec, height)
 
     __radd__ = __add__
@@ -307,8 +280,8 @@ class FieldSeries(QSeries):
     def __neg__(self) -> "FieldSeries":
         if self.prec is INFINITY:
             return self
-        return FieldSeries(self.field, self.val, [([-c for c in n], d) for n, d in self.nums],
-                           self.prec, self.height)
+        return FieldSeries(self.field, self.val, [-c for c in self.nums], self.prec,
+                           self.height)
 
     def __mul__(self, other) -> QSeries:
         if not isinstance(other, QSeries):  # a constant, times each coefficient
@@ -316,7 +289,7 @@ class FieldSeries(QSeries):
         field = self.field
         if self.prec is INFINITY or other.prec is INFINITY:
             return ZERO
-        other = self._packed_operand(other)
+        other = self._operand(other)
         ha, hb = self.height, other.height
         height = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
         if not (self.nums and other.nums):
@@ -341,7 +314,7 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
     Over Q it runs on ints: with d0 = den[0] and P = d0^terms, every
     w_k = out_k * P is an int, w_k = (num_k * P - sum w_i den_(k-i)) / d0,
     and that division is exact.  With a number-field element among them it
-    runs on the packed form (`fields.field_quotient`)."""
+    runs on the elements' int numerators (`fields.field_quotient`)."""
     d0 = den[0]
     if type(d0) is int and type(num[0]) is int:
         scale = d0 ** terms
@@ -355,8 +328,8 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
             w = [c * den_den for c in w]
         return QSeries(val, w, scale * num_den, val + terms, height)
     field = _field_of(num, den)
-    return FieldSeries(field, val, field_quotient(field, _packed(num, num_den, field),
-                                                  _packed(den, den_den, field), terms),
+    return FieldSeries(field, val, field_quotient(field, field._lift(num, num_den),
+                                                  field._lift(den, den_den), terms),
                        val + terms, height)
 
 
@@ -390,28 +363,15 @@ def _taylor(p: Poly, z, terms: int) -> Tuple[int, List, int]:
     return order, cs[order:order + terms], den
 
 
-def _packed_taylor(p: Poly, z: NFElem, terms: int) -> Tuple[int, List[Packed]]:
-    """(a, t) with p(z + q) = q^a * (t[0] + t[1] q + ...), t[0] != 0, and
-    at most `terms` packed entries in t (`fields.packed_taylor`)."""
-    cs = packed_taylor(p, z, z.field, terms)
-    order = 0
-    while not cs[order][0]:
-        order += 1
-    return order, cs[order:order + terms]
-
-
 def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
     """f(z + q) for f in K(x), with `terms` coefficients from its valuation
     on, by truncated Taylor shifts of its numerator and denominator (the
     exact shifted rational function is never formed).  At a point z of a
-    number field the Taylor coefficients stay packed into the quotient."""
+    number field the Taylor coefficients are elements, and the quotient a
+    series over the field, unless f is a constant over Q: that stays a
+    series over Q."""
     if f.is_zero:
         return ZERO
-    if type(z) is NFElem:
-        a, num = _packed_taylor(f.num, z, terms)
-        b, den = _packed_taylor(f.den, z, terms)
-        return FieldSeries(z.field, a - b, field_quotient(z.field, num, den, terms),
-                           a - b + terms, (f.num.degree, f.den.degree, b))
     a, num, num_den = _taylor(f.num, z, terms)
     b, den, den_den = _taylor(f.den, z, terms)
     return _quotient(num, num_den, den, den_den, a - b, terms,

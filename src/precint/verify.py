@@ -10,7 +10,7 @@ stays exact without a gcd in K(q) and runs on the integer kernel of
 known from their construction, and the q-adic value of a sum of such
 fractions is read lazily, lowest terms first, from its cross-multiplied
 numerator, built on the int numerators of the factors (over a number
-field on their packed form, `fields.multiply`) with no division.  A
+field those of its elements, `fields.multiply`) with no division.  A
 certificate sample reads the q-orders of its sums from the orders of their
 factors first, and builds a sum only when its least order is reached twice:
 its random units are tested at z on the powers of z and shifted to z + q
@@ -87,7 +87,7 @@ def _times(a: Optional[_Term], b: Optional[_Term]) -> Optional[_Term]:
 
 def _field_product(a: Sequence, b: Sequence, n: int) -> list:
     """`convolve` for numerator lists over a number field (or ints), on the
-    packed form of `fields.multiply`."""
+    elements' int numerators (`fields.multiply`)."""
     return multiply(a, 1, b, 1, n)[0]
 
 
@@ -360,7 +360,7 @@ def _powers_of(z) -> List[Tuple[int, int, int]]:
     powers = []
     for p in (1, z, z * z):
         if isinstance(p, NFElem):
-            powers.append((p.poly.nums, p.poly.den))
+            powers.append((p.nums, p.den))
         else:
             p = Fraction(p)
             powers.append(((p.numerator,), p.denominator))

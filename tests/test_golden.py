@@ -172,22 +172,17 @@ def test_readme_library_example_runs_as_written():
 # called by
 PACKED_ROUTINES = [
     ("precint.fields", "NumberField._reduce"),
-    ("precint.fields", "NumberField._residue"),
     ("precint.fields", "NumberField._inverse"),
+    ("precint.fields", "NumberField._lift"),
     ("precint.fields", "_field_of"),
-    ("precint.fields", "_packed"),
     ("precint.fields", "_packed_sum"),
     ("precint.fields", "_packed_coefficient"),
     ("precint.fields", "field_quotient"),
     ("precint.fields", "packed_taylor"),
     ("precint.qvalues", "FieldSeries"),
     ("precint.qvalues", "_field_of"),
-    ("precint.qvalues", "_packed"),
-    ("precint.qvalues", "_packed_sum"),
     ("precint.qvalues", "_packed_coefficient"),
-    ("precint.qvalues", "_packed_taylor"),
     ("precint.qvalues", "field_quotient"),
-    ("precint.qvalues", "packed_taylor"),
     ("precint.verify", "_field_product"),
 ]
 

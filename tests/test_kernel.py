@@ -39,7 +39,8 @@ from precint import (
 )
 from precint import _zx
 from precint.exprs import poly_str
-from precint.fields import INFINITY, NFElem, multiply, packed_taylor, poly_gcd, taylor_shift
+from precint.fields import (INFINITY, NFElem, field_quotient, multiply, packed_taylor, poly_gcd,
+                            taylor_shift)
 from precint.qvalues import ZERO, FieldSeries, QSeries, fraction_series
 
 X = sympy.Symbol("x")
@@ -78,6 +79,23 @@ def assert_canonical(p: Poly) -> None:
     assert math.gcd(p.den, *p.nums) == 1
     assert all(type(c) is int for c in p.nums)
     assert p.coeffs == tuple(Fraction(c, p.den) for c in p.nums)
+
+
+def assert_packed(entry, field: NumberField) -> None:
+    """A number-field element in the one form `==` and `hash` read: a tuple
+    of int numerators in t of degree below the field's, no trailing zero,
+    over a positive int denominator sharing no factor with them; zero has
+    none, over 1.  Read from the element's own slots, not through `poly`,
+    which would reduce it again."""
+    assert type(entry) is NFElem and entry.field == field
+    nums, den = entry.nums, entry.den
+    assert type(nums) is tuple and type(den) is int
+    assert all(type(c) is int for c in nums)
+    assert len(nums) <= field.degree
+    if not nums:
+        assert den == 1
+    else:
+        assert nums[-1] and den > 0 and math.gcd(den, *nums) == 1
 
 
 @SETTINGS
@@ -356,12 +374,11 @@ def test_number_field_arithmetic_matches_sympy(case):
                             (a - b, reduced(sa - sb, field)),
                             (a * b, reduced(sa * sb, field))):
         assert value.field is field
-        assert_canonical(value.poly)
-        assert value.poly.degree < field.degree
+        assert_packed(value, field)
         assert value.poly == expected
     if not a.is_zero:
         inverse = a.inverse()
-        assert_canonical(inverse.poly)
+        assert_packed(inverse, field)
         assert inverse.poly == from_sympy(sympy.invert(sa, to_sympy(field.min_poly)))
         assert a * inverse == field.one
 
@@ -377,7 +394,7 @@ def test_equal_elements_compare_and_hash_equal(case, c):
     if not b.is_zero:
         routes.append(a * b / b)
     for e in routes:
-        assert (e.poly.nums, e.poly.den) == (a.poly.nums, a.poly.den)
+        assert (e.nums, e.den) == (a.nums, a.den)
         assert e == a and hash(e) == hash(a)
     rational = field.from_rational(c)
     t = field.generator
@@ -503,9 +520,7 @@ def assert_elements(values, expected: list, field: NumberField) -> None:
     expected = expected + [Poly.zero()] * (len(values) - len(expected))
     assert len(values) == len(expected)
     for c, e in zip(values, expected):
-        assert isinstance(c, NFElem) and c.field == field
-        assert_canonical(c.poly)
-        assert c.poly.degree < field.degree
+        assert_packed(c, field)
         assert c.poly == e
 
 
@@ -609,26 +624,13 @@ def assert_series_quotient(series, num: sympy.Poly, den: sympy.Poly,
     assert all(c.is_zero for c in residual[:terms])
 
 
-# The packed kernel itself: the int inverse, the Taylor coefficients by Hasse
-# derivatives and series over a field, which hold packed residues and build
-# `NFElem`s only for readers.  Degree 1 (x - 3/2), the fields above and a
+# The kernel itself: the int inverse, the Taylor coefficients by Hasse
+# derivatives and series over a field, whose coefficients are elements held
+# in the one canonical form.  Degree 1 (x - 3/2), the fields above and a
 # cubic with non-integral coefficients.
 LINEAR = NumberField(Poly([Fraction(-3, 2), 1]))
 ODD_CUBIC = NumberField(Poly([Fraction(-1, 3), Fraction(1, 2), Fraction(-5, 7), 1]))
 PACKED_FIELDS = [LINEAR] + KERNEL_FIELDS + [ODD_CUBIC]
-
-
-def assert_packed(entry, field: NumberField) -> None:
-    """A packed residue as the kernel holds it: int numerators in t of
-    degree below the field's, no trailing zero, over a positive int
-    denominator sharing no factor with them; zero has none, over 1."""
-    nums, den = entry
-    assert all(type(c) is int for c in nums) and type(den) is int
-    assert len(nums) <= field.degree
-    if not nums:
-        assert den == 1
-    else:
-        assert nums[-1] and den > 0 and math.gcd(den, *nums) == 1
 
 
 @KERNEL_SETTINGS
@@ -646,10 +648,9 @@ def test_int_inverse_matches_sympy(field, coords):
             with pytest.raises(ZeroDivisionError):
                 a.inverse()
             continue
-        packed = field._inverse(a.poly.nums, a.poly.den)
-        assert_packed(packed, field)
-        inverse = a.inverse()
-        assert (inverse.poly.nums, inverse.poly.den) == (tuple(packed[0]), packed[1])
+        inverse = field._inverse(a.nums, a.den)
+        assert_packed(inverse, field)
+        assert (a.inverse().nums, a.inverse().den) == (inverse.nums, inverse.den)
         assert inverse.poly == from_sympy(sympy.invert(to_sympy(a.poly), m))
         assert a * inverse == field.one
     with pytest.raises(ZeroDivisionError):
@@ -679,7 +680,48 @@ def test_packed_taylor_matches_sympy(field, coords, c, terms):
             lead = next((k for k, e in enumerate(expected) if not e.is_zero), 0)
             length = p.degree + 1 if terms is None else min(p.degree + 1, lead + terms)
             expected += [Poly.zero()] * (length - len(expected))
-            assert [Poly._of(*e) for e in packed] == expected[:length]
+            assert [e.poly for e in packed] == expected[:length]
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(PACKED_FIELDS), st.lists(coordinates, max_size=8),
+       st.lists(coordinates, max_size=8), coordinates,
+       st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=12),
+       st.integers(1, 2 ** 40))
+@example(FIELDS[0], [Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 2)], Fraction(1, 2),
+         [6, 0, 4, 2], 4)
+def test_every_element_is_built_in_canonical_form(field, ca, cb, c, ints, den):
+    """`==` and `hash` read an element's numerators as they are, so every
+    path that builds one returns the canonical form: arithmetic with
+    element, int and Fraction operands on either side, the constructors and
+    the kernels, also where a sum cancels the top numerator or leaves a
+    common factor of numerators and denominator."""
+    a, b = field.element(ca[:field.degree]), field.element(cb[:field.degree])
+    n = math.floor(c)
+    built = [a + b, a - b, a * b, -a, a - a, a + c, c + a, a - c, c - a, a * c, c * a,
+             a + n, n + a, a - n, n - a, a * n, n * a, a ** 2, a * 0,
+             field.from_rational(c), field.from_rational(n), field.element(ca[:field.degree]),
+             field.zero, field.one, field.generator]
+    for x in (a, b):
+        if not x:
+            continue
+        top = field.element([0] * (len(x.nums) - 1) + [Fraction(x.nums[-1], x.den)])
+        half = x * Fraction(1, 2)
+        built += [x - top, top - x, half + half, half + x * Fraction(1, 2) - x,
+                  x.inverse(), x ** -1, a / x, c / x, n / x]
+        if c:
+            built.append(x / c)
+    built += field._lift(ints + [0, 2 * den], den) + field._lift([a, b], 1)
+    built += [field._reduce(list(ints), den), field._reduce(list(ints), -den)]
+    if a:
+        built.append(field._inverse(a.nums, a.den))
+    for z in (field.generator + n, field.generator * c + Fraction(1, 3)):
+        for p in (Poly(ca), Poly(ca) * field.element([Fraction(1, 3), 2][:field.degree])):
+            built += packed_taylor(p, z, field) + packed_taylor(p, z, field, 1)
+    if b:
+        built += field_quotient(field, [a, field.one, b], [b, a], 4)
+    for e in built:
+        assert_packed(e, field)
 
 
 def reference_terms(s) -> dict:
