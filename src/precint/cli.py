@@ -337,14 +337,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MissingRightBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_BOUND
     except PrecintError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MissingRightBoundError):
+            return EXIT_MISSING_BOUND
         return EXIT_USAGE
 
 

@@ -9,6 +9,13 @@ canonical: coefficients are coprime with monic denominator, terms ascend in
 powers of `S`, and polynomials ascend in powers of the variable, so printed
 output reparses to an equal value (unless it holds an integer longer than
 the 4300 digits the tokenizer accepts).
+
+A point is a constant expression or `root(<poly>)` with an optional
+integer offset, read on the same token stream as an operator, so an error
+names its position in the whole text.  An orbit is named by `Z`, its
+minimal polynomial or one of its points; the name does not set the order
+in which a global run processes orbits, which is by descending degree
+(`valuation.detect_orbits`).
 """
 
 from __future__ import annotations
@@ -350,67 +357,41 @@ def parse_poly(text: str) -> Poly:
 
 
 def parse_point(text: str) -> AlgebraicPoint:
-    """Parse a point: a rational literal, or ``root(<poly>)`` plus an
-    optional integer offset."""
-    tokens = _Tokens(text)
+    """Parse a point: ``root(<poly>)`` plus an optional integer offset, or a
+    constant expression such as ``-3/4`` or ``(1+1)/3``.  Both are read on
+    one token stream, so an error names its position in the whole text."""
+    parser = _OperatorParser(text, allow_shift=False)
+    tokens = parser.tokens
     kind, value, pos = tokens.peek()
-    if kind == "name" and value == "root":
+    if not (kind == "name" and value == "root"):
+        op = parser.parse()
+        c = op.coeffs[0] if op.coeffs else RationalFunction.zero()
+        if c.den != Poly.one() or c.num.degree > 0:
+            raise ParseError("expected a rational point or root(...)", text, 0)
+        return AlgebraicPoint.from_rational(c.num[0])
+    tokens.next()
+    tokens.expect_op("(")
+    inner_at = tokens.peek()[2]
+    f = parser._expr()
+    tokens.expect_op(")")
+    f = f.coeffs[0] if f.coeffs else RationalFunction.zero()
+    if f.den != Poly.one():
+        raise ParseError("expected a polynomial, not a quotient", text, inner_at)
+    poly = f.num.monic()
+    if not is_irreducible(poly):
+        raise ParseError("root() requires an irreducible polynomial", text, pos)
+    offset = 0
+    kind, sym, _ = tokens.peek()
+    if kind == "op" and sym in "+-":
         tokens.next()
-        tokens.expect_op("(")
-        depth = 1
-        start = tokens.index
-        while depth:
-            k, v, p = tokens.next()
-            if k == "end":
-                raise ParseError("unbalanced parentheses", text, p)
-            if k == "op" and v == "(":
-                depth += 1
-            elif k == "op" and v == ")":
-                depth -= 1
-        inner_tokens = tokens.items[start:tokens.index - 1]
-        if not inner_tokens:
-            raise ParseError("empty root()", text, pos)
-        lo = inner_tokens[0][2]
-        hi_tok = inner_tokens[-1]
-        hi = hi_tok[2] + len(str(hi_tok[1]))
-        poly = parse_poly(text[lo:hi])
-        poly = poly.monic()
-        if not is_irreducible(poly):
-            raise ParseError("root() requires an irreducible polynomial", text, pos)
-        offset = 0
-        kind2, sym, pos2 = tokens.peek()
-        if kind2 == "op" and sym in "+-":
-            tokens.next()
-            kind3, n, pos3 = tokens.next()
-            if kind3 != "int":
-                raise ParseError("expected an integer offset", text, pos3)
-            offset = n if sym == "+" else -n
-        kind4, _, pos4 = tokens.peek()
-        if kind4 != "end":
-            raise ParseError("trailing input after point", text, pos4)
-        return AlgebraicPoint(poly, offset)
-
-    # rational literal, possibly signed
-    sign = 1
-    kind, value, pos = tokens.next()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        kind, value, pos = tokens.next()
-    if kind != "int":
-        raise ParseError("expected a rational point or root(...)", text, pos)
-    numerator = value
-    denominator = 1
-    kind2, sym, _ = tokens.peek()
-    if kind2 == "op" and sym == "/":
-        tokens.next()
-        kind3, d, pos3 = tokens.next()
-        if kind3 != "int" or d == 0:
-            raise ParseError("expected a nonzero integer denominator", text, pos3)
-        denominator = d
-    kind4, _, pos4 = tokens.peek()
-    if kind4 != "end":
-        raise ParseError("trailing input after point", text, pos4)
-    return AlgebraicPoint.from_rational(Fraction(sign * numerator, denominator))
+        kind, n, pos = tokens.next()
+        if kind != "int":
+            raise ParseError("expected an integer offset", text, pos)
+        offset = n if sym == "+" else -n
+    kind, _, pos = tokens.peek()
+    if kind != "end":
+        raise ParseError("trailing input after point", text, pos)
+    return AlgebraicPoint(poly, offset)
 
 
 def parse_orbit_key(text: str) -> str:

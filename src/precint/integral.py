@@ -329,8 +329,13 @@ class GlobalRun:
 def global_integral_basis(modulus: OreOperator,
                           zspec: Optional[ZSpec] = None) -> GlobalRun:
     """A basis integral at every point of every orbit that the operator's
-    extreme coefficients single out, processed orbit by orbit and point by
-    point in ascending offset order.
+    extreme coefficients single out, processed orbit by orbit, by
+    descending degree, and point by point in ascending offset order.
+
+    The order of the orbits matters: a combine at a point of norm N
+    multiplies the replaced row by N'(x)/N(x), and N' vanishes only at
+    points of lower degree, which a later pass treats (see
+    `valuation.detect_orbits`).
 
     Orbits whose trailing and leading coefficients never vanish need no
     work: the standard basis is already integral there.  Orbits where some

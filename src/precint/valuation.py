@@ -154,7 +154,14 @@ class ZSpec:
 
 def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
     """Orbits that contain a root of the trailing or leading coefficient,
-    in a deterministic order."""
+    by descending degree, then by minimal polynomial.
+
+    The order matters to `global_integral_basis`: a combine at a point of
+    norm N (over Q) multiplies the replaced row by N'(x)/N(x), and N', of
+    degree d - 1, vanishes only at points of lower degree.  Processing
+    orbits of higher degree first, no later pass can undo the work at a
+    point of an earlier one (at `root(x^2-2)+1`, N' = 2x - 2 vanishes at
+    the integer 1)."""
     ell = modulus.polynomial_coeffs()
     from .fields import factor
 
@@ -166,7 +173,7 @@ def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
             orbit = AlgebraicPoint(fac, 0).orbit()
             seen[orbit.min_poly.coeffs] = orbit
     orbits = list(seen.values())
-    orbits.sort(key=lambda o: (o.min_poly.degree, o.min_poly.coeffs))
+    orbits.sort(key=lambda o: (-o.min_poly.degree, o.min_poly.coeffs))
     return tuple(orbits)
 
 

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precint import cli
 from precint import (
+    AlgebraicPoint,
     BasisMatrix,
+    ParseError,
+    Poly,
     parse_element,
     parse_operator,
+    parse_point,
     element_str,
     operator_str,
 )
@@ -258,6 +265,118 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAILED" in out
+
+
+# -- points -----------------------------------------------------------------------
+
+
+def test_val_reads_zero_padded_literals_inside_root(capsys):
+    """`root(...)` is read on the operator parser's token stream, so a
+    literal means there what it means in `--operator`."""
+    code, out, err = run_cli(capsys, "val", "--operator", "x^2-30+S^2",
+                             "--element", "1", "--at", "root(x^2-030)")
+    assert (code, out, err) == (0, "val_root(-30+x^2)(1) = 0\n", "")
+
+
+@pytest.mark.parametrize("operator, argv, key, named", [
+    ("x^2-30+S^2", ("solutions", "--orbit", "root(x^2-030)", "--from", "0",
+                    "--to", "0"), "orbit", "-30+x^2"),
+    ("x^2-30+S^2", ("global-basis", "--right-bound", "root(x^2-030)=1"),
+     "verified_points", ["root(-30+x^2)", "root(-30+x^2)+1"]),
+    ("x^2-2+S^2", ("local-basis", "--at", "root(x^2-02)"),
+     "verified_points", ["root(-2+x^2)"]),
+])
+def test_every_point_option_reads_root_on_one_grammar(capsys, operator, argv,
+                                                      key, named):
+    code, out, err = run_cli(capsys, *argv, "--operator", operator,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == named
+
+
+IRREDUCIBLE = [(-2, 0, 1), (-30, 0, 1), (1, 0, 1), (-1, -2, 1),
+               (1, -3, 0, 1), (1, -6, 0, 1), (-2, 0, 0, 10)]
+
+
+@st.composite
+def padded_points(draw):
+    """The text of root(p)+k with zero-padded literals and extra spaces,
+    beside the point it names."""
+    coeffs = draw(st.sampled_from(IRREDUCIBLE))
+    offset = draw(st.integers(-3, 3))
+
+    def pad():
+        return " " * draw(st.integers(0, 2))
+
+    def literal(n):
+        return pad() + "0" * draw(st.integers(0, 2)) + str(n) + pad()
+
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c:
+            power = "" if k == 0 else "*x" + ("" if k == 1 else "^" + literal(k))
+            terms.append(("-" if c < 0 else "+") + literal(abs(c)) + power)
+    text = f"root({pad()}{''.join(terms)})"
+    if offset:
+        text += pad() + ("-" if offset < 0 else "+") + literal(abs(offset))
+    return text, AlgebraicPoint(Poly(list(coeffs)), offset)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(padded_points())
+def test_padded_points_parse_to_the_canonical_point(case):
+    text, point = case
+    assert parse_point(text) == point
+    assert parse_point(str(point)) == point
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("root(x^2-2*)", "expected a value", 11),
+    ("root(1/x)", "expected a polynomial, not a quotient", 5),
+    ("root(y)", "unknown symbol 'y'", 5),
+    ("root(x^2-2", "expected ')'", 10),
+    ("1/0", "division by zero", 1),
+])
+def test_errors_in_a_point_carry_absolute_positions(capsys, text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_point(text)
+    assert info.value.position == position
+    code, out, err = run_cli(capsys, "val", "--operator", "x+S", "--element", "1",
+                             "--at", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} (at position {position}: {text!r})\n"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(1+1)/3", Fraction(2, 3)), ("1/-2", Fraction(-1, 2)),
+])
+def test_a_rational_point_is_a_constant_expression(text, value):
+    assert parse_point(text) == AlgebraicPoint.from_rational(value)
+
+
+# Operators with an orbit of degree 2 or 3 beside another orbit.  A combine at
+# a point of norm N multiplies the replaced row by N'/N, and N' vanishes at
+# points of lower degree: processed in ascending degree, the orbit of degree 2
+# undid the work at the integer 1, and one of degree 3 at root(x^2-2)+1.
+SEVERAL_ORBITS = [
+    ("(x^2-2)*(x+1) + S + (x^2-2)*S^2 + x*S^3", "x^2-2=1", "Z=2"),
+    ("(x^3-6*x+1)*(x^2-2) + x*S + (x^2-2)*S^2", "x^3-6*x+1=1", "x^2-2=1"),
+    ("(x^3-3*x+1)*(x+1) + x*S + (x+1)*S^2", "x^3-3*x+1=1", "Z=0"),
+    ("x*(x^3-3*x+1) + S + (x^3-3*x+1)*S^2", "x^3-3*x+1=1", "Z=2"),
+    ("(x^2+1)*(x-1) + x*S + (x-1)*S^2", "x^2+1=1", "Z=2"),
+    ("(x-1)*(x^2-3) + S + (x^2-3)*S^2", "x^2-3=1", "Z=2"),
+    ("(x^2-3)*(x+2) + S + (x^2-3)*S^2 + x*S^3", "x^2-3=1", "Z=2"),
+]
+
+
+@pytest.mark.parametrize("operator, bound, other", SEVERAL_ORBITS)
+def test_global_basis_over_several_orbits_is_maximal_everywhere(capsys, operator,
+                                                                bound, other):
+    code, out, err = run_cli(capsys, "verify", "--operator", operator,
+                             "--right-bound", bound, "--right-bound", other,
+                             "--samples", "20")
+    assert (code, err) == (0, ""), out
+    assert "local-vs-global" in out and "FAILED" not in out
 
 
 # -- canonical printing ---------------------------------------------------------------

@@ -185,6 +185,14 @@ def test_worklist_empty_without_singularities(orbit_z):
     assert worklist_points(analysis, ZSpec({"Z": 5})) == []
 
 
+def test_orbits_come_by_descending_degree():
+    """A later orbit never has a higher degree than an earlier one, so no
+    combine of a later pass vanishes at a point already treated."""
+    operator = op("x*(x^2-2)*(x^3-6*x+1) + S + (x^2-2)*(x+1)*S^2")
+    assert [o.orbit_key() for o in detect_orbits(operator)] == \
+        ["1-6*x+x^3", "-2+x^2", "Z"]
+
+
 def test_worklist_requires_bound_for_nonzero_growth(cubic):
     with pytest.raises(MissingRightBoundError) as err:
         points_of(cubic)
