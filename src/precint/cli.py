@@ -210,7 +210,16 @@ def _cmd_global_basis(args) -> int:
     return EXIT_OK
 
 
+# the most samples `verify` takes per point; at 10-25 microseconds per
+# sample and point (README, Command line), a run at the limit takes up to
+# about half a minute per point
+MAX_SAMPLES = 10 ** 6
+
+
 def _cmd_verify(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise PrecintError(f"--samples must be at most {MAX_SAMPLES}, "
+                           f"got {args.samples}")
     operator = _modulus(args)
     reports = []
     module_checks = []

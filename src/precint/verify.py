@@ -14,7 +14,9 @@ field those of its elements, `fields.multiply`) with no division.  A
 certificate sample reads the q-orders of its sums from the orders of their
 factors first, and builds a sum only when its least order is reached twice:
 its random units are tested at z on the powers of z and shifted to z + q
-only for such a tie.
+only for such a tie.  Those orders depend on the sample's exponents alone,
+so they are planned once per exponent tuple, and the draws are taken from
+the generator's bits directly; the memos live for one call only.
 """
 
 from __future__ import annotations
@@ -380,19 +382,47 @@ def _vanishes_at(coeffs: Sequence[int], powers: Sequence[Tuple[int, int, int]]) 
     return True
 
 
-def _random_unit(rng: random.Random,
-                 powers: Sequence[Tuple[int, int, int]]) -> Tuple[List[int], int]:
-    """A rational function with valuation exactly 0 at the point z (and all
-    of its conjugates), as the int coefficients of its numerator and a
-    shift c.  The numerator has small int coefficients and is drawn again
-    while it vanishes at z, which is exactly when the point's minimal
-    polynomial, irreducible with root z, divides it; the test is made on
-    the powers of z, with no shift.  The denominator is 1 for c = 0 and
-    otherwise the norm of the point shifted by c, a unit by construction."""
-    while True:
-        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-        if not _vanishes_at(coeffs, powers):
-            return coeffs, rng.choice((0, 1, -1, 2))
+def _below(getrandbits, n: int) -> int:
+    """`Random._randbelow(n)`: n.bit_length() bits at a time, drawn again
+    while at least n, so the stream of `rng.getrandbits` goes as under
+    `randint` and `choice` (the tests pin this to `random.Random`)."""
+    k = n.bit_length()
+    v = getrandbits(k)
+    while v >= n:
+        v = getrandbits(k)
+    return v
+
+
+# A random unit has valuation exactly 0 at the point z (and all of its
+# conjugates).  Its numerator has small int coefficients and is drawn again
+# while it vanishes at z, which is exactly when the point's minimal
+# polynomial, irreducible with root z, divides it; the test is made on the
+# powers of z, with no shift.  Its denominator is 1 for the shift c = 0 and
+# otherwise the norm of the point shifted by c, a unit by construction.
+_UNIT_SHIFTS = (0, 1, -1, 2)
+
+
+def _plan(exponents: Tuple[int, ...], order_of: Dict[int, int],
+          row_orders: Sequence[Sequence[Optional[int]]]
+          ) -> Tuple[Valuation, List[Tuple[int, int]], bool]:
+    """What a sample's exponents alone decide: the least order of the sums
+    whose least term order is reached once, the tied sums as (least order,
+    solution), least first, that could lower it, and whether the sample is
+    claimed integral.  A tied sum has at least its least order, so a tie at
+    or above the untied value is dropped."""
+    orders = [order_of[e] for e in exponents]
+    untied = INFINITY
+    tied = []
+    for j in range(len(row_orders[0])):
+        term_orders = [k + row[j] for k, row in zip(orders, row_orders)
+                       if row[j] is not None]
+        least = min(term_orders, default=INFINITY)
+        if term_orders.count(least) > 1:
+            tied.append((least, j))
+        elif least < untied:
+            untied = least
+    return (untied, sorted(t for t in tied if t[0] < untied),
+            all(e >= 0 for e in exponents))
 
 
 def _row_values(rows: Sequence[QuotientElement], table: _Table, z,
@@ -447,9 +477,14 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     no arithmetic.  A tied sum has at least its least order: it is read by
     `_lazy_order`, lowest first, only while that order is below the least
     order of the sample found so far, and only then are the sample's units
-    shifted to z + q, once each.  A window smaller than brute_val
-    accepts, or a negative number of samples, raises PrecintError rather
-    than report a check of the wrong table or of nothing.
+    shifted to z + q.  A unit's denominator has order 0 at z (checked), so
+    the orders and ties depend on the exponents only and are planned once
+    per exponent tuple, and a unit's test at z and shift are kept per
+    coefficient tuple, for the call only.  The draws take the bits of
+    `random.Random(seed)` as `randint` and `choice` would.  A window
+    smaller than brute_val accepts, or a negative number of samples, raises
+    PrecintError rather than report a check of the wrong table or of
+    nothing.
 
     The modulus is used as passed; normalize it first to check what the
     CLI checks.  A constant factor changes nothing.  A common polynomial
@@ -490,41 +525,51 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
                 for e in range(-2, 3) for c, den in unit_dens.items()}
     mul = convolve if point.is_rational else _field_product
     # the q-order of every factor of a sum is known without arithmetic: a
-    # unit's is 0, and scaffold and row terms carry their own
+    # unit's is 0, and scaffold and row terms carry their own; a unit's
+    # denominator is a unit at z, so a coordinate's order is its exponent's
+    order_of = {e: scaffold[e, 0][0] for e in range(-2, 3)}
+    if any(t[0] != order_of[e] for (e, _), t in scaffold.items()):
+        raise PrecintError("a unit's denominator is not a unit at the point")
     row_orders = [[None if t is None else t[0] for t in row] for row in row_terms]
     powers = _powers_of(z)
-    rng = random.Random(seed)
+    # memos of this call: whether a unit's coefficients vanish at z, the unit
+    # shifted to z + q as a term, and the plan of each exponent tuple
+    vanishes: Dict[Tuple[int, ...], bool] = {}
+    shifted: Dict[Tuple[int, ...], _Term] = {}
+    plans: Dict[Tuple[int, ...], tuple] = {}
+    getrandbits = random.Random(seed).getrandbits
     violations: List[CertificateViolation] = []
     for s in range(samples):
-        exponents = tuple(rng.randint(-2, 2) for _ in range(r))
-        units = [_random_unit(rng, powers) for _ in exponents]
-        orders = [scaffold[e, c][0] for e, (_, c) in zip(exponents, units)]
-        value = INFINITY
-        tied = []
-        for j in range(r):
-            term_orders = [k + row[j] for k, row in zip(orders, row_orders)
-                           if row[j] is not None]
-            least = min(term_orders, default=INFINITY)
-            if term_orders.count(least) > 1:
-                tied.append((least, j))
-            elif least < value:
-                value = least
-        # a tied sum has an order of at least its minimum, so only a tie
-        # whose minimum is below the value so far can lower it; reading it
-        # needs the units, each shifted once per sample
+        exponents = tuple([_below(getrandbits, 5) - 2 for _ in range(r)])
+        units = []
+        for _ in range(r):
+            while True:
+                coeffs = tuple([_below(getrandbits, 7) - 3
+                                for _ in range(_below(getrandbits, 3) + 1)])
+                if coeffs not in vanishes:
+                    vanishes[coeffs] = _vanishes_at(coeffs, powers)
+                if not vanishes[coeffs]:
+                    break
+            units.append((coeffs, _UNIT_SHIFTS[_below(getrandbits, 4)]))
+        plan = plans.get(exponents)
+        if plan is None:
+            plan = plans[exponents] = _plan(exponents, order_of, row_orders)
+        value, ties, claimed = plan
+        # reading a tie needs the units, each shifted once per call
         coeffs_at_z = None
-        for least, j in sorted(tied):
+        for least, j in ties:
             if least >= value:
                 break
             if coeffs_at_z is None:
-                coeffs_at_z = [
-                    _times(_term((Poly(coeffs).shift(z),), ()), scaffold[e, c])
-                    for e, (coeffs, c) in zip(exponents, units)]
+                for coeffs, _ in units:
+                    if coeffs not in shifted:
+                        shifted[coeffs] = _term((Poly(coeffs).shift(z),), ())
+                coeffs_at_z = [_times(shifted[coeffs], scaffold[e, c])
+                               for e, (coeffs, c) in zip(exponents, units)]
             v = _lazy_order([_times(coeff, row[j]) for coeff, row
                              in zip(coeffs_at_z, row_terms)], mul)
             if v < value:
                 value = v
-        claimed = all(e >= 0 for e in exponents)
         if (value >= 0) != claimed:
             violations.append(CertificateViolation(
                 s, exponents, value if value is not INFINITY else "infinity",

@@ -246,6 +246,24 @@ def test_verify_rejects_sample_counts_below_one(capsys, value):
     assert "--samples: must be an integer >= 1" in captured.err
 
 
+def test_verify_refuses_more_samples_than_the_limit(capsys, monkeypatch):
+    """More than MAX_SAMPLES is refused before the operator is even parsed;
+    the limit itself gets past the check."""
+    def no_work(args):
+        raise AssertionError("verify started work")
+
+    monkeypatch.setattr(cli, "_modulus", no_work)
+    argv = ["verify", "--operator", CUBIC, "--right-bound", "Z=0", "--samples"]
+    for samples in (cli.MAX_SAMPLES + 1, 10 ** 30):
+        assert cli.main(argv + [str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --samples must be at most "
+                                f"{cli.MAX_SAMPLES}, got {samples}\n")
+    with pytest.raises(AssertionError, match="started work"):
+        cli.main(argv + [str(cli.MAX_SAMPLES)])
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import precint.verify as verify_mod
 

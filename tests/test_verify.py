@@ -40,10 +40,13 @@ from precint.fields import convolve, poly_gcd
 from precint.ore import default_anchor
 from precint.valuation import detect_orbits
 from precint.verify import (
+    _UNIT_SHIFTS,
+    _below,
     _field_product,
     _fresh_solution_table,
     _lazy_order,
     _least_window,
+    _plan,
     _powers_of,
     _row_values,
     _term,
@@ -434,10 +437,11 @@ def test_a_unit_is_redrawn_exactly_when_its_shift_has_a_zero_constant_term(text)
         assert VANISHING[text] in redrawn
 
 
-def _reference_violations(modulus, basis, point, samples, seed):
+def _reference_violations(modulus, basis, point, samples, seed, draws=None):
     """The certificate's sample loop as it was before it read orders first:
     every unit shifted to z + q, every coordinate built as a term and every
-    sum read by `_lazy_order`."""
+    sum read by `_lazy_order`, with the draws of `randint` and `choice`.
+    Each sample's exponents and units are appended to `draws` if given."""
     r, orbit = modulus.order, point.orbit()
     anchor = default_anchor(modulus, orbit) - _least_window(modulus, orbit) - 2
     table = _fresh_solution_table(modulus, orbit, anchor, point.offset,
@@ -454,16 +458,19 @@ def _reference_violations(modulus, basis, point, samples, seed):
     out = []
     for s in range(samples):
         exponents = tuple(rng.randint(-2, 2) for _ in range(r))
-        coords = []
+        coords, units = [], []
         for e in exponents:
             while True:
-                unit = Poly([rng.randint(-3, 3)
-                             for _ in range(rng.randint(1, 3))]).shift(z)
+                coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                unit = Poly(coeffs).shift(z)
                 if unit.nums and unit.nums[0]:
                     break
-            den = unit_dens[rng.choice((0, 1, -1, 2))]
+            c = rng.choice((0, 1, -1, 2))
+            units.append((tuple(coeffs), c))
             coords.append(_term((unit,) + (norm,) * max(e, 0),
-                                den + (norm,) * max(-e, 0)))
+                                unit_dens[c] + (norm,) * max(-e, 0)))
+        if draws is not None:
+            draws.append((exponents, tuple(units)))
         value = min(_lazy_order([_times(c, row[j])
                                  for c, row in zip(coords, row_terms)], mul)
                     for j in range(r))
@@ -474,9 +481,31 @@ def _reference_violations(modulus, basis, point, samples, seed):
     return out
 
 
+def _violations(report):
+    return [(v.sample, v.exponents, v.value, v.claimed_integral)
+            for v in report.violations]
+
+
+def _counting(monkeypatch, name):
+    """Wrap the oracle's function `name` to record its calls: the list holds
+    (args, result) per call."""
+    import precint.verify as verify_mod
+
+    calls = []
+    real = getattr(verify_mod, name)
+
+    def counted(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify_mod, name, counted)
+    return calls
+
+
 # operator, point, the right bounds of a global run treating the point, and
 # whether some sample there has a tied sum below its other sums, which is
-# read by `_lazy_order`; at root(x^2-2)+1 no sum of these bases ties
+# read by `_lazy_order`; at root(x^2-2)+1 no sum of these bases ties, and
+# of order 1 no sum has two terms
 DIFFERENTIAL = {
     "cubic": ("(x+2)^2 + x*S^2 + (x+2)*S^3", "0", {"Z": 0}, True),
     "sqrt2": ("x^2 - 2 + S^2", "root(x^2-2)+1", {"-2+x^2": 1}, False),
@@ -484,6 +513,9 @@ DIFFERENTIAL = {
              True),
     "cubic-field": ("(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2",
                     "root(x^3-2)+2", {"-2+x^3": 2}, True),
+    "order1": ("x*(x-3) + (x+2)*S", "-1", {"Z": 4}, False),
+    "ord4": ("(x+2)^2*(x-1) + x*S + (x^2+1)*S^2 + S^3 + (x-3)*S^4", "7",
+             {"Z": 7}, True),
 }
 
 
@@ -494,21 +526,101 @@ def test_certificate_agrees_with_the_loop_that_shifts_every_unit(name, monkeypat
     run = global_integral_basis(operator, ZSpec(bounds))
     assert point in [entry.orbit.shifted(n) for entry in run.processed
                      for n in entry.points]
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _lazy_order(*args)
-
-    monkeypatch.setattr("precint.verify._lazy_order", counted)
+    reads = _counting(monkeypatch, "_lazy_order")
+    plans = _counting(monkeypatch, "_plan")
     for basis in (BasisMatrix.standard(operator.order), run.basis):
         for seed in range(6):
+            draws = []
+            plans.clear()
             report = certificate(operator, basis, point, samples=40, seed=seed)
-            assert [(v.sample, v.exponents, v.value, v.claimed_integral)
-                    for v in report.violations] == _reference_violations(
-                        operator, basis, point, 40, seed)
+            assert _violations(report) == _reference_violations(
+                operator, basis, point, 40, seed, draws)
+            # each exponent tuple drawn is planned once, on its first draw
+            assert [args[0] for args, _ in plans] == list(
+                dict.fromkeys(exponents for exponents, _ in draws))
     # with a tie the units were shifted and the sum read, not only orders
-    assert bool(calls) == ties
+    assert bool(reads) == ties
+
+
+def test_a_plan_serves_repeated_exponents_with_other_units(cubic, monkeypatch):
+    """200 samples at r = 3 draw some of the 125 exponent tuples again with
+    other units, among them tuples whose plan has a tie to read: the report
+    still matches the loop that reads every sum."""
+    plans = _counting(monkeypatch, "_plan")
+    basis, point = BasisMatrix.standard(3), pt("0")
+    draws = []
+    report = certificate(cubic, basis, point, samples=200, seed=11)
+    assert _violations(report) == _reference_violations(
+        cubic, basis, point, 200, 11, draws)
+    assert report.violations
+    planned = {args[0]: plan for args, plan in plans}
+    assert len(planned) == len(plans) < 200
+    units_of = {}
+    for exponents, units in draws:
+        units_of.setdefault(exponents, set()).add(units)
+    assert any(len(units_of[e]) > 1 and planned[e][1] for e in planned)
+
+
+def test_no_state_survives_a_certificate(cubic):
+    """Memos of one call (plans, unit tests, shifted units) must not reach
+    the next: the cubic at 0 with the standard basis, then sqrt2 at
+    root(x^2-2)+1, then the cubic at 0 with its global basis, whose plans
+    and shifted units differ from the first call's."""
+    sqrt2 = op("x^2 - 2 + S^2")
+    sqrt2_run = global_integral_basis(sqrt2, ZSpec({"-2+x^2": 1}))
+    cubic_run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    calls = [(cubic, BasisMatrix.standard(3), pt("0"), 1),
+             (sqrt2, BasisMatrix.standard(2), pt("root(x^2-2)+1"), 2),
+             (sqrt2, sqrt2_run.basis, pt("root(x^2-2)+1"), 3),
+             (cubic, cubic_run.basis, pt("0"), 1)]
+    for operator, basis, point, seed in calls:
+        report = certificate(operator, basis, point, samples=100, seed=seed)
+        assert _violations(report) == _reference_violations(
+            operator, basis, point, 100, seed)
+
+
+def test_certificate_raises_when_a_unit_denominator_is_not_a_unit(
+        cubic, monkeypatch):
+    """The plans rest on a unit's denominator having order 0 at z; a norm
+    that vanishes there must raise, not be planned around."""
+    from precint import PrecintError
+
+    point = pt("0")
+    monkeypatch.setattr("precint.verify.galois_norm_uniformizer",
+                        lambda _: galois_norm_uniformizer(point))
+    with pytest.raises(PrecintError, match="unit"):
+        certificate(cubic, _known_local(), point, samples=5, seed=0)
+
+
+def test_plans_read_ties_below_the_untied_value_only():
+    """Row orders [[0, 1], [0, 3]]: solution 0 ties at 0 under exponents
+    (0, 0), and solution 1's least order 1 is reached once."""
+    order_of = {e: e for e in range(-2, 3)}
+    assert _plan((0, 0), order_of, [[0, 1], [0, 3]]) == (1, [(0, 0)], True)
+    # a tie at or above the untied value is dropped
+    assert _plan((1, 1), order_of, [[0, 0], [0, 1]]) == (1, [], True)
+    assert _plan((-1, 2), order_of, [[None, 0], [None, 1]]) == (-1, [], False)
+    # ties are read least first, whatever their solution
+    assert _plan((0, 0), order_of, [[1, 0, 5], [1, 0, 5]]) == (
+        INFINITY, [(0, 1), (1, 0), (5, 2)], True)
+
+
+def test_draws_take_the_bits_randint_and_choice_take():
+    """`_below` must consume the generator as CPython's `randint` and
+    `choice` do, or every failing-certificate report would shift."""
+    kinds = [(5, -2, lambda rng: rng.randint(-2, 2)),
+             (3, 1, lambda rng: rng.randint(1, 3)),
+             (7, -3, lambda rng: rng.randint(-3, 3)),
+             (4, None, lambda rng: rng.choice(_UNIT_SHIFTS))]
+    for seed in range(10):
+        rng, twin = random.Random(seed), random.Random(seed)
+        order = random.Random(100 + seed)
+        for _ in range(10_000):
+            n, start, stock = kinds[order.randrange(4)]
+            v = _below(rng.getrandbits, n)
+            drawn = _UNIT_SHIFTS[v] if start is None else start + v
+            assert drawn == stock(twin)
+        assert rng.getstate() == twin.getstate()
 
 
 # -- the main path against the oracle on wider operators -------------------------
