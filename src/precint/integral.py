@@ -14,7 +14,8 @@ coordinate-minimum space used to exercise the generic algorithm.
 Updates at a point z always go through the full conjugate set: rows are
 rescaled by the minimal polynomial of z (not x - z) and recombined with
 traces of alpha/(x - z), so output coordinates stay in Q(x) even when z is
-algebraic.
+algebraic.  At a rational z the trace is the identity, and a combine divides
+the combination that `_find_alpha` built by x - z.
 """
 
 from __future__ import annotations
@@ -80,8 +81,10 @@ class BasisMatrix:
 
 def _find_alpha(space, prefix: Sequence[QuotientElement],
                 candidate: QuotientElement,
-                point: AlgebraicPoint) -> Optional[List]:
-    """Constants alpha with val(sum alpha_i B_i + candidate) > 0, or None.
+                point: AlgebraicPoint
+                ) -> Optional[Tuple[List, QuotientElement]]:
+    """Constants alpha with val(sum alpha_i B_i + candidate) > 0, with that
+    combination, or None.
 
     One linear condition per residue coordinate: the space's residue vector
     of the combination at the point must vanish.  Inputs of value >= 0 have
@@ -107,7 +110,7 @@ def _find_alpha(space, prefix: Sequence[QuotientElement],
         raise PrecintError(
             "candidate lies in the span of the earlier basis elements"
         )
-    return solution
+    return solution, combo
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,8 @@ def local_integral_basis(space, basis: BasisMatrix,
     Row d is first rescaled by a power of the uniformizer norm to value
     zero, then repeatedly replaced by the Galois-summed combination
     sum_i Tr(alpha_i/(x-z)) B_i as long as constants alpha exist that push
-    the value of the combination positive.  Each such replacement lowers
+    the value of the combination positive.  At a rational point that sum is
+    the combination itself divided by x - z.  Each such replacement lowers
     the discriminant by exactly one, which bounds the loop.
 
     The discriminant is carried from one update to the next: each update
@@ -276,14 +280,18 @@ def local_integral_basis(space, basis: BasisMatrix,
             log.append(UpdateRecord("normalize", d, point_key, exponent=-v,
                                     disc_before=disc_before, disc_after=disc))
         while True:
-            alphas = space.find_alpha(rows[:d - 1], rows[d - 1], point)
-            if alphas is None:
+            found = space.find_alpha(rows[:d - 1], rows[d - 1], point)
+            if found is None:
                 break
-            new_row = rows[d - 1].scaled(galois_trace_sum(Fraction(1), point))
-            for alpha, prev in zip(alphas, rows[:d - 1]):
-                if alpha == 0:
-                    continue
-                new_row = new_row + prev.scaled(galois_trace_sum(alpha, point))
+            alphas, combo = found
+            if point.is_rational:
+                new_row = combo.scaled(galois_trace_sum(Fraction(1), point))
+            else:
+                new_row = rows[d - 1].scaled(galois_trace_sum(Fraction(1), point))
+                for alpha, prev in zip(alphas, rows[:d - 1]):
+                    if alpha == 0:
+                        continue
+                    new_row = new_row + prev.scaled(galois_trace_sum(alpha, point))
             if new_row.is_zero:
                 raise PrecintError("basis update collapsed a row to zero")
             rows[d - 1] = new_row

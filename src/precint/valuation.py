@@ -26,8 +26,9 @@ from .ore import (
 from .qvalues import nu_q
 
 # The most offsets one orbit's worklist may hold.  The work per point grows
-# with the distance from the anchor (the cubic of the README takes seconds
-# for 23 points and minutes for 43); the widest case of the benchmark
+# with the distance from the anchor (on a shared 2-vCPU VM, the cubic of the
+# README takes about 0.15 s for 23 points and 1.7 s for 43, and
+# x*(x-99) + S + S^2 about 1.1 s for 100); the widest case of the benchmark
 # corpus has 18 points.
 MAX_WORKLIST_POINTS = 100
 

@@ -12,11 +12,13 @@ from precint import (
     OreOperator,
     Poly,
     QuotientElement,
+    RandomOperatorSpec,
     RationalFunction,
     parse_element,
     parse_operator,
     parse_point,
     q_series,
+    random_operators,
 )
 
 # Order-3 operator whose integer orbit carries the full story: a double
@@ -56,6 +58,17 @@ def coeff(text: str) -> RationalFunction:
     if operator.order > 0:
         raise ValueError("expected a shift-free expression")
     return operator.coeffs[0] if operator.coeffs else RationalFunction.zero()
+
+
+def planted_operator(order: int, coeff_degree: int, seed: int) -> OreOperator:
+    """A seeded random operator with singular points planted on Z: the
+    trailing coefficient gains the root -1, the leading one the root 1."""
+    spec = RandomOperatorSpec(order=order, coeff_degree=coeff_degree,
+                              height=2, seed=seed)
+    coeffs = list(random_operators(spec, 1)[0].coeffs)
+    coeffs[0] = coeffs[0] * RationalFunction(Poly([1, 1]))
+    coeffs[-1] = coeffs[-1] * RationalFunction(Poly([-1, 1]))
+    return OreOperator(tuple(coeffs)).normalized()
 
 
 def random_poly(rng: random.Random, max_degree: int = 2, height: int = 4,

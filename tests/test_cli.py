@@ -397,6 +397,22 @@ def test_global_basis_over_several_orbits_is_maximal_everywhere(capsys, operator
     assert "local-vs-global" in out and "FAILED" not in out
 
 
+def test_three_orbits_are_maximal_at_all_seven_points(capsys):
+    """Orbits of degrees 3, 2 and 1 in one operator: every certificate and
+    every local-vs-global check passes at each of the seven points."""
+    code, out, err = run_cli(
+        capsys, "verify", "--operator",
+        "x*(x^2-2)*(x^3-2) + S + (x^2-2)*(x^3-2)*S^2", "--right-bound", "Z=2",
+        "--right-bound", "x^2-2=1", "--right-bound", "x^3-2=1", "--samples", "20")
+    assert (code, err) == (0, ""), out
+    points = ["root(-2+x^3)", "root(-2+x^3)+1", "root(-2+x^2)", "root(-2+x^2)+1",
+              "0", "1", "2"]
+    assert out.splitlines() == (
+        [f"certificate at {p}: ok (20 samples, seed 0)" for p in points]
+        + [f"module check (local-vs-global) at {p}: ok" for p in points]
+        + ["verification passed"])
+
+
 # -- canonical printing ---------------------------------------------------------------
 
 

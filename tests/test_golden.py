@@ -3,10 +3,11 @@ corpus, byte for byte.
 
 The `global-basis` files in `tests/golden/` hold the stdout of each case as
 recorded before the integer kernel of `fields` and `qvalues` replaced
-`Fraction` coefficients; the `certificate-*` files hold the JSON report of
-a certificate of the standard basis where it is not integral, as recorded
-before the oracle's sample loop moved onto that kernel, and, for
-`certificate-rational-half` (a point that is a `Fraction`) and
+`Fraction` coefficients (`three-orbits-2`: before a combine at a rational
+point divided the combination by x - z); the `certificate-*` files hold the
+JSON report of a certificate of the standard basis where it is not
+integral, as recorded before the oracle's sample loop moved onto that
+kernel, and, for `certificate-rational-half` (a point that is a `Fraction`) and
 `certificate-half-1` (a minimal polynomial that is not integral), before
 the loop read q-orders from the orders of the factors.  A passing report
 prints no values, so only failing ones pin the exact q-orders and the
@@ -42,6 +43,8 @@ CUBIC_FIELD = "(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2"
 HALF = "(2*x^2-1) + x*S + (2*x^2-1)*S^2"
 # an orbit 1/2 + Z: the point is a Fraction
 RATIONAL_HALF = "(2*x-1)*(x+3) + S + (2*x+5)*S^2"
+# three orbits, of degrees 3, 2 and 1
+THREE_ORBITS = "x*(x^2-2)*(x^3-2) + S + (x^2-2)*(x^3-2)*S^2"
 
 CASES = {
     "cubic-Z0": (CUBIC, "Z=0"),
@@ -53,13 +56,16 @@ CASES = {
     "sqrt2-1": (SQRT2, "x^2-2=1"),
     "cubic-field-2": (CUBIC_FIELD, "x^3-2=2"),
     "half-1": (HALF, "x^2-1/2=1"),
+    "three-orbits-2": (THREE_ORBITS, "Z=2 x^2-2=1 x^3-2=1"),
 }
 
 
 def _argv(name: str):
-    operator, bound = CASES[name]
-    return ["global-basis", "--operator", operator, "--right-bound", bound,
-            "--format", "json"]
+    operator, bounds = CASES[name]
+    argv = ["global-basis", "--operator", operator]
+    for bound in bounds.split():
+        argv += ["--right-bound", bound]
+    return argv + ["--format", "json"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -30,7 +30,8 @@ from precint import (
 )
 from precint import _linalg
 from precint.integral import _CAP_MARGIN, _iteration_cap
-from conftest import el, op, pt
+from precint.valuation import worklist_points
+from conftest import el, op, planted_operator, pt
 
 
 def _known_local(order=3):
@@ -110,16 +111,17 @@ def test_output_spans_the_space(cubic, orbit_z):
                                lambda f: nu_at_factor(f, norm)) is not INFINITY
 
 
-def test_every_update_preserves_the_span(cubic, orbit_z):
-    """Replaying the recorded updates step by step never degenerates the
-    coordinate matrix."""
-    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
-    space = ShiftSpace(analysis)
-    point = pt("0")
-    result = local_integral_basis(space, BasisMatrix.standard(3), point)
-    rows = list(BasisMatrix.standard(3).rows)
+def _replay(space, basis, point) -> int:
+    """Runs the local loop at the point, then replays its recorded updates
+    from `basis` with the Galois-trace formula sum_i Tr(alpha_i/(x-z)) B_i,
+    checking after each step that the coordinate matrix does not
+    degenerate and at the end that the replay lands on the loop's rows;
+    returns the number of combines."""
+    result = local_integral_basis(space, basis, point)
+    rows = list(basis.rows)
     norm = RationalFunction(galois_norm_uniformizer(point))
-    for u in result.provenance:
+    updates = result.provenance[len(basis.provenance):]
+    for u in updates:
         d = u.row - 1
         if u.kind == "normalize":
             rows[d] = rows[d].scaled(norm ** u.exponent)
@@ -133,6 +135,43 @@ def test_every_update_preserves_the_span(cubic, orbit_z):
                                   lambda f: nu_at_factor(f, norm.num))
         assert det is not INFINITY
     assert tuple(rows) == result.rows
+    return sum(u.kind == "combine" for u in updates)
+
+
+def test_every_update_preserves_the_span(cubic, orbit_z):
+    """Replaying the recorded updates step by step never degenerates the
+    coordinate matrix."""
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    assert _replay(space, BasisMatrix.standard(3), pt("0")) > 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_every_update_preserves_the_span_on_random_operators(order):
+    """The same replay at every point of the integer orbit's worklist, point
+    after point as the global pass goes, on seeded random operators: a
+    combine at a rational point divides the combination by x - z, and the
+    trace formula must give the same rows."""
+    combines = 0
+    for seed in range(3):
+        operator = planted_operator(order, 2, seed)
+        analysis = OrbitAnalysis.analyze(operator, AlgebraicPoint.from_rational(0))
+        space = ShiftSpace(analysis)
+        basis = BasisMatrix.standard(order)
+        points = worklist_points(analysis, ZSpec({"Z": analysis.right_edge()}))
+        assert points
+        for n in points:
+            point = analysis.orbit.shifted(n)
+            combines += _replay(space, basis, point)
+            basis = local_integral_basis(space, basis, point)
+    # an order-1 row of value zero has a nonzero residue, so it never combines
+    assert (combines > 0) == (order > 1)
+
+
+def test_every_update_preserves_the_span_at_an_algebraic_point():
+    operator = op("(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2")
+    point = pt("root(x^2-2)+1")
+    space = ShiftSpace(OrbitAnalysis.analyze(operator, pt("root(x^2-2)")))
+    assert _replay(space, BasisMatrix.standard(2), point) > 0
 
 
 class _EndlessSpace:
@@ -149,7 +188,10 @@ class _EndlessSpace:
         return 0
 
     def find_alpha(self, previous, row, point):
-        return [Fraction(1)] * len(previous)
+        combo = row
+        for prev in previous:
+            combo = combo + prev
+        return [Fraction(1)] * len(previous), combo
 
     def discriminant(self, rows, point):
         self.disc -= 1
@@ -213,10 +255,10 @@ def test_stale_action_for_an_updated_row_fails_the_drop_check(cubic, orbit_z,
     pending = {}
 
     def find_alpha(self, prefix, candidate, point):
-        alphas = real_find(self, prefix, candidate, point)
-        if alphas is not None:
+        found = real_find(self, prefix, candidate, point)
+        if found is not None:
             pending["row"] = (len(prefix), candidate)
-        return alphas
+        return found
 
     def discriminant(self, rows, point):
         if "row" in pending:
@@ -243,7 +285,9 @@ def test_find_alpha_solves_the_recorded_combination(cubic, orbit_z):
     space = ShiftSpace(analysis)
     prefix = [el("1", 3)]
     candidate = el("x*S", 3)
-    assert space.find_alpha(prefix, candidate, pt("0")) == [Fraction(-2)]
+    alphas, combo = space.find_alpha(prefix, candidate, pt("0"))
+    assert alphas == [Fraction(-2)]
+    assert combo == el("-2 + x*S", 3)
 
 
 def test_find_alpha_rejects_dependent_candidates(cubic, orbit_z):

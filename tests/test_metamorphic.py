@@ -9,14 +9,27 @@ runs of the main path instead:
   L at z, so the global basis of L(x + c) with right bound R - c is the
   basis of L with bound R, each coordinate with x -> x + c;
 - the point's presentation: two names of the same conjugate class give the
-  same local basis, byte for byte.
+  same local basis, byte for byte;
+- the constant gauge: if a(n) solves L then c^n a(n) solves
+  L_c = sum l_i c^(-i) S^i, so the basis of L_c generates, at every point,
+  the module of the basis of L with coordinate i scaled by c^(-i).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from precint import BasisMatrix, OreOperator, ZSpec, cli, global_integral_basis
+from precint import (
+    BasisMatrix,
+    OreOperator,
+    QuotientElement,
+    ZSpec,
+    cli,
+    global_integral_basis,
+    module_equal_at,
+)
 from precint.exprs import parse_orbit_key
 from conftest import CUBIC, op
 
@@ -64,3 +77,47 @@ def test_local_basis_does_not_depend_on_the_point_presentation(capsys, text, fir
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
     assert "/" in outputs[0]  # a basis with a pole at the point, not the standard one
+
+
+def _gauged(modulus: OreOperator, c: Fraction) -> OreOperator:
+    return OreOperator([f * c ** (-i) for i, f in enumerate(modulus.coeffs)]).normalized()
+
+
+def _assert_gauge_covariance(modulus, gauged, c, key, bound):
+    zspec = ZSpec({parse_orbit_key(key): bound})
+    run = global_integral_basis(modulus, zspec)
+    moved = global_integral_basis(gauged, zspec)
+    mapped = BasisMatrix(tuple(
+        QuotientElement(tuple(f * c ** (-i) for i, f in enumerate(row.coords)))
+        for row in run.basis.rows))
+    points = [entry.orbit.shifted(n) for entry in run.processed for n in entry.points]
+    assert points
+    for point in points:
+        assert module_equal_at(moved.basis, mapped, point), str(point)
+    # row by row, the two differ by a nonzero constant
+    for row, image in zip(moved.basis.rows, mapped.rows):
+        assert [f.is_zero for f in row.coords] == [g.is_zero for g in image.coords]
+        ratios = {f / g for f, g in zip(row.coords, image.coords) if not g.is_zero}
+        assert len(ratios) == 1 and ratios.pop().num.degree == 0
+    return moved.basis, run.basis, points
+
+
+def test_cubic_basis_is_covariant_under_the_gauge_two():
+    """8*(x+2)^2 + 2*x*S^2 + (x+2)*S^3 is 8 times the gauge c = 2 of the
+    cubic; at Z=0 its basis is the cubic's with coordinate i scaled by 2^(-i),
+    up to a constant per row."""
+    c = Fraction(2)
+    gauged = op("8*(x+2)^2 + 2*x*S^2 + (x+2)*S^3")
+    assert gauged == _gauged(op(CUBIC), c)
+    moved, basis, points = _assert_gauge_covariance(op(CUBIC), gauged, c, "Z", 0)
+    # the unscaled basis is not a basis of the gauged module
+    assert not all(module_equal_at(moved, basis, point) for point in points)
+
+
+@pytest.mark.parametrize("text, key, bound", SHIFT_CASES)
+@pytest.mark.parametrize("c", [Fraction(-3), Fraction(-1, 2), Fraction(3)], ids=str)
+def test_global_basis_is_covariant_under_a_constant_gauge(text, key, bound, c):
+    """The same relation for gauges of both signs, integral or not, on an
+    integer orbit and on orbits of degree 2 and 3."""
+    modulus = op(text)
+    _assert_gauge_covariance(modulus, _gauged(modulus, c), c, key, bound)

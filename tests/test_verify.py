@@ -18,7 +18,6 @@ from precint import (
     BasisMatrix,
     NumberField,
     OrbitAnalysis,
-    OreOperator,
     Poly,
     QuotientElement,
     RandomOperatorSpec,
@@ -53,7 +52,7 @@ from precint.verify import (
     _times,
     _vanishes_at,
 )
-from conftest import el, op, pt, random_rf
+from conftest import el, op, planted_operator, pt, random_rf
 
 Q = Poly.x()  # the same dense representation serves the variable q
 SQRT2 = NumberField(Poly([-2, 0, 1]))
@@ -626,18 +625,6 @@ def test_draws_take_the_bits_randint_and_choice_take():
 # -- the main path against the oracle on wider operators -------------------------
 
 
-def _planted(order: int, coeff_degree: int, seed: int) -> OreOperator:
-    """An operator of the widened random shape with singular points planted
-    on Z: the trailing coefficient gains the root -1, the leading one the
-    root 1."""
-    spec = RandomOperatorSpec(order=order, coeff_degree=coeff_degree,
-                              height=2, seed=seed)
-    coeffs = list(random_operators(spec, 1)[0].coeffs)
-    coeffs[0] = coeffs[0] * RationalFunction(Poly([1, 1]))
-    coeffs[-1] = coeffs[-1] * RationalFunction(Poly([-1, 1]))
-    return OreOperator(tuple(coeffs)).normalized()
-
-
 # (order, coefficient degree, seed) -> whether l_0 and l_r share a root.
 # Both operators have two singular orbits: order 4 has Z and root(x^2-2),
 # with l_0 = x*(x+1)*(x^2-2) and l_r = x*(x-1); order 5 has Z and 1/2 + Z.
@@ -645,7 +632,7 @@ WIDE = {(4, 3, 12): True, (5, 1, 0): False}
 
 
 def _wide(shape):
-    operator = _planted(*shape)
+    operator = planted_operator(*shape)
     ell = operator.polynomial_coeffs()
     assert operator.order == shape[0]
     assert (poly_gcd(ell[0], ell[-1])[0].degree > 0) == WIDE[shape]
