@@ -92,6 +92,17 @@ def _modulus(args) -> OreOperator:
     return operator
 
 
+def _at(args, operator: OreOperator):
+    """The point of --at and the valued space of its orbit."""
+    point = parse_point(args.at)
+    return point, ShiftSpace(OrbitAnalysis.analyze(operator, point.orbit()))
+
+
+def _local_basis(space: ShiftSpace, point: AlgebraicPoint) -> BasisMatrix:
+    """The local integral basis at the point, from the standard basis."""
+    return local_integral_basis(space, BasisMatrix.standard(space.dimension), point)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -130,9 +141,8 @@ def _cmd_solutions(args) -> int:
 def _cmd_val(args) -> int:
     operator = _modulus(args)
     element = parse_element(args.element, operator.order)
-    point = parse_point(args.at)
-    analysis = OrbitAnalysis.analyze(operator, point.orbit())
-    value = val_at(element, point, analysis)
+    point, space = _at(args, operator)
+    value = space.val(element, point)
     rendered = "infinity" if value is INFINITY else value
     payload = {
         "operator": operator_str(operator, compact=True),
@@ -186,11 +196,9 @@ def _basis_lines(basis: BasisMatrix, verified: List[str]) -> List[str]:
 
 def _cmd_local_basis(args) -> int:
     operator = _modulus(args)
-    point = parse_point(args.at)
-    analysis = OrbitAnalysis.analyze(operator, point.orbit())
-    basis = local_integral_basis(ShiftSpace(analysis),
-                                 BasisMatrix.standard(operator.order), point)
-    verified = _verified_points_of(basis, [(point, analysis)])
+    point, space = _at(args, operator)
+    basis = _local_basis(space, point)
+    verified = _verified_points_of(basis, [(point, space.analysis)])
     _emit(args, _basis_json(basis, verified), _basis_lines(basis, verified))
     return EXIT_OK
 
@@ -224,11 +232,9 @@ def _cmd_verify(args) -> int:
     reports = []
     module_checks = []
     if args.at is not None:
-        point = parse_point(args.at)
-        analysis = OrbitAnalysis.analyze(operator, point.orbit())
-        basis = local_integral_basis(ShiftSpace(analysis),
-                                     BasisMatrix.standard(operator.order), point)
-        rerun = local_integral_basis(ShiftSpace(analysis), basis, point)
+        point, space = _at(args, operator)
+        basis = _local_basis(space, point)
+        rerun = local_integral_basis(space, basis, point)
         module_checks.append({
             "point": str(point),
             "kind": "idempotent",
@@ -247,8 +253,7 @@ def _cmd_verify(args) -> int:
                 point = entry.orbit.shifted(n)
                 reports.append(certificate(operator, run.basis, point,
                                            args.samples, args.seed))
-                local = local_integral_basis(
-                    space, BasisMatrix.standard(operator.order), point)
+                local = _local_basis(space, point)
                 module_checks.append({
                     "point": str(point),
                     "kind": "local-vs-global",

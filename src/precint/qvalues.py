@@ -17,18 +17,17 @@ divide only by exact polynomials with a nonzero constant term, and the
 determinant's valuation is read from the pivots of a division-free
 elimination.
 
-Over a number field K = Q[t]/(m) a series is a `FieldSeries`, the one
-place that knows the field.  Its coefficients are `NFElem`s, from the
-Taylor coefficients at the point to the reader: each element is its int
-numerators in t over its own denominator (see fields).  Every output
-coefficient of a product or expansion is one int polynomial in t over
-its own common denominator, reduced mod m once, and an expansion
-multiplies it by the inverse of the denominator's constant term,
-computed once per expansion on ints.  A constant coordinate over Q stays
-a series over Q at an algebraic point too, and is lifted into the field
-only where it meets a `FieldSeries`.  A series over Q never tests for a
-field: an operation with a `FieldSeries` on either side runs the
-`FieldSeries` method.
+One class holds both kinds of coefficients, as `Poly` does: over Q int
+numerators over one denominator, over a number field K = Q[t]/(m) the
+`NFElem`s from the Taylor coefficients at the point, each its int
+numerators in t over its own denominator (see fields), and the entries
+choose the kernel.  Every output coefficient of a product or expansion
+over K is one int polynomial in t over its own common denominator,
+reduced mod m once (`fields.multiply`, `fields.field_quotient`), and an
+expansion multiplies it by the inverse of the denominator's constant
+term, computed once per expansion on ints.  A constant coordinate over Q
+stays a series over Q at an algebraic point too, and is lifted into the
+field only where a sum or product meets a series over K.
 
 A series that is zero to its precision has no valuation and no
 coefficients from its precision on; reading one raises `PrecisionLoss`,
@@ -44,21 +43,19 @@ to a precision past that bound is exactly zero, and becomes `ZERO`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
     INFINITY,
-    NFElem,
-    NumberField,
     Poly,
     RationalFunction,
     Valuation,
     _field_of,
-    _packed_coefficient,
     convolve,
     field_quotient,
     from_exact,
     lowest_terms,
+    multiply,
     summands,
     taylor_shift,
 )
@@ -75,11 +72,13 @@ class QSeries:
     """A truncated Laurent series in q: the coefficients of q^val, ...,
     q^(prec-1), the first of them nonzero, plus O(q^prec).
 
-    Over Q the coefficients are held as `Poly` holds them: int numerators
+    The coefficients are held as `Poly` holds them: over Q int numerators
     `nums` over one positive int `den`, content-reduced, so sums, products
-    and expansions run on ints.  A series over a number field is a
-    `FieldSeries`.  `coeffs` and `coefficient(n)` rebuild exact values for
-    readers.
+    and expansions run on ints; over a number field `NFElem`s of that
+    field over 1.  `den=None` reads exact constants (ints, Fractions or
+    elements of one field) with `fields.from_exact`.  `coeffs` and
+    `coefficient(n)` rebuild a `Fraction` from an int entry and return an
+    element as it is.
 
     Three states: a known leading term (`nums` nonempty), zero to
     precision `prec` (`nums` empty, `val == prec`), and exactly zero
@@ -89,8 +88,10 @@ class QSeries:
 
     __slots__ = ("val", "nums", "den", "prec", "height")
 
-    def __init__(self, val: int, nums: Sequence[int], den: int, prec: int,
+    def __init__(self, val: int, nums: Sequence, den: Optional[int], prec: int,
                  height: Height):
+        if den is None:
+            nums, den = from_exact(nums)
         lead = 0
         while lead < len(nums) and not nums[lead]:
             lead += 1
@@ -110,16 +111,6 @@ class QSeries:
         self.den = den
         self.prec = prec
         self.height = height
-
-    @staticmethod
-    def of(val: int, values: Sequence, prec: int, height: Height) -> "QSeries":
-        """The series q^val * (values[0] + values[1] q + ...) + O(q^prec)
-        from exact constants: ints and Fractions, or elements of one number
-        field among them (a `FieldSeries`)."""
-        nums, den = from_exact(values)
-        if nums and type(nums[0]) is NFElem:
-            return FieldSeries(nums[0].field, val, nums, prec, height)
-        return QSeries(val, nums, den, prec, height)
 
     def __repr__(self):
         if self.prec is INFINITY:
@@ -144,7 +135,8 @@ class QSeries:
     @property
     def coeffs(self) -> List:
         """The exact coefficients of q^val, ..., q^(prec-1)."""
-        return [Fraction(c, self.den) for c in self.nums]
+        den = self.den
+        return [Fraction(c, den) if type(c) is int else c for c in self.nums]
 
     @property
     def valuation(self) -> Valuation:
@@ -161,7 +153,8 @@ class QSeries:
         if n >= self.prec:
             raise PrecisionLoss(f"coefficient of q^{n} of a series known "
                                 f"to O(q^{self.prec})")
-        return Fraction(self.nums[n - self.val], self.den)
+        c = self.nums[n - self.val]
+        return Fraction(c, self.den) if type(c) is int else c
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -196,13 +189,13 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
-        if not isinstance(other, QSeries):  # a constant of the field
+        if not isinstance(other, QSeries):  # a constant
             if not other:
                 return ZERO
             if self.prec is INFINITY:
                 return self
-            return QSeries.of(self.val, [c * other for c in self.coeffs],
-                              self.prec, self.height)
+            return QSeries(self.val, [c * other for c in self.coeffs], None,
+                           self.prec, self.height)
         if self.prec is INFINITY or other.prec is INFINITY:
             return ZERO
         ha, hb = self.height, other.height
@@ -212,97 +205,15 @@ class QSeries:
             prec = min(self.prec + other.val, other.prec + self.val)
             return QSeries(prec, [], 1, prec, height)
         val = self.val + other.val
-        n = min(len(self.nums), len(other.nums))
-        return QSeries(val, convolve(self.nums, other.nums, n), self.den * other.den,
-                       val + n, height)
+        a, b = self.nums, other.nums
+        n = min(len(a), len(b))
+        if type(a[0]) is int and type(b[0]) is int:
+            return QSeries(val, convolve(a, b, n), self.den * other.den, val + n, height)
+        nums, den = multiply(a, self.den, b, other.den, n)
+        return QSeries(val, nums, den, val + n, height)
 
 
 ZERO = QSeries(0, [], 1, INFINITY, (0, 0, 0))
-
-
-class FieldSeries(QSeries):
-    """A `QSeries` over a number field K = Q[t]/(m): its coefficients are
-    `NFElem`s, held and read as they are, and `den` is 1.  Sums, products
-    and negation run on the elements' int numerators, with each output
-    coefficient of a product reduced mod m once; an operand over Q is
-    lifted into the field first.  A row coordinate that is a constant over
-    Q expands as a series over Q even at an algebraic point, and is lifted
-    only where it meets a `FieldSeries`.  A constant multiple, which the
-    main path never forms, is built from the coefficients."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: NumberField, val: int, nums: Sequence[NFElem], prec: int,
-                 height: Height):
-        self.field = field
-        QSeries.__init__(self, val, nums, 1, prec, height)
-
-    @property
-    def coeffs(self) -> List:
-        return list(self.nums)
-
-    def coefficient(self, n: int):
-        if n < self.val or n >= self.prec:
-            return super().coefficient(n)
-        return self.nums[n - self.val]
-
-    def _operand(self, other: QSeries) -> "FieldSeries":
-        """other as a series over this one's field."""
-        field = self.field
-        if type(other) is FieldSeries:
-            if other.field is not field and other.field != field:
-                raise ValueError("mixing elements of different number fields")
-            return other
-        return FieldSeries(field, other.val, field._lift(other.nums, other.den),
-                           other.prec, other.height)
-
-    def __add__(self, other: QSeries) -> QSeries:
-        if other.prec is INFINITY:
-            return self
-        if self.prec is INFINITY:
-            return other
-        field = self.field
-        other = self._operand(other)
-        ha, hb = self.height, other.height
-        height = (max(ha[0] + hb[1], hb[0] + ha[1]), ha[1] + hb[1], ha[2] + hb[2])
-        prec = min(self.prec, other.prec)
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        if a.val >= prec:
-            return FieldSeries(field, prec, [], prec, height)
-        out = list(a.nums[:prec - a.val])
-        off = b.val - a.val
-        for k, c in enumerate(b.nums[:max(0, prec - b.val)]):
-            out[off + k] += c
-        return FieldSeries(field, a.val, out, prec, height)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FieldSeries":
-        if self.prec is INFINITY:
-            return self
-        return FieldSeries(self.field, self.val, [-c for c in self.nums], self.prec,
-                           self.height)
-
-    def __mul__(self, other) -> QSeries:
-        if not isinstance(other, QSeries):  # a constant, times each coefficient
-            return super().__mul__(other)
-        field = self.field
-        if self.prec is INFINITY or other.prec is INFINITY:
-            return ZERO
-        other = self._operand(other)
-        ha, hb = self.height, other.height
-        height = (ha[0] + hb[0], ha[1] + hb[1], ha[2] + hb[2])
-        if not (self.nums and other.nums):
-            # val is a lower bound on the valuation in every state
-            prec = min(self.prec + other.val, other.prec + self.val)
-            return FieldSeries(field, prec, [], prec, height)
-        val = self.val + other.val
-        n = min(len(self.nums), len(other.nums))
-        pa, pb = self.nums, other.nums
-        return FieldSeries(field, val, [field._reduce(*_packed_coefficient(pa, pb, k))
-                                        for k in range(n)], val + n, height)
-
-    __rmul__ = __mul__
 
 
 def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
@@ -328,9 +239,9 @@ def _quotient(num: Sequence, num_den: int, den: Sequence, den_den: int,
             w = [c * den_den for c in w]
         return QSeries(val, w, scale * num_den, val + terms, height)
     field = _field_of(num, den)
-    return FieldSeries(field, val, field_quotient(field, field._lift(num, num_den),
-                                                  field._lift(den, den_den), terms),
-                       val + terms, height)
+    return QSeries(val, field_quotient(field, field._lift(num, num_den),
+                                       field._lift(den, den_den), terms),
+                   1, val + terms, height)
 
 
 def fraction_series(num: Poly, den: Poly, terms: int) -> QSeries:

@@ -185,9 +185,7 @@ PACKED_ROUTINES = [
     ("precint.fields", "_packed_coefficient"),
     ("precint.fields", "field_quotient"),
     ("precint.fields", "packed_taylor"),
-    ("precint.qvalues", "FieldSeries"),
     ("precint.qvalues", "_field_of"),
-    ("precint.qvalues", "_packed_coefficient"),
     ("precint.qvalues", "field_quotient"),
     ("precint.verify", "_field_product"),
 ]

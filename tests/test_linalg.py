@@ -60,7 +60,7 @@ def test_determinant_matches_sympy(matrix):
         assert _linalg.determinant(matrix, nu) == nu(det)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(matrices(square=False), st.data())
 def test_solve_with_free_zero_matches_sympy(matrix, data):
     rhs = data.draw(st.lists(entries, min_size=len(matrix), max_size=len(matrix)))

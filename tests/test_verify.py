@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from precint import (
     random_operators,
     val_at,
 )
+from precint import cli
 from precint.fields import convolve, poly_gcd
 from precint.ore import default_anchor
 from precint.valuation import detect_orbits
@@ -742,3 +744,43 @@ def test_val_at_agrees_with_brute_val_on_algebraic_orbits(name):
             for _ in range(r)))
         assert val_at(element, point, analysis) == brute_val(
             element, point, operator, r + right - left)
+
+
+# -- `verify --at` at every point of a degree-3 orbit of seeded order-2
+# -- operators ------------------------------------------------------------------
+
+
+def _cubic_orbit_operator(seed: int):
+    """(operator, s) for an order-2 operator whose trailing coefficient
+    vanishes at the root of x^3 - 2 and whose leading one vanishes at that
+    root + s, with s in {1, 2} and seeded integers elsewhere."""
+    rng = random.Random(seed)
+    a, b, c = (rng.randint(-5, 5) for _ in range(3))
+    s = 1 + seed % 2
+    return f"(x^3-2)*(x{a:+d}) + ({b}*x{c:+d})*S + ((x-{s})^3-2)*S^2", s
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_passes_at_every_point_of_a_cubic_orbit(seed, monkeypatch, capsys):
+    """Certificates and the idempotence check pass at root(x^3-2) + n for
+    n = 0..s+2, from left of the orbit's singular points to right of them,
+    and the local bases there are reached through at least one combine."""
+    text, s = _cubic_orbit_operator(seed)
+    kinds = []
+    local_basis = cli.local_integral_basis
+
+    def recording(space, basis, point):
+        out = local_basis(space, basis, point)
+        kinds.extend(u.kind for u in out.provenance)
+        return out
+
+    monkeypatch.setattr(cli, "local_integral_basis", recording)
+    for n in range(s + 3):
+        code = cli.main(["verify", "--operator", text, "--at", f"root(x^3-2)+{n}",
+                         "--samples", "20", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, (text, n)
+        assert all(c["passed"] for c in report["certificates"]), (text, n)
+        assert all(c["ok"] for c in report["module_checks"]), (text, n)
+        assert report["passed"]
+    assert "combine" in kinds, text
