@@ -12,10 +12,10 @@ bound, and recombination of the lifted factors by subsets with trial
 division (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-15).
 
 Every result is exact; the only heuristics decide how fast it is found.
-`convolve`, the product routine for int coefficient lists, lives here so
-that `fields` shares it; `fields` multiplies lists of number-field
-constants on their packed int numerators and reduces each output
-coefficient once.
+`convolve`, the product routine for int coefficient lists, and
+`pseudo_divmod`, the one long division over Z, live here so that `fields`
+shares them; `fields` multiplies lists of number-field constants on their
+packed int numerators and reduces each output coefficient once.
 """
 
 from __future__ import annotations
@@ -117,32 +117,31 @@ def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> Optional[Int]:
     return None if any(r[:dg]) else q
 
 
-def _divmod_monic(a: Sequence[int], h: Sequence[int]) -> Tuple[Int, Int]:
-    """Quotient and remainder of a by the monic h over Z."""
-    dh = len(h) - 1
-    if len(a) <= dh:
-        return [], list(a)
+def pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[Int, Int, int]:
+    """(q, r, s) with s*a = q*b + r over Z, len(r) < len(b) and s > 0, for
+    a nonzero b: long division that scales by a factor of lc(b) only when a
+    step needs it, so s = 1 when b is monic or divides a in Z[x]."""
+    lb, db = b[-1], len(b) - 1
     r = list(a)
-    q = [0] * (len(a) - dh)
+    if len(r) <= db:
+        return [], r, 1
+    q = [0] * (len(r) - db)
+    s = 1
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + dh]
-        if c:
-            q[k] = c
-            for i in range(dh + 1):
-                r[k + i] -= c * h[i]
-    return q, _trim(r[:dh])
-
-
-def _prem(a: Sequence[int], b: Sequence[int]) -> Int:
-    """The pseudo-remainder of a by b, up to a constant factor."""
-    r, lb = list(a), b[-1]
-    while len(r) >= len(b):
-        c, k = r[-1], len(r) - len(b)
-        r = [lb * x for x in r]
+        c = r[k + db]
+        if not c:
+            continue
+        if c % lb:
+            m = abs(lb) // math.gcd(c, lb)
+            r = [x * m for x in r]
+            q = [x * m for x in q]
+            s *= m
+            c *= m
+        c //= lb
+        q[k] = c
         for i, bc in enumerate(b):
             r[k + i] -= c * bc
-        _trim(r)
-    return r
+    return q, _trim(r[:db]), s
 
 
 def _symmetric(f: Sequence[int], m: int) -> Int:
@@ -220,7 +219,7 @@ def prs_gcd(f: Sequence[int], g: Sequence[int]) -> Tuple[Int, Int, Int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _prem(a, b)
+        r = pseudo_divmod(a, b)[1]
         a, b = b, (_primitive(r) if r else [])
     content = math.gcd(math.gcd(*f), math.gcd(*g))
     h = [c * content for c in a]
@@ -360,11 +359,11 @@ def _hensel_step(m: int, f, g, h, s, t):
     modulo m^2 (Algorithm 15.10 of von zur Gathen and Gerhard)."""
     mm = m * m
     e = _symmetric(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod_monic(_mul(s, e), h)
+    q, r, _ = pseudo_divmod(_mul(s, e), h)
     g = _symmetric(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
     h = _symmetric(_add(h, r), mm)
     b = _symmetric(_sub(_add(_mul(s, g), _mul(t, h)), [1]), mm)
-    c, d = _divmod_monic(_mul(s, b), h)
+    c, d, _ = pseudo_divmod(_mul(s, b), h)
     s = _symmetric(_sub(s, d), mm)
     t = _symmetric(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
     return g, h, s, t

@@ -31,7 +31,7 @@ class MissingRightBoundError(PrecintError):
         self.growths = growths
         super().__init__(
             f"orbit {orbit_key!r} has valuation growths {list(growths)}; "
-            f"a right bound is required (pass --right-bound {orbit_key}=R)"
+            f"a right bound is required (pass --right-bound={orbit_key}=R)"
         )
 
 

@@ -14,6 +14,7 @@ it.  The action of an element on it is a truncated q-series (see qvalues).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
@@ -192,11 +193,11 @@ class OreOperator:
             g = poly_gcd(g, p)[0]
         if g.degree > 0:
             nums = [p // g for p in nums]
-        # divide by rational content, fix the sign of the leading coefficient
-        content = Fraction(0)
-        for p in nums:
-            for c in p.coeffs:
-                content = _frac_gcd(content, Fraction(c))
+        # divide by rational content, fix the sign of the leading coefficient;
+        # every Poly is content-reduced, so the content of nums/den is
+        # gcd(nums)/den in lowest terms, and of them all gcd/lcm
+        content = Fraction(math.gcd(*(c for p in nums for c in p.nums)),
+                           math.lcm(*(p.den for p in nums)))
         if content == 0:
             raise PrecintError("zero operator cannot be normalized")
         if nums[-1].leading < 0:
@@ -215,14 +216,6 @@ class OreOperator:
     @property
     def is_valid_modulus(self) -> bool:
         return self.order >= 1 and not self.coeffs[0].is_zero
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    import math
-
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
 
 
 class QuotientElement:

@@ -47,6 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
     INFINITY,
+    NFElem,
     Poly,
     RationalFunction,
     Valuation,
@@ -171,6 +172,8 @@ class QSeries:
             return QSeries(prec, [], 1, prec, height)
         an, bn = a.nums[:prec - a.val], b.nums[:max(0, prec - b.val)]
         if not bn:
+            if b.nums and type(an[0]) is NFElem:
+                an[0].field._lift(b.nums[:1], 1)  # refuses a second field
             return QSeries(a.val, an, a.den, prec, height)
         off = b.val - a.val
         an, bn, den = summands(an, a.den, bn, b.den)

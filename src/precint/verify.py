@@ -9,8 +9,9 @@ stays exact without a gcd in K(q) and runs on the integer kernel of
 `fields`: table values and row values are numerators over denominators
 known from their construction, and the q-adic value of a sum of such
 fractions is read lazily, lowest terms first, from its cross-multiplied
-numerator, built on the int numerators of the factors (over a number
-field those of its elements, `fields.multiply`) with no division.  A
+numerator, built with no division by `fields.multiply`, the one product
+of numerator lists: `convolve` on ints, and over a number field one
+int polynomial in t per coefficient, reduced once.  A
 certificate sample reads the q-orders of its sums from the orders of their
 factors first, and builds a sum only when its least order is reached twice:
 its random units are tested at z on the powers of z and shifted to z + q
@@ -37,7 +38,6 @@ from .fields import (
     Poly,
     RationalFunction,
     Valuation,
-    convolve,
     galois_norm_uniformizer,
     multiply,
     nu_at_factor,
@@ -87,15 +87,9 @@ def _times(a: Optional[_Term], b: Optional[_Term]) -> Optional[_Term]:
     return (a[0] + b[0], a[1] * b[1], a[2] * b[2], a[3] + b[3], a[4] + b[4])
 
 
-def _field_product(a: Sequence, b: Sequence, n: int) -> list:
-    """`convolve` for numerator lists over a number field (or ints), on the
-    elements' int numerators (`fields.multiply`)."""
-    return multiply(a, 1, b, 1, n)[0]
-
-
-def _lazy_order(terms: Sequence[Optional[_Term]], mul=convolve) -> Valuation:
+def _lazy_order(terms: Sequence[Optional[_Term]]) -> Valuation:
     """nu_q of a sum of terms, exactly and with no gcd and no division;
-    `mul` multiplies numerator lists (`_field_product` over a number field).
+    numerator lists are multiplied by `fields.multiply` (`convolve` on ints).
 
     The order of each term is read off its factors.  A minimum m reached by
     one term only is the answer.  Otherwise the sum is q^m * N / (C * D),
@@ -130,7 +124,7 @@ def _lazy_order(terms: Sequence[Optional[_Term]], mul=convolve) -> Valuation:
         for t in terms:
             product = [1]
             for d in t[4]:
-                product = mul(product, d, n)
+                product = multiply(product, 1, d, 1, n)[0]
             den_products.append(product)
         acc = [0] * n
         for t, (order, _, _, nums, _) in enumerate(terms):
@@ -139,7 +133,7 @@ def _lazy_order(terms: Sequence[Optional[_Term]], mul=convolve) -> Valuation:
                 continue
             product = [scales[t]]
             for f in (*nums, *(p for s, p in enumerate(den_products) if s != t)):
-                product = mul(product, f, n - k)
+                product = multiply(product, 1, f, 1, n - k)[0]
             for i, c in enumerate(product):
                 acc[k + i] += c
         for i, c in enumerate(acc):
@@ -523,7 +517,6 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
     scaffold = {(e, c): _term((norm_at_z,) * max(e, 0),
                               den + (norm_at_z,) * max(-e, 0))
                 for e in range(-2, 3) for c, den in unit_dens.items()}
-    mul = convolve if point.is_rational else _field_product
     # the q-order of every factor of a sum is known without arithmetic: a
     # unit's is 0, and scaffold and row terms carry their own; a unit's
     # denominator is a unit at z, so a coordinate's order is its exponent's
@@ -567,7 +560,7 @@ def certificate(modulus: OreOperator, basis: BasisMatrix,
                 coeffs_at_z = [_times(shifted[coeffs], scaffold[e, c])
                                for e, (coeffs, c) in zip(exponents, units)]
             v = _lazy_order([_times(coeff, row[j]) for coeff, row
-                             in zip(coeffs_at_z, row_terms)], mul)
+                             in zip(coeffs_at_z, row_terms)])
             if v < value:
                 value = v
         if (value >= 0) != claimed:

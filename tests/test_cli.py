@@ -152,6 +152,19 @@ def test_missing_right_bound_names_the_orbit(capsys):
     assert "[1, 0, -1]" in err
 
 
+def test_missing_right_bound_hint_runs_as_printed(capsys):
+    """The suggested argument, with R filled in, is one argparse reads as
+    the option's value although the orbit key begins with '-'."""
+    code, _, err = run_cli(capsys, "global-basis", "--operator", "x^2 - 2 + S^2")
+    assert code == 3
+    hint = err.split("(pass ", 1)[1].split(")", 1)[0]
+    assert hint == "--right-bound=-2+x^2=R"
+    code, out, _ = run_cli(capsys, "global-basis", "--operator", "x^2 - 2 + S^2",
+                           hint.replace("=R", "=1"))
+    assert code == 0
+    assert out
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run_cli(
         capsys, "val", "--operator", "x + ", "--element", "1", "--at", "0",

@@ -256,6 +256,18 @@ def test_fields_built_separately_are_one_field():
     assert K != NumberField(Poly([-2, 0, 1]))
 
 
+def test_constants_of_two_number_fields_are_refused():
+    """Exact constants from outside are read by `fields.from_exact`, which
+    refuses elements of a second field as `NumberField._lift` does."""
+    sqrt2 = NumberField(Poly([-2, 0, 1])).generator
+    sqrt3 = NumberField(Poly([-3, 0, 1])).generator
+    for build in (lambda: Poly([sqrt2, sqrt3]), lambda: Poly([1, sqrt3, Fraction(1, 2), sqrt2]),
+                  lambda: Poly([sqrt2]) + Poly([0, sqrt3])):
+        with pytest.raises(ValueError, match="mixing elements of different number fields"):
+            build()
+    assert Poly([sqrt2, Fraction(1, 2)]).coeffs == (sqrt2, sqrt2.field.from_rational(Fraction(1, 2)))
+
+
 # -- Galois sums -------------------------------------------------------------
 
 

@@ -187,7 +187,6 @@ PACKED_ROUTINES = [
     ("precint.fields", "packed_taylor"),
     ("precint.qvalues", "_field_of"),
     ("precint.qvalues", "field_quotient"),
-    ("precint.verify", "_field_product"),
 ]
 
 

@@ -170,6 +170,28 @@ def test_gcd_fallback_matches_sympy(common, u, v):
     assert g == expected and g * ca == a and g * cb == b
 
 
+int_lists = st.lists(st.one_of(st.integers(-9, 9), st.integers(-2 ** 100, 2 ** 100)),
+                     max_size=7).map(_zx._trim)
+
+
+@SETTINGS
+@given(int_lists, int_lists.filter(bool), st.booleans())
+@example([5, 0, 1], [1, -2], False)
+@example([1, 2 ** 120, 3, -(2 ** 90)], [-7, 0, -(2 ** 70)], False)
+@example([3, 1, 4, 1, 5], [2, 7, 1], True)
+def test_pseudo_divmod_is_an_exact_pseudo_division(a, b, monic):
+    """s*a = q*b + r over Z with len(r) < len(b), r trimmed and s > 0; s is
+    1 when b is monic, and when b divides a, where q is the quotient."""
+    if monic:
+        b = b[:-1] + [1]
+    q, r, s = _zx.pseudo_divmod(a, b)
+    assert s > 0 and len(r) < len(b) and (not r or r[-1])
+    assert _zx._add(_zx._mul(q, b), r) == [s * c for c in a]
+    if monic:
+        assert s == 1
+    assert _zx.pseudo_divmod(_zx._mul(a, b), b) == (a, [], 1)
+
+
 def sympy_factors(p: Poly) -> list:
     """sympy's factorization over QQ, each factor monic, in the order of
     `factor`: by degree, then by coefficients."""
@@ -532,7 +554,7 @@ def assert_elements(values, expected: list, field: NumberField) -> None:
                     EIGHTH.element([0] * 7 + [Fraction(2 ** 90, 5 ** 29)])]]), 4)
 @example((FIELDS[3], [[FIELDS[3].element([Fraction(1, 3), 2 ** 100])],
                       [FIELDS[3].element([0, Fraction(-5, 7)]), FIELDS[3].one]]), 1)
-def test_number_field_products_match_sympy(case, n):
+def test_products_of_number_field_lists_match_sympy(case, n):
     """Products of number-field lists as `Poly`s, as `QSeries` (cut off at
     the shorter operand) and by `multiply` with and without a cut-off n,
     also against a list of ints over a denominator."""
@@ -622,6 +644,32 @@ def assert_series_quotient(series, num: sympy.Poly, den: sympy.Poly,
     residual = reduced_coefficients(
         in_x_and_t(coeffs) * in_x_and_t(ds[b:]) - in_x_and_t(ns[a:]), field)
     assert all(c.is_zero for c in residual[:terms])
+
+
+@KERNEL_SETTINGS
+@given(polys(), st.lists(st.lists(coordinates, max_size=2), min_size=1, max_size=5),
+       st.booleans())
+@example(Poly([-2, 0, 1]), [[0, -1], [1]], False)  # x^2 - 2 = (x - t)(x + t)
+@example(Poly([Fraction(1, 3), 2 ** 70]), [[Fraction(-5, 7), 1], [0, 2], [3]], True)
+def test_division_between_q_and_a_number_field_matches_sympy(p, coords, rational_divisor):
+    """divmod of a polynomial over Q by one over Q(sqrt 2), and the other
+    way round: both operands are lifted into the field
+    (`NumberField._lift`) and divided there.  sympy checks a = q*b + r in
+    Q[x, t] modulo t^2 - 2, which with deg r < deg b makes q and r the
+    quotient and the remainder."""
+    field = FIELDS[0]
+    f = Poly([field.element(cs) for cs in coords])
+    a, b = (f, p) if rational_divisor else (p, f)
+    if b.is_zero:
+        return
+    q, r = divmod(a, b)
+    assert r.degree < b.degree
+    residual = reduced_coefficients(in_x_and_t(q.coeffs) * in_x_and_t(b.coeffs)
+                                    + in_x_and_t(r.coeffs) - in_x_and_t(a.coeffs), field)
+    assert all(c.is_zero for c in residual)
+    if a.degree >= b.degree:
+        for c in q.nums + r.nums:
+            assert_packed(c, field)
 
 
 # The kernel itself: the int inverse, the Taylor coefficients by Hasse

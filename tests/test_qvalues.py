@@ -368,3 +368,18 @@ def test_entries_zero_to_precision_are_carried_through_the_elimination():
     one = q_series(RationalFunction.one(), 4)
     matrix = [[q_series(RationalFunction(Q), 4), one], [c, one]]
     assert _linalg.determinant(matrix, nu_q) == 1
+
+
+def test_sum_of_series_over_two_number_fields_is_refused():
+    """Also when the second operand's terms all lie at or past the first's
+    precision, so that no coefficient of the sum meets it."""
+    h = (10, 0, 0)
+    sqrt2 = NumberField(Poly([-2, 0, 1])).generator
+    sqrt3 = NumberField(Poly([-3, 0, 1])).generator
+    a = QSeries(0, [sqrt2, 0], None, 2, h)
+    for b in (QSeries(1, [0, sqrt3], None, 3, h), QSeries(1, [sqrt3], None, 3, h)):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="mixing elements of different number fields"):
+                x + y
+    rational = QSeries(2, [Fraction(1, 3)], None, 3, h)
+    assert (a + rational).coeffs == a.coeffs

@@ -33,17 +33,17 @@ from precint import (
     local_integral_basis,
     module_equal_at,
     nu_q,
+    operator_str,
     random_operators,
     val_at,
 )
 from precint import cli
-from precint.fields import convolve, poly_gcd
+from precint.fields import poly_gcd
 from precint.ore import default_anchor
 from precint.valuation import detect_orbits
 from precint.verify import (
     _UNIT_SHIFTS,
     _below,
-    _field_product,
     _fresh_solution_table,
     _lazy_order,
     _least_window,
@@ -454,7 +454,6 @@ def _reference_violations(modulus, basis, point, samples, seed, draws=None):
     unit_dens = {c: (galois_norm_uniformizer(point.shifted(c)).shift(z),)
                  for c in (1, -1, 2)}
     unit_dens[0] = ()
-    mul = convolve if point.is_rational else _field_product
     rng = random.Random(seed)
     out = []
     for s in range(samples):
@@ -473,7 +472,7 @@ def _reference_violations(modulus, basis, point, samples, seed, draws=None):
         if draws is not None:
             draws.append((exponents, tuple(units)))
         value = min(_lazy_order([_times(c, row[j])
-                                 for c, row in zip(coords, row_terms)], mul)
+                                 for c, row in zip(coords, row_terms)])
                     for j in range(r))
         claimed = all(e >= 0 for e in exponents)
         if (value >= 0) != claimed:
@@ -784,3 +783,43 @@ def test_verify_passes_at_every_point_of_a_cubic_orbit(seed, monkeypatch, capsys
         assert all(c["ok"] for c in report["module_checks"]), (text, n)
         assert report["passed"]
     assert "combine" in kinds, text
+
+
+# -- global bases against the benchmark's sympy-only check ------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_global_bases_of_random_operators_pass_the_sympy_check(monkeypatch, capsys):
+    """`global-basis` on five seeded operators of each order 1-4, every orbit
+    bounded at its right edge, checked by `bench/sympycheck.py`, which reads
+    the text output back with sympy and shares no arithmetic with precint:
+    each basis integral and maximal at every point of the expected worklist,
+    and the reported points that worklist.  Texts and keys can begin with
+    '-', so the options take the `--opt=value` form.  Enough bases are not
+    the standard one, and some orbit is quadratic, that trivial cases alone
+    cannot pass."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from sympycheck import check_global_basis
+
+    non_standard, degrees = 0, set()
+    for k in range(1, 5):
+        spec = RandomOperatorSpec(order=k, coeff_degree=2, height=3, seed=k)
+        standard = [[{"num": str(int(i == j)), "den": "1"} for j in range(k)]
+                    for i in range(k)]
+        for operator in random_operators(spec, 5):
+            operator = operator.normalized()
+            text = operator_str(operator)
+            bounds = {}
+            for orbit in detect_orbits(operator):
+                bounds[orbit.orbit_key()] = OrbitAnalysis.analyze(operator, orbit).right_edge()
+                degrees.add(orbit.degree)
+            argv = ["global-basis", f"--operator={text}", "--format", "json"]
+            argv += [f"--right-bound={key}={edge}" for key, edge in bounds.items()]
+            code = cli.main(argv)
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 0, argv
+            assert check_global_basis(text, bounds, payload) == [], argv
+            non_standard += payload["basis"] != standard
+    assert non_standard >= 10
+    assert 2 in degrees
