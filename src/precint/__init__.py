@@ -22,7 +22,6 @@ from .fields import (
     factor,
     galois_norm_uniformizer,
     galois_trace_sum,
-    integer_shift,
     is_irreducible,
     nu_at_factor,
     nu_infinity,
@@ -64,8 +63,8 @@ from .exprs import (
     operator_str,
     parse_element,
     parse_operator,
+    parse_orbit,
     parse_point,
-    parse_poly,
     poly_str,
     rf_str,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "galois_norm_uniformizer",
     "galois_trace_sum",
     "global_integral_basis",
-    "integer_shift",
     "is_irreducible",
     "local_integral_basis",
     "module_equal_at",
@@ -115,8 +113,8 @@ __all__ = [
     "operator_str",
     "parse_element",
     "parse_operator",
+    "parse_orbit",
     "parse_point",
-    "parse_poly",
     "poly_str",
     "q_series",
     "random_operator",

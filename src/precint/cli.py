@@ -23,7 +23,7 @@ from .exprs import (
     operator_str,
     parse_element,
     parse_operator,
-    parse_orbit_key,
+    parse_orbit,
     parse_point,
     poly_str,
     rf_str,
@@ -76,7 +76,7 @@ def _parse_bounds(pairs: Optional[List[str]]) -> ZSpec:
             bound = int(value)
         except ValueError:
             raise ParseError("right bound must be an integer", pair, len(key) + 1)
-        orbit = parse_orbit_key(key)
+        orbit = parse_orbit(key).orbit_key()
         if orbit in bounds:
             raise PrecintError(f"orbit {orbit} has two right bounds, "
                                f"{orbit}={bounds[orbit]} and {pair}")
@@ -110,7 +110,7 @@ def _local_basis(space: ShiftSpace, point: AlgebraicPoint) -> BasisMatrix:
 
 def _cmd_solutions(args) -> int:
     operator = _modulus(args)
-    orbit = parse_point(args.orbit).orbit()
+    orbit = parse_orbit(args.orbit)
     start, stop = args.start, args.stop
     if start > stop:
         raise PrecintError("--from must not exceed --to")
@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solutions", help="print a table of anchored solutions")
     add_common(p)
     p.add_argument("--orbit", required=True,
-                   help="a point of the orbit, e.g. '0' or 'root(x^2-2)'")
+                   help="the orbit: 'Z', its polynomial or one of its points, "
+                        "e.g. '0', 'x^2-2' or 'root(x^2-2)+1'")
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--anchor", type=int, default=None,

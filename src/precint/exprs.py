@@ -12,10 +12,13 @@ the 4300 digits the tokenizer accepts).
 
 A point is a constant expression or `root(<poly>)` with an optional
 integer offset, read on the same token stream as an operator, so an error
-names its position in the whole text.  An orbit is named by `Z`, its
-minimal polynomial or one of its points; the name does not set the order
-in which a global run processes orbits, which is by descending degree
-(`valuation.detect_orbits`).
+names its position in the whole text.  An orbit is named by `Z`, by a
+nonconstant irreducible polynomial (the orbit of its roots) or by any of
+its points, so `0`, `x+7` and `root(x-3)-3` all name `Z`, and
+`root(x^2-2*x-1)` names the orbit of `x^2-2`: `parse_orbit` reads every
+name to the orbit point that `AlgebraicPoint`'s normalization gives.  The
+name does not set the order in which a global run processes orbits, which
+is by descending degree (`valuation.detect_orbits`).
 """
 
 from __future__ import annotations
@@ -347,15 +350,6 @@ def parse_element(text: str, order: int) -> QuotientElement:
     return QuotientElement(tuple(coords))
 
 
-def parse_poly(text: str) -> Poly:
-    """Parse a plain polynomial in x."""
-    op = _OperatorParser(text, allow_shift=False).parse()
-    f = op.coeffs[0] if op.coeffs else RationalFunction.zero()
-    if f.den != Poly.one():
-        raise ParseError("expected a polynomial, not a quotient", text, 0)
-    return f.num
-
-
 def parse_point(text: str) -> AlgebraicPoint:
     """Parse a point: ``root(<poly>)`` plus an optional integer offset, or a
     constant expression such as ``-3/4`` or ``(1+1)/3``.  Both are read on
@@ -394,15 +388,24 @@ def parse_point(text: str) -> AlgebraicPoint:
     return AlgebraicPoint(poly, offset)
 
 
-def parse_orbit_key(text: str) -> str:
-    """Normalize a user-facing orbit name ("Z", a polynomial, or root(...))
-    to the canonical orbit key."""
-    text = text.strip()
-    if text == "Z":
-        return "Z"
-    if text.startswith("root"):
-        return parse_point(text).orbit_key()
-    poly = parse_poly(text).monic()
-    if not is_irreducible(poly):
-        raise ParseError("orbit key must be an irreducible polynomial", text, 0)
-    return AlgebraicPoint(poly, 0).orbit_key()
+def parse_orbit(text: str) -> AlgebraicPoint:
+    """Parse the name of an orbit rho + Z and return the orbit, its point
+    of offset 0.  The name is ``Z``, a nonconstant irreducible polynomial
+    (the orbit of its roots) or a point of the orbit as `parse_point`
+    reads it; `AlgebraicPoint` normalizes each, so every name of one orbit
+    gives the same point."""
+    if text.strip() == "Z":
+        return AlgebraicPoint.from_rational(0)
+    parser = _OperatorParser(text, allow_shift=False)
+    kind, value, _ = parser.tokens.peek()
+    if not (kind == "name" and value == "root"):
+        op = parser.parse()
+        f = op.coeffs[0] if op.coeffs else RationalFunction.zero()
+        if f.den != Poly.one():
+            raise ParseError("expected a polynomial, not a quotient", text, 0)
+        if f.num.degree > 0:
+            poly = f.num.monic()
+            if not is_irreducible(poly):
+                raise ParseError("orbit key must be an irreducible polynomial", text, 0)
+            return AlgebraicPoint(poly, 0).orbit()
+    return parse_point(text).orbit()

@@ -1117,7 +1117,7 @@ def nu_infinity(f: RationalFunction) -> Valuation:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over Q (Zassenhaus on the int numerators) and shift equivalence
+# Factorization over Q (Zassenhaus on the int numerators)
 # ---------------------------------------------------------------------------
 
 
@@ -1159,25 +1159,6 @@ def is_irreducible(p: Poly) -> bool:
     return len(facs) == 1 and facs[0][1] == 1
 
 
-def integer_shift(p: Poly, s: Poly) -> Optional[int]:
-    """The integer n with s(X) = p(X - n), or None.
-
-    Both arguments are expected monic irreducible; the candidate n is read
-    off the subleading coefficients and then verified exactly.
-    """
-    if p.degree != s.degree or p.degree < 1:
-        return None
-    k = p.degree
-    diff = p[k - 1] - s[k - 1]
-    n = diff / k
-    if n.denominator != 1:
-        return None
-    n = int(n)
-    if p.shift(-n) == s:
-        return n
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Algebraic points and orbits
 # ---------------------------------------------------------------------------
@@ -1185,7 +1166,13 @@ def integer_shift(p: Poly, s: Poly) -> Optional[int]:
 
 def _orbit_normalize(min_poly: Poly) -> tuple:
     """Shift a monic irreducible polynomial so the mean of its roots lands
-    in [0, 1); returns (normalized polynomial, applied shift)."""
+    in [0, 1); returns (normalized polynomial, applied shift).
+
+    This is the one identity of an orbit: the roots of two such polynomials
+    lie in one orbit rho + Z exactly when their normal forms agree, and the
+    shift is then the offset of the roots from rho.  `AlgebraicPoint` names
+    points and orbits by it, and `ore.root_offsets` finds a coefficient's
+    roots on an orbit by it."""
     d = min_poly.degree
     mean = -min_poly[d - 1] / d
     s = math.floor(mean)

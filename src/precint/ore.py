@@ -25,8 +25,8 @@ from .fields import (
     Poly,
     RationalFunction,
     Valuation,
+    _orbit_normalize,
     factor,
-    integer_shift,
     poly_gcd,
     power,
 )
@@ -305,21 +305,25 @@ def reduce_mod(a: OreOperator, modulus: OreOperator) -> QuotientElement:
 
 
 def root_offsets(p: Poly, orbit: AlgebraicPoint) -> Tuple[int, ...]:
-    """Integer offsets n with p(rho + n) = 0, for rho the orbit root."""
+    """Integer offsets n with p(rho + n) = 0, for rho the orbit root: the
+    shifts of the factors of p whose normal form is the orbit's minimal
+    polynomial, the rule by which `AlgebraicPoint` names a point."""
     if p.degree < 1:
         return ()
-    rep = orbit.min_poly
     offs = []
     for fac, _ in factor(p):
-        n = integer_shift(rep, fac)
-        if n is not None:
-            offs.append(n)
+        # a factor of another degree has its roots on another orbit
+        if fac.degree == orbit.degree:
+            normal, shift = _orbit_normalize(fac)
+            if normal == orbit.min_poly:
+                offs.append(shift)
     return tuple(sorted(offs))
 
 
 def default_anchor(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
     """The leftmost offset at which the trailing or leading coefficient
-    vanishes on the orbit; 0 when neither vanishes anywhere on it.
+    vanishes on the orbit; 0 when neither vanishes anywhere on it.  This is
+    also the orbit's left edge (`valuation.OrbitAnalysis.left_edge`).
 
     From this offset leftward every extension step divides by a q-unit, so
     the identity window propagates with q-valuation exactly zero and the

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import MissingRightBoundError, PrecintError
-from .fields import INFINITY, AlgebraicPoint, Valuation
+from .fields import INFINITY, AlgebraicPoint, Valuation, factor
 from .ore import (
     OreOperator,
     QuotientElement,
@@ -55,6 +55,7 @@ class OrbitAnalysis:
     singular_right: Tuple[int, ...]
     basis: SolutionBasis
     growths: Tuple[int, ...]
+    leftmost_root: Optional[int]
 
     @staticmethod
     def analyze(modulus: OreOperator, orbit: AlgebraicPoint,
@@ -71,16 +72,17 @@ class OrbitAnalysis:
         orbit = orbit.orbit()
         left, right = singular_points(modulus, orbit)
         default = default_anchor(modulus, orbit)
+        leftmost = default if left or right else None
         if anchor is None:
             anchor = default
-        elif anchor > default:
+        elif leftmost is not None and anchor > leftmost:
             raise PrecintError(
                 f"anchor {anchor} is right of the default {default}; the value "
                 "function requires an anchor left of every coefficient root"
             )
         basis = SolutionBasis(modulus, orbit, anchor)
         growths = _compute_growths(basis, left, right)
-        return OrbitAnalysis(modulus, orbit, left, right, basis, growths)
+        return OrbitAnalysis(modulus, orbit, left, right, basis, growths, leftmost)
 
     @property
     def order(self) -> int:
@@ -92,10 +94,9 @@ class OrbitAnalysis:
 
     def left_edge(self) -> Optional[int]:
         """Leftmost offset at which the standard basis could fail to be a
-        local integral basis: the first root of either extreme coefficient."""
-        r = self.order
-        candidates = list(self.singular_left) + [n - r for n in self.singular_right]
-        return min(candidates) if candidates else None
+        local integral basis: the first root of either extreme coefficient
+        (`default_anchor`), or None on an orbit with no root."""
+        return self.leftmost_root
 
     def right_edge(self) -> Optional[int]:
         candidates = list(self.singular_left) + list(self.singular_right)
@@ -164,18 +165,10 @@ def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
     point of an earlier one (at `root(x^2-2)+1`, N' = 2x - 2 vanishes at
     the integer 1)."""
     ell = modulus.polynomial_coeffs()
-    from .fields import factor
-
-    seen = {}
-    for poly in (ell[0], ell[-1]):
-        if poly.degree < 1:
-            continue
-        for fac, _ in factor(poly):
-            orbit = AlgebraicPoint(fac, 0).orbit()
-            seen[orbit.min_poly.coeffs] = orbit
-    orbits = list(seen.values())
-    orbits.sort(key=lambda o: (-o.min_poly.degree, o.min_poly.coeffs))
-    return tuple(orbits)
+    orbits = {AlgebraicPoint(fac, 0).orbit()
+              for poly in (ell[0], ell[-1]) if poly.degree >= 1
+              for fac, _ in factor(poly)}
+    return tuple(sorted(orbits, key=lambda o: (-o.degree, o.min_poly.coeffs)))
 
 
 def worklist_points(analysis: OrbitAnalysis, zspec: ZSpec) -> List[int]:

@@ -17,6 +17,7 @@ from precint import (
     Poly,
     parse_element,
     parse_operator,
+    parse_orbit,
     parse_point,
     element_str,
     operator_str,
@@ -323,6 +324,56 @@ def test_every_point_option_reads_root_on_one_grammar(capsys, operator, argv,
                              "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)[key] == named
+
+
+@pytest.mark.parametrize("operator, bound, keys", [
+    ("x + S", 3, ["Z", "x", "0", "root(x)", "root(x-3)-3", "-3", "x+7"]),
+    ("(2*x-1) + S", 2, ["1/2", "root(2*x-1)", "2*x-1", "-1/2+x", "5/2"]),
+    ("x^2 - 2 + S^2", 1, ["x^2-2", "root(x^2-2)+1", "root(x^2-2*x-1)",
+                          "x^2-2*x-1", "-2+x^2"]),
+])
+def test_every_name_of_an_orbit_keys_the_same_right_bound(capsys, operator,
+                                                          bound, keys):
+    """An orbit is named by Z, its polynomial or any of its points; each
+    name counts the bound from the orbit's root, not from the point named."""
+    assert len({parse_orbit(key) for key in keys}) == 1
+    outputs = set()
+    for key in keys:
+        code, out, err = run_cli(capsys, "global-basis", f"--operator={operator}",
+                                 f"--right-bound={key}={bound}", "--format", "json")
+        assert (code, err) == (0, ""), key
+        outputs.add(out)
+    assert len(outputs) == 1
+    basis = json.loads(outputs.pop())["basis"]
+    assert any(c["den"] != "1" for row in basis for c in row)
+
+
+@pytest.mark.parametrize("names", [
+    ["x^2-2", "root(x^2-2)", "root(x^2-2*x-1)-1", "2*x^2-4"],
+    ["0", "x", "Z", "x+7", "root(x-3)"],
+])
+def test_every_name_of_an_orbit_gives_the_same_solution_table(capsys, names):
+    outputs = set()
+    for name in names:
+        code, out, err = run_cli(capsys, "solutions", "--operator", "x^2 - 2 + S^2",
+                                 f"--orbit={name}", "--from", "-1", "--to", "2")
+        assert (code, err) == (0, ""), name
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("key, message", [
+    ("x^2", "orbit key must be an irreducible polynomial (at position 0: 'x^2')"),
+    ("1/x", "expected a polynomial, not a quotient (at position 0: '1/x')"),
+])
+@pytest.mark.parametrize("option", ["--right-bound", "--orbit"])
+def test_a_name_that_is_no_orbit_is_refused(capsys, key, message, option):
+    if option == "--orbit":
+        argv = ["solutions", "--orbit", key, "--from", "0", "--to", "1"]
+    else:
+        argv = ["global-basis", "--right-bound", f"{key}=1"]
+    code, out, err = run_cli(capsys, *argv, "--operator", "x + S")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 IRREDUCIBLE = [(-2, 0, 1), (-30, 0, 1), (1, 0, 1), (-1, -2, 1),

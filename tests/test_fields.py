@@ -1,5 +1,5 @@
 """Field tower: polynomials, rational functions, valuations, factorization,
-shift equivalence, number fields, and Galois sums."""
+orbit offsets, number fields, and Galois sums."""
 
 from __future__ import annotations
 
@@ -17,11 +17,11 @@ from precint import (
     factor,
     galois_norm_uniformizer,
     galois_trace_sum,
-    integer_shift,
     is_irreducible,
     nu_at_factor,
     nu_infinity,
 )
+from precint.ore import root_offsets
 from conftest import coeff, op, random_rf
 
 X = Poly.x()
@@ -168,33 +168,29 @@ def test_factor_reconstructs_and_factors_are_irreducible(seed):
         assert product * p.leading == p
 
 
-# -- shift equivalence -------------------------------------------------------
-
-
-def test_integer_shift_examples():
-    assert integer_shift(Poly([1, 1]), Poly([-2, 1])) == 3
-    assert integer_shift(Poly([1, 1]), Poly([1, 1])) == 0
-    assert integer_shift(Poly([-2, 0, 1]), Poly([-3, 0, 1])) is None
-
-
-def test_integer_shift_rejects_fractional_candidates():
-    # roots differ by 1/2, the subleading comparison sees it
-    assert integer_shift(Poly([0, 1]), Poly([Fraction(-1, 2), 1])) is None
+# -- orbit offsets -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [31, 32])
-def test_integer_shift_roundtrip(seed):
+def test_root_offsets_of_a_shifted_factor(seed):
+    """A factor p(x - n) times a factor of the same degree on another orbit
+    has exactly one root on the orbit of p, at n right of the roots of p.
+    The other factor has none, also when its root differs from p's by a
+    fraction (x - 1/2 against an integer orbit)."""
     rng = random.Random(seed)
-    basis_polys = [
-        Poly([Fraction(rng.randint(-5, 5)), 1]),
-        Poly([-2, 0, 1]),
-        Poly([1, 1, 1]),  # x^2 + x + 1, irreducible
-        Poly([3, -1, 0, 1]),
+    cases = [
+        (Poly([Fraction(rng.randint(-5, 5)), 1]), Poly([Fraction(-1, 2), 1])),
+        (Poly([-2, 0, 1]), Poly([-3, 0, 1])),
+        (Poly([1, 1, 1]), Poly([-2, 0, 1])),  # x^2 + x + 1, irreducible
+        (Poly([3, -1, 0, 1]), Poly([-2, 0, 0, 1])),
     ]
-    for p in basis_polys:
-        for _ in range(10):
-            n = rng.randint(-20, 20)
-            assert integer_shift(p, p.shift(-n)) == n
+    for p, other in cases:
+        orbit = AlgebraicPoint(p, 0).orbit()
+        (s,) = root_offsets(p, orbit)
+        assert orbit.min_poly.shift(-s) == p
+        assert root_offsets(other, orbit) == ()
+        for n in [0] + [rng.randint(-20, 20) for _ in range(10)]:
+            assert root_offsets(p.shift(-n) * other, orbit) == (s + n,)
 
 
 # -- number fields -----------------------------------------------------------

@@ -4,7 +4,8 @@ non-zero exit, and never a traceback, within a second.  Three derandomized
 hypothesis runs with fixed budgets of examples, on small inputs so that they
 stay cheap: points root(p) + k for monic, non-monic, non-integral and
 reducible p; token soup in every expression argument; and seeded random
-operators with right bounds for their own orbits."""
+operators with right bounds for their own orbits, each orbit name also
+drawn as a point or a polynomial."""
 
 from __future__ import annotations
 
@@ -105,14 +106,18 @@ def soup():
 
 def _operator_arguments(draw, command, operator, keys):
     """The arguments after --operator: --format, then the command's own,
-    with every expression drawn from `keys` (orbit keys for --right-bound),
-    from a few valid points or from token soup."""
-    point = st.one_of(st.sampled_from(["0", "1", "-2", "root(x^2-2)+1"]), soup())
+    with every expression drawn from a few valid points or from token soup,
+    and every orbit name (--orbit, the keys of --right-bound) also from
+    `keys` (the operator's orbit keys) and from polynomials."""
+    points = ["0", "1", "-2", "root(x^2-2)+1"]
+    point = st.one_of(st.sampled_from(points), soup())
+    orbit = st.one_of(st.sampled_from(keys),
+                      st.sampled_from(points + ["x^2-2", "x+7"]), soup())
     argv = [command, f"--operator={operator}",
             "--format", draw(st.sampled_from(["text", "json"]))]
     if command == "solutions":
         start = draw(st.integers(-3, 3))
-        argv += [f"--orbit={draw(point)}", "--from", str(start),
+        argv += [f"--orbit={draw(orbit)}", "--from", str(start),
                  "--to", str(start + draw(st.integers(-1, 3)))]
     elif command == "val":
         element = st.one_of(st.sampled_from(["1", "S", "x*S", "1/x"]), soup())
@@ -125,8 +130,7 @@ def _operator_arguments(draw, command, operator, keys):
         if command == "verify" and draw(st.booleans()):
             argv += [f"--at={draw(point)}"]
         else:
-            for key in draw(st.lists(st.one_of(st.sampled_from(keys), soup()),
-                                     max_size=2)):
+            for key in draw(st.lists(orbit, max_size=2)):
                 argv += [f"--right-bound={key}={draw(st.integers(-2, 4))}"]
     return argv
 

@@ -174,6 +174,20 @@ def test_readme_library_example_runs_as_written():
     assert rows == json.loads((GOLDEN / "cubic-Z0.json").read_text())["basis"]
 
 
+def test_all_lists_every_public_name_once():
+    """`precint.__all__` holds each name once, and exactly the public names
+    of the package other than its modules, so each entry resolves and an
+    export that goes leaves no stale entry."""
+    import types
+
+    import precint
+
+    assert len(set(precint.__all__)) == len(precint.__all__)
+    public = {name for name, value in vars(precint).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(precint.__all__)
+
+
 # every routine of the packed number-field kernel, under each name it is
 # called by
 PACKED_ROUTINES = [

@@ -10,6 +10,8 @@ runs of the main path instead:
   basis of L with bound R, each coordinate with x -> x + c;
 - the point's presentation: two names of the same conjugate class give the
   same local basis, byte for byte;
+- the orbit's name: any name of each orbit in `--right-bound` gives the
+  same global basis, byte for byte;
 - the constant gauge: if a(n) solves L then c^n a(n) solves
   L_c = sum l_i c^(-i) S^i, so the basis of L_c generates, at every point,
   the module of the basis of L with coordinate i scaled by c^(-i).
@@ -23,14 +25,20 @@ import pytest
 
 from precint import (
     BasisMatrix,
+    OrbitAnalysis,
     OreOperator,
     QuotientElement,
+    RandomOperatorSpec,
     ZSpec,
     cli,
     global_integral_basis,
     module_equal_at,
+    operator_str,
+    poly_str,
+    random_operators,
 )
-from precint.exprs import parse_orbit_key
+from precint.exprs import parse_orbit
+from precint.valuation import detect_orbits
 from conftest import CUBIC, op
 
 ALG_QUARTIC = "(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2"
@@ -50,7 +58,7 @@ def test_global_basis_is_covariant_under_an_integer_shift(text, key, bound):
     """B(L(x + c), R - c) = B(L, R)(x + c) row by row, for shifts of both
     signs, on an integer orbit and on orbits of degree 2 and 3."""
     modulus = op(text)
-    key = parse_orbit_key(key)
+    key = parse_orbit(key).orbit_key()
     basis = global_integral_basis(modulus, ZSpec({key: bound})).basis
     assert basis.rows != BasisMatrix.standard(modulus.order).rows
     for c in (-3, -1, 1, 2, 5):
@@ -58,6 +66,42 @@ def test_global_basis_is_covariant_under_an_integer_shift(text, key, bound):
         moved = global_integral_basis(shifted, ZSpec({key: bound - c})).basis
         expected = [[f.shift(c) for f in row.coords] for row in basis.rows]
         assert [list(row.coords) for row in moved.rows] == expected, c
+
+
+def _orbit_names(orbit):
+    """Four names of one orbit: its key, the root of its polynomial, the
+    root of that polynomial shifted by 3 and moved back, and its point at
+    offset 0, a number on a rational orbit."""
+    def poly(shift):
+        return poly_str(orbit.min_poly.shift(-shift), "x", compact=True)
+
+    return [orbit.orbit_key(), f"root({poly(0)})", f"root({poly(3)})-3", str(orbit)]
+
+
+def test_global_basis_does_not_depend_on_the_orbit_name(capsys):
+    """On the twenty seeded operators of orders 1-4 that the sympy check
+    runs, every orbit bounded at its right edge: each way of naming the
+    orbits gives the same output, byte for byte."""
+    degrees = set()
+    for k in range(1, 5):
+        spec = RandomOperatorSpec(order=k, coeff_degree=2, height=3, seed=k)
+        for operator in random_operators(spec, 5):
+            operator = operator.normalized()
+            text = operator_str(operator)
+            orbits = detect_orbits(operator)
+            edges = [OrbitAnalysis.analyze(operator, o).right_edge() for o in orbits]
+            spellings = {tuple(_orbit_names(o)[i] for o in orbits) for i in range(4)}
+            outputs = set()
+            for keys in spellings:
+                argv = ["global-basis", f"--operator={text}", "--format", "json"]
+                argv += [f"--right-bound={key}={edge}" for key, edge in zip(keys, edges)]
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.err) == (0, ""), argv
+                outputs.add(captured.out)
+            assert len(outputs) == 1, text
+            degrees.update(o.degree for o in orbits)
+    assert degrees == {1, 2}
 
 
 @pytest.mark.parametrize("text, first, second", [
@@ -84,7 +128,7 @@ def _gauged(modulus: OreOperator, c: Fraction) -> OreOperator:
 
 
 def _assert_gauge_covariance(modulus, gauged, c, key, bound):
-    zspec = ZSpec({parse_orbit_key(key): bound})
+    zspec = ZSpec({parse_orbit(key).orbit_key(): bound})
     run = global_integral_basis(modulus, zspec)
     moved = global_integral_basis(gauged, zspec)
     mapped = BasisMatrix(tuple(

@@ -101,6 +101,14 @@ def test_anchor_override_must_stay_left_of_default(cubic, orbit_z):
         OrbitAnalysis.analyze(cubic, orbit_z, anchor=0)
 
 
+def test_any_anchor_is_accepted_on_an_orbit_without_roots(orbit_z):
+    """S^2 - 1 has no coefficient root on Z, so no anchor lies right of
+    one; the left edge is None, not the default anchor 0."""
+    analysis = OrbitAnalysis.analyze(op("S^2 - 1"), orbit_z, anchor=3)
+    assert (analysis.basis.anchor, analysis.growths) == (3, (0, 0))
+    assert analysis.left_edge() is None and analysis.right_edge() is None
+
+
 @pytest.mark.parametrize("operator_text,points", [
     ("(x+2)^2 + x*S^2 + (x+2)*S^3", (-2, -1, 0, 1, 2)),
     ("1 + x*S", (-1, 0, 1, 2)),
