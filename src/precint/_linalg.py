@@ -8,11 +8,14 @@ serves both routines.  Over q-series the pivot of a column is an entry of
 least valuation among those whose leading term is known; entries that are
 zero only to working precision are carried through the row updates, and a
 column in which no entry has a known leading term, but not every entry is
-exactly zero, raises PrecisionLoss.
+exactly zero, raises PrecisionLoss.  `cofactors` expands along one row
+instead, for a determinant whose other rows stay fixed while that row
+changes.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .fields import INFINITY, Valuation
@@ -72,6 +75,37 @@ def _eliminate(rows: List[List], ncols: int) -> Tuple[List[int], List[int]]:
         pivots.append(col)
         scaled.append(count)
     return pivots, scaled
+
+
+def cofactors(fixed: Sequence[Sequence], d: int) -> List:
+    """The signed cofactors C_j of row d of an n x n matrix whose other
+    rows are `fixed`, in order: its determinant is sum_j a_j * C_j for
+    whatever row a stands at position d.
+
+    Laplace expansion along each fixed row in turn, over column subsets,
+    so each minor is formed once: the k x k minors of the first k fixed
+    rows cost k products per column subset, 70 products in all at n = 5.
+    Only +, -, * and unary - are used."""
+    n = len(fixed) + 1
+    minors = {(j,): fixed[0][j] for j in range(n)}
+    for k in range(1, n - 1):
+        row = fixed[k]
+        grown = {}
+        for cols in combinations(range(n), k + 1):
+            acc = None
+            for i, j in enumerate(cols):
+                term = row[j] * minors[cols[:i] + cols[i + 1:]]
+                if (k + i) % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            grown[cols] = acc
+        minors = grown
+    everything = tuple(range(n))
+    out = []
+    for j in range(n):
+        minor = minors[everything[:j] + everything[j + 1:]]
+        out.append(-minor if (d + j) % 2 else minor)
+    return out
 
 
 def solve_with_free_zero(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[List]:

@@ -28,7 +28,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParseError
-from .fields import AlgebraicPoint, NFElem, Poly, RationalFunction, is_irreducible
+from .fields import (
+    MAX_FIELD_DEGREE,
+    AlgebraicPoint,
+    NFElem,
+    Poly,
+    RationalFunction,
+    is_irreducible,
+)
 from .ore import OreOperator, QuotientElement
 
 # ---------------------------------------------------------------------------
@@ -353,7 +360,9 @@ def parse_element(text: str, order: int) -> QuotientElement:
 def parse_point(text: str) -> AlgebraicPoint:
     """Parse a point: ``root(<poly>)`` plus an optional integer offset, or a
     constant expression such as ``-3/4`` or ``(1+1)/3``.  Both are read on
-    one token stream, so an error names its position in the whole text."""
+    one token stream, so an error names its position in the whole text.
+    A polynomial above `MAX_FIELD_DEGREE` is refused by its degree alone,
+    reducible or not, before any factoring."""
     parser = _OperatorParser(text, allow_shift=False)
     tokens = parser.tokens
     kind, value, pos = tokens.peek()
@@ -372,7 +381,7 @@ def parse_point(text: str) -> AlgebraicPoint:
     if f.den != Poly.one():
         raise ParseError("expected a polynomial, not a quotient", text, inner_at)
     poly = f.num.monic()
-    if not is_irreducible(poly):
+    if poly.degree <= MAX_FIELD_DEGREE and not is_irreducible(poly):
         raise ParseError("root() requires an irreducible polynomial", text, pos)
     offset = 0
     kind, sym, _ = tokens.peek()
@@ -393,7 +402,8 @@ def parse_orbit(text: str) -> AlgebraicPoint:
     of offset 0.  The name is ``Z``, a nonconstant irreducible polynomial
     (the orbit of its roots) or a point of the orbit as `parse_point`
     reads it; `AlgebraicPoint` normalizes each, so every name of one orbit
-    gives the same point."""
+    gives the same point.  A polynomial above `MAX_FIELD_DEGREE` is refused
+    by its degree alone, as in `parse_point`."""
     if text.strip() == "Z":
         return AlgebraicPoint.from_rational(0)
     parser = _OperatorParser(text, allow_shift=False)
@@ -405,7 +415,7 @@ def parse_orbit(text: str) -> AlgebraicPoint:
             raise ParseError("expected a polynomial, not a quotient", text, 0)
         if f.num.degree > 0:
             poly = f.num.monic()
-            if not is_irreducible(poly):
+            if poly.degree <= MAX_FIELD_DEGREE and not is_irreducible(poly):
                 raise ParseError("orbit key must be an irreducible polynomial", text, 0)
             return AlgebraicPoint(poly, 0).orbit()
     return parse_point(text).orbit()

@@ -16,6 +16,11 @@ rescaled by the minimal polynomial of z (not x - z) and recombined with
 traces of alpha/(x - z), so output coordinates stay in Q(x) even when z is
 algebraic.  At a rational z the trace is the identity, and a combine divides
 the combination that `_find_alpha` built by x - z.
+
+The discriminant that bounds and checks the loop costs one elimination per
+point.  Each update changes one row, so ShiftSpace reads the next one as
+sum_j a_dj * C_j along that row: the cofactors C_j of the fixed rows are
+built once per changed row, and an update costs r products.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .fields import (
     nu_at_factor,
 )
 from .ore import OreOperator, QuotientElement, apply_element_all
-from .qvalues import nu_q
+from .qvalues import ZERO, nu_q
 from .valuation import OrbitAnalysis, ZSpec, detect_orbits, val_at, worklist_points
 
 _CAP_MARGIN = 4
@@ -126,6 +131,8 @@ class ShiftSpace:
 
     def __init__(self, analysis: OrbitAnalysis):
         self.analysis = analysis
+        self._last: Optional[Tuple[int, Tuple[QuotientElement, ...]]] = None
+        self._cofactors: Optional[Tuple[tuple, List]] = None
 
     @property
     def dimension(self) -> int:
@@ -151,15 +158,51 @@ class ShiftSpace:
 
     def discriminant(self, rows: Sequence[QuotientElement],
                      point: AlgebraicPoint) -> int:
-        """q-valuation of the determinant of the solution-evaluation matrix,
-        read from the pivots of its elimination over q-series; a determinant
-        that is exactly zero means the rows are dependent."""
+        """q-valuation of the determinant of the solution-evaluation matrix;
+        a determinant that is exactly zero means the rows are dependent.
+
+        When exactly one row differs from the previous call's at the same
+        point and the order is 3 to 5, the determinant is
+        sum_j a_dj * C_j, with a_dj the action of the changed row d and
+        C_j the cofactors of the other rows, built once while those rows
+        stay fixed: r products per update.  Otherwise it is read from the
+        pivots of an elimination over q-series: at a point's first call,
+        when several rows changed, at orders 1 and 2, where the elimination
+        is at most one step, and above order 5, which bounds a cofactor
+        build (the minors of r - 1 rows over every column subset)."""
         basis = self.analysis.basis
-        v = basis.with_enough_precision(lambda: _linalg.determinant(
-            [apply_element_all(row, basis, point.offset) for row in rows], nu_q))
+        n = point.offset
+        rows = tuple(rows)
+        last, self._last = self._last, (n, rows)
+        changed = []
+        if last is not None and last[0] == n and 3 <= len(rows) <= 5:
+            changed = [d for d, (a, b) in enumerate(zip(rows, last[1]))
+                       if a is not b]
+        if len(changed) == 1:
+            d = changed[0]
+            v = basis.with_enough_precision(
+                lambda: nu_q(self._expand(rows, d, n)))
+        else:
+            v = basis.with_enough_precision(lambda: _linalg.determinant(
+                [apply_element_all(row, basis, n) for row in rows], nu_q))
         if v is INFINITY:
             raise PrecintError("discriminant of a degenerate basis")
         return v
+
+    def _expand(self, rows: Tuple[QuotientElement, ...], d: int, n: int):
+        """The determinant of the rows' actions at offset n, expanded along
+        row d, with the cofactors of the other rows kept under the key
+        (n, precision, d, other rows); only the current key is held."""
+        basis = self.analysis.basis
+        fixed = rows[:d] + rows[d + 1:]
+        key = (n, basis.precision, d, fixed)
+        if self._cofactors is None or self._cofactors[0] != key:
+            self._cofactors = (key, _linalg.cofactors(
+                [apply_element_all(row, basis, n) for row in fixed], d))
+        det = ZERO
+        for a, c in zip(apply_element_all(rows[d], basis, n), self._cofactors[1]):
+            det = det + a * c
+        return det
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +299,10 @@ def local_integral_basis(space, basis: BasisMatrix,
     The discriminant is carried from one update to the next: each update
     starts from the previous update's result and computes only its own
     result, on the freshly evaluated new row, so a point costs one
-    determinant plus one per update.
+    determinant plus one per update.  In ShiftSpace the point's first is
+    an elimination, and at orders 3 to 5 each update's is an expansion
+    along the changed row: one cofactor build per row that changes, then
+    r products per update.
     """
     rows = list(basis.rows)
     if len(rows) != space.dimension:

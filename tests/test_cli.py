@@ -656,6 +656,36 @@ def test_point_over_the_degree_limit_is_refused_at_once(capsys, monkeypatch, arg
                    "limit of 12 on the degree of a point\n")
 
 
+@pytest.mark.parametrize("name, degree, shown", [
+    ("x^100-x-1", 100, "-1 - x + x^100"),
+    ("x^97-x^50+3", 97, "3 - x^50 + x^97"),
+])
+@pytest.mark.parametrize("option", ["--right-bound", "--at", "--orbit"])
+def test_a_long_name_is_refused_by_its_degree_before_factoring(
+        capsys, monkeypatch, name, degree, shown, option):
+    """A named polynomial above MAX_FIELD_DEGREE is refused by its degree
+    alone: exit code 2 in well under 0.05 s, with no factoring."""
+    import time
+
+    from precint import exprs
+
+    def no_factoring(poly):
+        raise AssertionError("a name above the degree limit was factored")
+
+    monkeypatch.setattr(exprs, "is_irreducible", no_factoring)
+    argv = {
+        "--right-bound": ("global-basis", "--right-bound", f"{name}=1"),
+        "--at": ("local-basis", "--at", f"root({name})+1"),
+        "--orbit": ("solutions", "--orbit", name, "--from", "0", "--to", "1"),
+    }[option]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], "--operator", "x + S", *argv[1:])
+    assert time.perf_counter() - start < 0.05
+    assert (code, out) == (2, "")
+    assert err == (f"error: a root of {shown} has degree {degree}, more than "
+                   "the limit of 12 on the degree of a point\n")
+
+
 def test_points_of_degree_twelve_are_accepted():
     """Degree 12, the limit, passes every entry point of the check; a run
     there takes too long for this suite."""

@@ -3,8 +3,11 @@ and the global pass."""
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 
@@ -28,9 +31,11 @@ from precint import (
     nu_at_factor,
     val_at,
 )
-from precint import _linalg
+from precint import _linalg, cli, integral
 from precint.integral import _CAP_MARGIN, _iteration_cap
-from precint.valuation import worklist_points
+from precint.ore import apply_element_all
+from precint.qvalues import nu_q
+from precint.valuation import detect_orbits, worklist_points
 from conftest import el, op, planted_operator, pt
 
 
@@ -111,12 +116,21 @@ def test_output_spans_the_space(cubic, orbit_z):
                                lambda f: nu_at_factor(f, norm)) is not INFINITY
 
 
-def _replay(space, basis, point) -> int:
+def _fresh_discriminant(space, rows, point) -> int:
+    """The discriminant of the rows at the point from one elimination of
+    their actions, with nothing carried over from an earlier call."""
+    basis = space.analysis.basis
+    return basis.with_enough_precision(lambda: _linalg.determinant(
+        [apply_element_all(row, basis, point.offset) for row in rows], nu_q))
+
+
+def _replay(space, basis, point) -> Tuple[int, BasisMatrix]:
     """Runs the local loop at the point, then replays its recorded updates
     from `basis` with the Galois-trace formula sum_i Tr(alpha_i/(x-z)) B_i,
     checking after each step that the coordinate matrix does not
-    degenerate and at the end that the replay lands on the loop's rows;
-    returns the number of combines."""
+    degenerate and that the recorded discriminant is that of a fresh
+    elimination, and at the end that the replay lands on the loop's rows;
+    returns the number of combines and the loop's result."""
     result = local_integral_basis(space, basis, point)
     rows = list(basis.rows)
     norm = RationalFunction(galois_norm_uniformizer(point))
@@ -134,15 +148,16 @@ def _replay(space, basis, point) -> int:
         det = _linalg.determinant([list(r.coords) for r in rows],
                                   lambda f: nu_at_factor(f, norm.num))
         assert det is not INFINITY
+        assert u.disc_after == _fresh_discriminant(space, rows, point)
     assert tuple(rows) == result.rows
-    return sum(u.kind == "combine" for u in updates)
+    return sum(u.kind == "combine" for u in updates), result
 
 
 def test_every_update_preserves_the_span(cubic, orbit_z):
     """Replaying the recorded updates step by step never degenerates the
     coordinate matrix."""
     space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
-    assert _replay(space, BasisMatrix.standard(3), pt("0")) > 0
+    assert _replay(space, BasisMatrix.standard(3), pt("0"))[0] > 0
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -161,8 +176,8 @@ def test_every_update_preserves_the_span_on_random_operators(order):
         assert points
         for n in points:
             point = analysis.orbit.shifted(n)
-            combines += _replay(space, basis, point)
-            basis = local_integral_basis(space, basis, point)
+            count, basis = _replay(space, basis, point)
+            combines += count
     # an order-1 row of value zero has a nonzero residue, so it never combines
     assert (combines > 0) == (order > 1)
 
@@ -171,7 +186,7 @@ def test_every_update_preserves_the_span_at_an_algebraic_point():
     operator = op("(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2")
     point = pt("root(x^2-2)+1")
     space = ShiftSpace(OrbitAnalysis.analyze(operator, pt("root(x^2-2)")))
-    assert _replay(space, BasisMatrix.standard(2), point) > 0
+    assert _replay(space, BasisMatrix.standard(2), point)[0] > 0
 
 
 class _EndlessSpace:
@@ -275,6 +290,141 @@ def test_stale_action_for_an_updated_row_fails_the_drop_check(cubic, orbit_z,
     with pytest.raises(PrecintError, match="expected a drop of exactly 1"):
         local_integral_basis(ShiftSpace(analysis), BasisMatrix.standard(3),
                              pt("0"))
+
+
+# -- the discriminant by expansion along the updated row ---------------------
+
+SPREAD4 = "(x+3)*(x-1) + x*S + S^2 + (x-4)*S^3"
+ORD4 = "(x+2)^2*(x-1) + x*S + (x^2+1)*S^2 + S^3 + (x-3)*S^4"
+ORD5 = "(x+2)^2*(x-1) + x*S + S^2 + S^3 + (x^2+1)*S^4 + (x-3)*S^5"
+ORD6 = "(x+2)*(x-1) + x*S + S^2 + (x+1)*S^3 + S^4 + S^5 + (x-3)*S^6"
+
+
+def _cofactor_builds(monkeypatch) -> List:
+    """Records the result of every `_linalg.cofactors` call from now on."""
+    builds = []
+    real = _linalg.cofactors
+
+    def recorded(fixed, d):
+        builds.append(real(fixed, d))
+        return builds[-1]
+
+    monkeypatch.setattr(_linalg, "cofactors", recorded)
+    return builds
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("(x+2)^2 + x*S^2 + (x+2)*S^3", 4), (SPREAD4, 7), (ORD4, 15), (ORD5, 5),
+])
+def test_every_carried_discriminant_is_a_fresh_elimination(text, bound,
+                                                           monkeypatch):
+    """At orders 3 to 5 an update's discriminant is expanded along the
+    changed row: replaying the global pass point by point, every recorded
+    disc_after equals a fresh elimination of the rows at that step, the
+    replay ends on the basis of `global_integral_basis`, and the cofactors
+    are built once per (point, row) with an update."""
+    builds = _cofactor_builds(monkeypatch)
+    operator = op(text)
+    zspec = ZSpec({"Z": bound})
+    basis = BasisMatrix.standard(operator.order)
+    for orbit in detect_orbits(operator):
+        analysis = OrbitAnalysis.analyze(operator, orbit)
+        space = ShiftSpace(analysis)
+        for n in worklist_points(analysis, zspec):
+            basis = _replay(space, basis, orbit.shifted(n))[1]
+    assert basis.rows == global_integral_basis(operator, zspec).basis.rows
+    rows_updated = {(u.point, u.row) for u in basis.provenance}
+    assert rows_updated
+    # the global run builds as many again as the replayed one
+    assert len(builds) == 2 * len(rows_updated)
+
+
+def test_a_row_changed_again_reads_the_cofactors_of_the_rows_now_fixed(
+        cubic, orbit_z):
+    """Row 3 changed, then rows 1 and 2 together (an elimination), then row
+    3 again: its cofactors are those of the new rows 1 and 2.  Each
+    discriminant is that of a fresh elimination."""
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    point = pt("0")
+    rows = list(BasisMatrix.standard(3).rows)
+    space.discriminant(rows, point)
+    for change in [{2: "x + S^2"}, {0: "1 + x*S", 1: "S/x + x*S^2"},
+                   {2: "1 + S + S^2"}, {1: "x^2*S"}, {2: "S^2/x"}]:
+        for d, text in change.items():
+            rows[d] = el(text, 3)
+        assert space.discriminant(rows, point) == \
+            _fresh_discriminant(space, rows, point), change
+
+
+def test_order_six_stays_on_the_elimination(capsys, monkeypatch):
+    """Above order 5 every discriminant is an elimination, and the basis is
+    the one it was before the expansion existed (SHA-256 of the JSON)."""
+    builds = _cofactor_builds(monkeypatch)
+    code = cli.main(["global-basis", "--operator", ORD6, "--right-bound", "Z=5",
+                     "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95085c67366c05e915a9932dbb5ffeb2aee0af7fa4a6ddb4e65ad0129375f9d6")
+    assert builds == []
+
+
+def test_a_changed_row_in_the_span_of_the_fixed_rows_is_degenerate(
+        cubic, orbit_z, monkeypatch):
+    """At order 3 a changed row that lies in the span of the fixed rows has
+    an exactly zero expansion, proven at bounded precision."""
+    builds = _cofactor_builds(monkeypatch)
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    rows = list(BasisMatrix.standard(3).rows)
+    space.discriminant(rows, pt("0"))
+    rows[2] = el("x + (x+1)*S", 3)
+    start = time.perf_counter()
+    with pytest.raises(PrecintError, match="discriminant of a degenerate basis"):
+        space.discriminant(rows, pt("0"))
+    assert time.perf_counter() - start < 2
+    assert builds
+
+
+def test_a_degenerate_update_ends_the_cli_with_exit_2(capsys, monkeypatch):
+    """A combine that puts the third row in the span of the first two reaches
+    the expansion's zero and ends `local-basis` with exit code 2."""
+    builds = _cofactor_builds(monkeypatch)
+    real = ShiftSpace.find_alpha
+
+    def into_the_span(self, prefix, candidate, point):
+        if len(prefix) == 2:
+            return [Fraction(0), Fraction(0)], prefix[0] + prefix[1]
+        return real(self, prefix, candidate, point)
+
+    monkeypatch.setattr(ShiftSpace, "find_alpha", into_the_span)
+    start = time.perf_counter()
+    code = cli.main(["local-basis", "--operator", "(x+2)^2 + x*S^2 + (x+2)*S^3",
+                     "--at", "0"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: discriminant of a degenerate basis\n"
+    assert builds
+
+
+def test_the_cofactor_store_holds_one_key(monkeypatch):
+    """A whole global run builds the cofactors of many (point, row) pairs,
+    and each orbit's space holds only the last of them."""
+    builds = _cofactor_builds(monkeypatch)
+    spaces = []
+
+    class Recorded(ShiftSpace):
+        def __init__(self, analysis):
+            super().__init__(analysis)
+            spaces.append(self)
+
+    monkeypatch.setattr(integral, "ShiftSpace", Recorded)
+    global_integral_basis(op("(x+2)^2 + x*S^2 + (x+2)*S^3"), ZSpec({"Z": 10}))
+    assert len(builds) > 10
+    assert len(spaces) == 1
+    key, cofactors = spaces[0]._cofactors
+    assert cofactors is builds[-1]
+    assert len(key) == 4 and len(cofactors) == 3
 
 
 # -- find_alpha -----------------------------------------------------------------

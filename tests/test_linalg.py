@@ -78,3 +78,16 @@ def test_solve_with_free_zero_matches_sympy(matrix, data):
     for col, y in enumerate(solution):
         if col not in pivots:
             assert y == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(matrices(square=True).filter(lambda m: len(m) > 1))
+def test_cofactors_expand_the_determinant_along_any_row(matrix):
+    """sum_j a_dj * C_j is the determinant for every row d, with the
+    cofactors built from the other rows alone, singular matrices included."""
+    det = _fraction(_sympy(matrix).det())
+    for d, row in enumerate(matrix):
+        fixed = matrix[:d] + matrix[d + 1:]
+        cofactors = _linalg.cofactors(fixed, d)
+        assert len(cofactors) == len(matrix)
+        assert sum((a * c for a, c in zip(row, cofactors)), Fraction(0)) == det
