@@ -480,6 +480,22 @@ def _squarefree(f: Int) -> List[Tuple[Int, int]]:
     return out
 
 
+def eisenstein(f: Sequence[int]) -> bool:
+    """Whether Eisenstein's criterion at a prime below 100 proves f
+    irreducible over Q: the prime divides every coefficient but the leading
+    one, and its square does not divide the constant one.  It costs no
+    factoring, for a polynomial too large to factor."""
+    *lower, lead = f
+    g = math.gcd(*lower)
+    for q in range(2, 100 if g else 0):
+        if g % q == 0:
+            if lead % q and lower[0] % (q * q):
+                return True
+            while g % q == 0:
+                g //= q
+    return False
+
+
 def factor(f: Sequence[int]) -> List[Tuple[Int, int]]:
     """[(g, multiplicity)]: the irreducible factors over Z of a nonconstant
     f, each primitive with a positive leading coefficient, unordered.

@@ -1202,10 +1202,14 @@ class AlgebraicPoint:
             if min_poly.degree > MAX_FIELD_DEGREE:
                 from .exprs import poly_str
 
+                # a name above the limit is not factored, so the text
+                # speaks of a root's degree only where this proves it
+                name = poly_str(min_poly.monic(), 'x')
+                if _zx.eisenstein(min_poly.nums):
+                    name = f"a root of {name}"
                 raise PrecintError(
-                    f"a root of {poly_str(min_poly.monic(), 'x')} has degree "
-                    f"{min_poly.degree}, more than the limit of {MAX_FIELD_DEGREE} "
-                    f"on the degree of a point")
+                    f"{name} has degree {min_poly.degree}, more than the "
+                    f"limit of {MAX_FIELD_DEGREE} on the degree of a point")
             min_poly = min_poly.monic()
             if not is_irreducible(min_poly):
                 raise ValueError("point requires an irreducible minimal polynomial")

@@ -20,7 +20,8 @@ the combination that `_find_alpha` built by x - z.
 The discriminant that bounds and checks the loop costs one elimination per
 point.  Each update changes one row, so ShiftSpace reads the next one as
 sum_j a_dj * C_j along that row: the cofactors C_j of the fixed rows are
-built once per changed row, and an update costs r products.
+built once per changed row, and an update costs r products (at the orders
+in `_EXPANDED_ORDERS`; elsewhere each update is an elimination).
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ from .qvalues import ZERO, nu_q
 from .valuation import OrbitAnalysis, ZSpec, detect_orbits, val_at, worklist_points
 
 _CAP_MARGIN = 4
+
+# The orders at which ShiftSpace expands an update's discriminant along the
+# changed row.  Measured over every single-row update of global runs, one
+# cofactor build plus k expansions against k eliminations for each row
+# updated k times in a row, the expansion cost 0.27-0.70 of the
+# eliminations at every order from 2 to 10, on all but one sample: order-7
+# operators whose rows each changed once, at 1.29 (CHANGES.md).  A build
+# takes r * 2^(r-1) - 2r products and holds up to C(r, r/2) minors, against
+# (r-1)r(2r-1)/3 products for an elimination, so orders above 10, where
+# nothing was measured, keep the elimination.  Order 1 has no fixed rows.
+# Order 2 keeps it too: `bench/speed.py` fails a workload whose first round
+# ends before its first probe at 20 ms (ROADMAP item 1), and the expansion
+# takes about 0.6 ms off an `algebraic-orbits` round, whose first round
+# read 20.0-20.6 ms on a fast day.
+_EXPANDED_ORDERS = range(3, 11)
 
 
 @dataclass(frozen=True)
@@ -162,20 +178,18 @@ class ShiftSpace:
         a determinant that is exactly zero means the rows are dependent.
 
         When exactly one row differs from the previous call's at the same
-        point and the order is 3 to 5, the determinant is
+        point and the order is in `_EXPANDED_ORDERS`, the determinant is
         sum_j a_dj * C_j, with a_dj the action of the changed row d and
         C_j the cofactors of the other rows, built once while those rows
         stay fixed: r products per update.  Otherwise it is read from the
         pivots of an elimination over q-series: at a point's first call,
-        when several rows changed, at orders 1 and 2, where the elimination
-        is at most one step, and above order 5, which bounds a cofactor
-        build (the minors of r - 1 rows over every column subset)."""
+        when several rows changed, and at the other orders."""
         basis = self.analysis.basis
         n = point.offset
         rows = tuple(rows)
         last, self._last = self._last, (n, rows)
         changed = []
-        if last is not None and last[0] == n and 3 <= len(rows) <= 5:
+        if last is not None and last[0] == n and len(rows) in _EXPANDED_ORDERS:
             changed = [d for d, (a, b) in enumerate(zip(rows, last[1]))
                        if a is not b]
         if len(changed) == 1:
@@ -300,9 +314,9 @@ def local_integral_basis(space, basis: BasisMatrix,
     starts from the previous update's result and computes only its own
     result, on the freshly evaluated new row, so a point costs one
     determinant plus one per update.  In ShiftSpace the point's first is
-    an elimination, and at orders 3 to 5 each update's is an expansion
-    along the changed row: one cofactor build per row that changes, then
-    r products per update.
+    an elimination, and at the orders in `_EXPANDED_ORDERS` each update's
+    is an expansion along the changed row: one cofactor build per row that
+    changes, then r products per update.
     """
     rows = list(basis.rows)
     if len(rows) != space.dimension:

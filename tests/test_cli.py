@@ -659,12 +659,18 @@ def test_point_over_the_degree_limit_is_refused_at_once(capsys, monkeypatch, arg
 @pytest.mark.parametrize("name, degree, shown", [
     ("x^100-x-1", 100, "-1 - x + x^100"),
     ("x^97-x^50+3", 97, "3 - x^50 + x^97"),
+    ("(x^13-3)*(x-1)", 14, "3 - 3*x - x^13 + x^14"),
+    ("x^100-2", 100, "a root of -2 + x^100"),
 ])
 @pytest.mark.parametrize("option", ["--right-bound", "--at", "--orbit"])
 def test_a_long_name_is_refused_by_its_degree_before_factoring(
         capsys, monkeypatch, name, degree, shown, option):
     """A named polynomial above MAX_FIELD_DEGREE is refused by its degree
-    alone: exit code 2 in well under 0.05 s, with no factoring."""
+    alone: exit code 2 in well under 0.05 s, with no factoring.  The text
+    names the degree of a root only where Eisenstein's criterion proves the
+    polynomial irreducible (x^100-2 at 2); a reducible name such as
+    (x^13-3)*(x-1), whose roots have degrees 13 and 1, gets the degree of
+    the polynomial."""
     import time
 
     from precint import exprs
@@ -682,7 +688,7 @@ def test_a_long_name_is_refused_by_its_degree_before_factoring(
     code, out, err = run_cli(capsys, argv[0], "--operator", "x + S", *argv[1:])
     assert time.perf_counter() - start < 0.05
     assert (code, out) == (2, "")
-    assert err == (f"error: a root of {shown} has degree {degree}, more than "
+    assert err == (f"error: {shown} has degree {degree}, more than "
                    "the limit of 12 on the degree of a point\n")
 
 

@@ -193,6 +193,25 @@ def test_root_offsets_of_a_shifted_factor(seed):
             assert root_offsets(p.shift(-n) * other, orbit) == (s + n,)
 
 
+@pytest.mark.parametrize("nums, proven", [
+    ([-3] + [0] * 12 + [1], True),         # x^13 - 3, at 3
+    ([-2] + [0] * 99 + [1], True),         # x^100 - 2, at 2
+    ([-6] + [0] * 12 + [3], True),         # 3*(x^13 - 2), at 2
+    ([3, -3] + [0] * 11 + [-1, 1], False),  # (x^13 - 3)*(x - 1)
+    ([-9] + [0] * 13 + [1], False),        # (x^7 - 3)*(x^7 + 3): 9 = 3^2
+    ([0] * 13 + [1], False),               # x^13
+    ([-1, -1] + [0] * 98 + [1], False),    # x^100 - x - 1: no prime
+])
+def test_eisenstein_proves_irreducibility_only_where_it_holds(nums, proven):
+    """The refusal above MAX_FIELD_DEGREE speaks of a root's degree only on
+    this proof, and a reducible polynomial never has it."""
+    from precint import _zx
+
+    assert _zx.eisenstein(Poly(nums).nums) is proven
+    if proven and len(nums) <= 15:
+        assert is_irreducible(Poly(nums))
+
+
 # -- number fields -----------------------------------------------------------
 
 

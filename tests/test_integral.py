@@ -315,10 +315,11 @@ def _cofactor_builds(monkeypatch) -> List:
 
 @pytest.mark.parametrize("text, bound", [
     ("(x+2)^2 + x*S^2 + (x+2)*S^3", 4), (SPREAD4, 7), (ORD4, 15), (ORD5, 5),
+    (ORD6, 5),
 ])
 def test_every_carried_discriminant_is_a_fresh_elimination(text, bound,
                                                            monkeypatch):
-    """At orders 3 to 5 an update's discriminant is expanded along the
+    """At orders 3 to 6 an update's discriminant is expanded along the
     changed row: replaying the global pass point by point, every recorded
     disc_after equals a fresh elimination of the rows at that step, the
     replay ends on the basis of `global_integral_basis`, and the cofactors
@@ -356,17 +357,23 @@ def test_a_row_changed_again_reads_the_cofactors_of_the_rows_now_fixed(
             _fresh_discriminant(space, rows, point), change
 
 
-def test_order_six_stays_on_the_elimination(capsys, monkeypatch):
-    """Above order 5 every discriminant is an elimination, and the basis is
-    the one it was before the expansion existed (SHA-256 of the JSON)."""
+@pytest.mark.parametrize("expanded", [True, False])
+def test_order_six_gives_the_basis_it_had_before_the_expansion(
+        capsys, monkeypatch, expanded):
+    """The basis of an order-6 operator is the one it was before the
+    expansion existed (SHA-256 of the JSON), with its updates expanded and
+    with order 6 taken out of `_EXPANDED_ORDERS`, where every discriminant
+    is an elimination."""
     builds = _cofactor_builds(monkeypatch)
+    if not expanded:
+        monkeypatch.setattr(integral, "_EXPANDED_ORDERS", range(3, 6))
     code = cli.main(["global-basis", "--operator", ORD6, "--right-bound", "Z=5",
                      "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "95085c67366c05e915a9932dbb5ffeb2aee0af7fa4a6ddb4e65ad0129375f9d6")
-    assert builds == []
+    assert bool(builds) == expanded
 
 
 def test_a_changed_row_in_the_span_of_the_fixed_rows_is_degenerate(
