@@ -37,7 +37,6 @@ from .ore import (
 )
 from .valuation import (
     OrbitAnalysis,
-    ZSpec,
     singular_points,
     val_at,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "SingularTransitionError",
     "SolutionBasis",
     "ToySpace",
-    "ZSpec",
     "apply_element_all",
     "brute_val",
     "certificate",

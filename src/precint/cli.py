@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .errors import MissingRightBoundError, ParseError, PrecintError
 from .fields import INFINITY, AlgebraicPoint, RationalFunction
@@ -36,7 +36,7 @@ from .integral import (
     local_integral_basis,
 )
 from .ore import OreOperator, SolutionBasis
-from .valuation import OrbitAnalysis, ZSpec, val_at
+from .valuation import OrbitAnalysis, val_at
 from .verify import certificate, module_equal_at
 
 EXIT_OK = 0
@@ -58,15 +58,16 @@ def _basis_json(basis: BasisMatrix, verified_points: List[str]) -> dict:
     }
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
+def _emit(args, payload: dict, text_lines: Callable[[], List[str]]) -> None:
+    """Print the payload as JSON, or the lines, built only then, as text."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
-def _parse_bounds(pairs: Optional[List[str]]) -> ZSpec:
+def _parse_bounds(pairs: Optional[List[str]]) -> Dict[str, int]:
     bounds = {}
     for pair in pairs or ():
         key, sep, value = pair.rpartition("=")
@@ -81,7 +82,7 @@ def _parse_bounds(pairs: Optional[List[str]]) -> ZSpec:
             raise PrecintError(f"orbit {orbit} has two right bounds, "
                                f"{orbit}={bounds[orbit]} and {pair}")
         bounds[orbit] = bound
-    return ZSpec(bounds)
+    return bounds
 
 
 def _modulus(args) -> OreOperator:
@@ -130,10 +131,13 @@ def _cmd_solutions(args) -> int:
             for j, row in enumerate(rows)
         ],
     }
-    header = "n:      " + "\t".join(str(n) for n in range(start, stop + 1))
-    lines = [header]
-    for j, row in enumerate(rows):
-        lines.append(f"b_{j + 1}(n): " + "\t".join(rf_str(v, "q") for v in row))
+
+    def lines() -> List[str]:
+        out = ["n:      " + "\t".join(str(n) for n in range(start, stop + 1))]
+        for j, row in enumerate(rows):
+            out.append(f"b_{j + 1}(n): " + "\t".join(rf_str(v, "q") for v in row))
+        return out
+
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -150,7 +154,8 @@ def _cmd_val(args) -> int:
         "point": str(point),
         "val": rendered,
     }
-    _emit(args, payload, [f"val_{point}({element_str(element.coords)}) = {rendered}"])
+    _emit(args, payload,
+          lambda: [f"val_{point}({element_str(element.coords)}) = {rendered}"])
     return EXIT_OK
 
 
@@ -165,21 +170,21 @@ def _verified_points_of(basis: BasisMatrix, points) -> List[str]:
     return out
 
 
-def _skipped_orbits(run: GlobalRun, zspec: ZSpec) -> List[str]:
+def _skipped_orbits(run: GlobalRun, bounds: Dict[str, int]) -> List[str]:
     """One message for every right bound that treats no point: a bound
     left of its orbit's left edge, and a bound whose orbit is not among
     the orbits the operator's extreme coefficients single out."""
     out = []
     keys = set()
     for entry in run.processed:
-        key = entry.orbit.orbit_key()
+        key = entry.analysis.orbit.orbit_key()
         keys.add(key)
-        bound = zspec.bound_for(key)
-        edge = entry.analysis.left_edge()
+        bound = bounds.get(key)
+        edge = entry.analysis.left_edge
         if bound is not None and bound < edge:
             out.append(f"right bound {key}={bound} lies left of the left edge "
                        f"{edge} of orbit {key}")
-    for key, bound in zspec.bounds.items():
+    for key, bound in bounds.items():
         if key not in keys:
             out.append(f"right bound {key}={bound} names no orbit of the "
                        f"operator's extreme coefficients")
@@ -199,22 +204,23 @@ def _cmd_local_basis(args) -> int:
     point, space = _at(args, operator)
     basis = _local_basis(space, point)
     verified = _verified_points_of(basis, [(point, space.analysis)])
-    _emit(args, _basis_json(basis, verified), _basis_lines(basis, verified))
+    _emit(args, _basis_json(basis, verified),
+          lambda: _basis_lines(basis, verified))
     return EXIT_OK
 
 
 def _cmd_global_basis(args) -> int:
     operator = _modulus(args)
-    zspec = _parse_bounds(args.right_bound)
-    run = global_integral_basis(operator, zspec)
-    for message in _skipped_orbits(run, zspec):
+    bounds = _parse_bounds(args.right_bound)
+    run = global_integral_basis(operator, bounds)
+    for message in _skipped_orbits(run, bounds):
         print(f"notice: {message}; no point of this orbit was processed",
               file=sys.stderr)
-    points = [(entry.orbit.shifted(n), entry.analysis)
+    points = [(entry.analysis.orbit.shifted(n), entry.analysis)
               for entry in run.processed for n in entry.points]
     verified = _verified_points_of(run.basis, points)
     _emit(args, _basis_json(run.basis, verified),
-          _basis_lines(run.basis, verified))
+          lambda: _basis_lines(run.basis, verified))
     return EXIT_OK
 
 
@@ -242,15 +248,15 @@ def _cmd_verify(args) -> int:
         })
         reports.append(certificate(operator, basis, point, args.samples, args.seed))
     else:
-        zspec = _parse_bounds(args.right_bound)
-        run = global_integral_basis(operator, zspec)
-        skipped = _skipped_orbits(run, zspec)
+        bounds = _parse_bounds(args.right_bound)
+        run = global_integral_basis(operator, bounds)
+        skipped = _skipped_orbits(run, bounds)
         if skipped:
             raise PrecintError(f"{skipped[0]}; no point of this orbit would be verified")
         for entry in run.processed:
             space = ShiftSpace(entry.analysis)
             for n in entry.points:
-                point = entry.orbit.shifted(n)
+                point = entry.analysis.orbit.shifted(n)
                 reports.append(certificate(operator, run.basis, point,
                                            args.samples, args.seed))
                 local = _local_basis(space, point)
@@ -268,11 +274,15 @@ def _cmd_verify(args) -> int:
         "module_checks": module_checks,
         "passed": passed,
     }
-    lines = [r.to_text() for r in reports]
-    for c in module_checks:
-        lines.append(f"module check ({c['kind']}) at {c['point']}: "
-                     + ("ok" if c["ok"] else "FAILED"))
-    lines.append("verification " + ("passed" if passed else "FAILED"))
+
+    def lines() -> List[str]:
+        out = [r.to_text() for r in reports]
+        for c in module_checks:
+            out.append(f"module check ({c['kind']}) at {c['point']}: "
+                       + ("ok" if c["ok"] else "FAILED"))
+        out.append("verification " + ("passed" if passed else "FAILED"))
+        return out
+
     _emit(args, payload, lines)
     return EXIT_OK if passed else EXIT_VERIFICATION
 

@@ -26,9 +26,9 @@ in `_EXPANDED_ORDERS`; elsewhere each update is an elimination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import _linalg
 from .errors import PrecintError
@@ -43,7 +43,7 @@ from .fields import (
 )
 from .ore import OreOperator, QuotientElement, apply_element_all
 from .qvalues import ZERO, nu_q
-from .valuation import OrbitAnalysis, ZSpec, detect_orbits, val_at, worklist_points
+from .valuation import OrbitAnalysis, detect_orbits, val_at, worklist_points
 
 _CAP_MARGIN = 4
 
@@ -382,10 +382,8 @@ def local_integral_basis(space, basis: BasisMatrix,
 
 @dataclass(frozen=True)
 class ProcessedOrbit:
-    orbit: AlgebraicPoint
+    analysis: OrbitAnalysis
     points: Tuple[int, ...]
-    growths: Tuple[int, ...]
-    analysis: OrbitAnalysis = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -395,7 +393,7 @@ class GlobalRun:
 
 
 def global_integral_basis(modulus: OreOperator,
-                          zspec: Optional[ZSpec] = None) -> GlobalRun:
+                          bounds: Optional[Mapping[str, int]] = None) -> GlobalRun:
     """A basis integral at every point of every orbit that the operator's
     extreme coefficients single out, processed orbit by orbit, by
     descending degree, and point by point in ascending offset order.
@@ -408,7 +406,8 @@ def global_integral_basis(modulus: OreOperator,
     Orbits whose trailing and leading coefficients never vanish need no
     work: the standard basis is already integral there.  Orbits where some
     anchored solution has nonzero valuation growth must carry a right bound
-    in the ZSpec, otherwise a MissingRightBoundError is raised.
+    in `bounds`, under the orbit's key, otherwise a MissingRightBoundError
+    is raised.
 
     The modulus is used as passed; normalize it first, with
     `OreOperator.normalized`, to get the CLI's output.  Coefficients with
@@ -420,15 +419,13 @@ def global_integral_basis(modulus: OreOperator,
     """
     if not modulus.is_valid_modulus:
         raise PrecintError("operator must have nonzero trailing and leading coefficients")
-    zspec = zspec or ZSpec()
     basis = BasisMatrix.standard(modulus.order)
     processed: List[ProcessedOrbit] = []
     for orbit in detect_orbits(modulus):
         analysis = OrbitAnalysis.analyze(modulus, orbit)
-        points = worklist_points(analysis, zspec)
+        points = worklist_points(analysis, bounds)
         space = ShiftSpace(analysis)
         for n in points:
             basis = local_integral_basis(space, basis, orbit.shifted(n))
-        processed.append(ProcessedOrbit(orbit, tuple(points), analysis.growths,
-                                        analysis))
+        processed.append(ProcessedOrbit(analysis, tuple(points)))
     return GlobalRun(basis, tuple(processed))

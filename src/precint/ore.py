@@ -322,8 +322,9 @@ def root_offsets(p: Poly, orbit: AlgebraicPoint) -> Tuple[int, ...]:
 
 def default_anchor(modulus: OreOperator, orbit: AlgebraicPoint) -> int:
     """The leftmost offset at which the trailing or leading coefficient
-    vanishes on the orbit; 0 when neither vanishes anywhere on it.  This is
-    also the orbit's left edge (`valuation.OrbitAnalysis.left_edge`).
+    vanishes on the orbit; 0 when neither vanishes anywhere on it.
+    `OrbitAnalysis.analyze` reads the same offset, the orbit's left edge,
+    from the singular offsets it already holds.
 
     From this offset leftward every extension step divides by a q-unit, so
     the identity window propagates with q-valuation exactly zero and the

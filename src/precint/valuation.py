@@ -10,8 +10,8 @@ the minimum q-valuation of (B . b_j) there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 from .errors import MissingRightBoundError, PrecintError
 from .fields import INFINITY, AlgebraicPoint, Valuation, factor
@@ -20,7 +20,6 @@ from .ore import (
     QuotientElement,
     SolutionBasis,
     apply_element_all,
-    default_anchor,
     root_offsets,
 )
 from .qvalues import nu_q
@@ -47,60 +46,50 @@ def singular_points(modulus: OreOperator,
 
 @dataclass(frozen=True)
 class OrbitAnalysis:
-    """Everything needed to evaluate the value function on one orbit."""
+    """Everything needed to evaluate the value function on one orbit, and
+    the orbit's extent: from `left_edge`, the first root of either extreme
+    coefficient, to `right_edge`, the last singular offset (both None on an
+    orbit with no root)."""
 
-    operator: OreOperator
     orbit: AlgebraicPoint
     singular_left: Tuple[int, ...]
     singular_right: Tuple[int, ...]
     basis: SolutionBasis
     growths: Tuple[int, ...]
-    leftmost_root: Optional[int]
+    left_edge: Optional[int]
+    right_edge: Optional[int]
 
     @staticmethod
     def analyze(modulus: OreOperator, orbit: AlgebraicPoint,
                 anchor: Optional[int] = None) -> "OrbitAnalysis":
         """Solutions, singular offsets and growths of the modulus as passed.
 
-        A modulus with denominators in its coefficients raises
-        PrecintError; normalize it first.  A constant factor changes
-        nothing; a common polynomial factor leaves the values unchanged
-        but adds its roots to the singular offsets.
+        The anchor defaults to the left edge, or to 0 on an orbit with no
+        root (`default_anchor`).  A modulus with denominators in its
+        coefficients raises PrecintError; normalize it first.  A constant
+        factor changes nothing; a common polynomial factor leaves the
+        values unchanged but adds its roots to the singular offsets.
         """
         if not modulus.is_valid_modulus:
             raise PrecintError("operator must have nonzero trailing and leading coefficients")
         orbit = orbit.orbit()
         left, right = singular_points(modulus, orbit)
-        default = default_anchor(modulus, orbit)
-        leftmost = default if left or right else None
+        left_edge = min(left + tuple(n - modulus.order for n in right), default=None)
+        right_edge = max(left + right, default=None)
         if anchor is None:
-            anchor = default
-        elif leftmost is not None and anchor > leftmost:
+            anchor = left_edge or 0
+        elif left_edge is not None and anchor > left_edge:
             raise PrecintError(
-                f"anchor {anchor} is right of the default {default}; the value "
+                f"anchor {anchor} is right of the default {left_edge}; the value "
                 "function requires an anchor left of every coefficient root"
             )
         basis = SolutionBasis(modulus, orbit, anchor)
-        growths = _compute_growths(basis, left, right)
-        return OrbitAnalysis(modulus, orbit, left, right, basis, growths, leftmost)
+        growths = _compute_growths(basis, right_edge)
+        return OrbitAnalysis(orbit, left, right, basis, growths, left_edge, right_edge)
 
     @property
     def order(self) -> int:
         return self.basis.order
-
-    @property
-    def has_singularities(self) -> bool:
-        return bool(self.singular_left or self.singular_right)
-
-    def left_edge(self) -> Optional[int]:
-        """Leftmost offset at which the standard basis could fail to be a
-        local integral basis: the first root of either extreme coefficient
-        (`default_anchor`), or None on an orbit with no root."""
-        return self.leftmost_root
-
-    def right_edge(self) -> Optional[int]:
-        candidates = list(self.singular_left) + list(self.singular_right)
-        return max(candidates) if candidates else None
 
 
 def _window_min(basis: SolutionBasis, j: int, start: int, length: int) -> Valuation:
@@ -112,12 +101,11 @@ def _window_min(basis: SolutionBasis, j: int, start: int, length: int) -> Valuat
     return best
 
 
-def _compute_growths(basis: SolutionBasis, left: Tuple[int, ...],
-                     right: Tuple[int, ...]) -> Tuple[int, ...]:
+def _compute_growths(basis: SolutionBasis,
+                     edge: Optional[int]) -> Tuple[int, ...]:
     r = basis.order
-    if not left and not right:
+    if edge is None:
         return (0,) * r
-    edge = max(tuple(left) + tuple(right))
     growths = []
     for j in range(1, r + 1):
         # the left liminf of an anchored solution is 0 by construction
@@ -143,17 +131,6 @@ def val_at(element: QuotientElement, point: AlgebraicPoint,
         nu_q(v) for v in apply_element_all(element, basis, point.offset)))
 
 
-@dataclass(frozen=True)
-class ZSpec:
-    """Optional right bounds, per orbit key.  A bound is mandatory for any
-    orbit where some anchored solution has nonzero valuation growth."""
-
-    bounds: Dict[str, int] = field(default_factory=dict)
-
-    def bound_for(self, orbit_key: str) -> Optional[int]:
-        return self.bounds.get(orbit_key)
-
-
 def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
     """Orbits that contain a root of the trailing or leading coefficient,
     by descending degree, then by minimal polynomial.
@@ -171,21 +148,21 @@ def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:
     return tuple(sorted(orbits, key=lambda o: (-o.degree, o.min_poly.coeffs)))
 
 
-def worklist_points(analysis: OrbitAnalysis, zspec: ZSpec) -> List[int]:
+def worklist_points(analysis: OrbitAnalysis,
+                    bounds: Optional[Mapping[str, int]] = None) -> List[int]:
     """The contiguous range of offsets to process in one orbit.
 
-    Runs from the leftmost root of the extreme coefficients up to the
-    rightmost singular offset (all growths zero) or the user's right bound
-    (some growth nonzero; mandatory then).  Points inside the range that
-    need no update are processed as no-ops.  A range of more than
+    Runs from the orbit's left edge up to its right edge (all growths
+    zero) or the right bound that `bounds` gives the orbit's key (some
+    growth nonzero; mandatory then).  Points inside the range that need
+    no update are processed as no-ops.  A range of more than
     MAX_WORKLIST_POINTS offsets is refused before it is built.
     """
-    if not analysis.has_singularities:
+    if analysis.left_edge is None:
         return []
-    lo = analysis.left_edge()
-    hi = analysis.right_edge()
+    lo, hi = analysis.left_edge, analysis.right_edge
     key = analysis.orbit.orbit_key()
-    bound = zspec.bound_for(key)
+    bound = (bounds or {}).get(key)
     if any(g != 0 for g in analysis.growths):
         if bound is None:
             raise MissingRightBoundError(key, analysis.growths)

@@ -21,7 +21,6 @@ from precint import (
     RationalFunction,
     ShiftSpace,
     SolutionBasis,
-    ZSpec,
     brute_val,
     certificate,
     galois_norm_uniformizer,
@@ -76,14 +75,14 @@ def _singular_random_operator(rng: random.Random) -> OreOperator:
                         RationalFunction(ell2))).normalized()
 
 
-def _bounds_for(operator: OreOperator) -> ZSpec:
+def _bounds_for(operator: OreOperator) -> dict:
     from precint.valuation import detect_orbits
 
     bounds = {}
     for orbit in detect_orbits(operator):
         analysis = OrbitAnalysis.analyze(operator, orbit)
-        bounds[orbit.orbit_key()] = analysis.right_edge()
-    return ZSpec(bounds)
+        bounds[orbit.orbit_key()] = analysis.right_edge
+    return bounds
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_criterion_3_local_basis_at_zero(cubic, orbit_z):
 
 
 def test_criterion_4_global_basis(cubic):
-    run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    run = global_integral_basis(cubic, {"Z": 0})
     known = _known_global()
     for n in (-2, -1, 0):
         assert module_equal_at(run.basis, known, pt(str(n)))
@@ -190,7 +189,7 @@ def test_criterion_7_certificates(cubic, orbit_z):
     report = certificate(cubic, local, pt("0"), samples=200, seed=700)
     assert report.passed
 
-    run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    run = global_integral_basis(cubic, {"Z": 0})
     for n in (-2, -1, 0):
         report = certificate(cubic, run.basis, pt(str(n)), samples=200,
                              seed=701 + n)
@@ -199,11 +198,11 @@ def test_criterion_7_certificates(cubic, orbit_z):
     rng = random.Random(702)
     for k in range(10):
         operator = _singular_random_operator(rng)
-        zspec = _bounds_for(operator)
-        run = global_integral_basis(operator, zspec)
+        bounds = _bounds_for(operator)
+        run = global_integral_basis(operator, bounds)
         for entry in run.processed:
             for n in entry.points:
-                point = entry.orbit.shifted(n)
+                point = entry.analysis.orbit.shifted(n)
                 report = certificate(operator, run.basis, point,
                                      samples=200, seed=710 + k)
                 assert report.passed, (
@@ -217,7 +216,7 @@ def test_criterion_7_certificates(cubic, orbit_z):
 
 
 def test_criterion_8_idempotence_and_discriminant(cubic, orbit_z):
-    run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    run = global_integral_basis(cubic, {"Z": 0})
     analysis = run.processed[0].analysis
     space = ShiftSpace(analysis)
 
@@ -296,7 +295,7 @@ def test_criterion_10_oracle_agreement():
 def test_criterion_11_algebraic_point_pipeline():
     operator = op("x^2 - 2 + S^2")
     orbit = AlgebraicPoint(Poly([-2, 0, 1]), 0)
-    run = global_integral_basis(operator, ZSpec({orbit.orbit_key(): 1}))
+    run = global_integral_basis(operator, {orbit.orbit_key(): 1})
     assert _rational_coords(run.basis)
     for n in (0, 1):
         point = orbit.shifted(n)

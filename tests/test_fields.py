@@ -137,15 +137,15 @@ def _has_rational_root(p: Poly) -> bool:
 def test_factor_cache_is_bounded_and_still_hits():
     """The cache has a finite size that still holds one operation's working
     set: a repeated global run factors nothing anew."""
-    from precint import ZSpec, global_integral_basis
+    from precint import global_integral_basis
     from precint.fields import FACTOR_CACHE_SIZE, _factor_cached
 
     assert _factor_cached.cache_info().maxsize == FACTOR_CACHE_SIZE
     operator = op("x^2 - 2 + x*S + (x+1)*S^2")
-    zspec = ZSpec({"Z": 1, "-2+x^2": 1})
-    first = global_integral_basis(operator, zspec).basis
+    bounds = {"Z": 1, "-2+x^2": 1}
+    first = global_integral_basis(operator, bounds).basis
     before = _factor_cached.cache_info()
-    assert global_integral_basis(operator, zspec).basis == first
+    assert global_integral_basis(operator, bounds).basis == first
     after = _factor_cached.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits

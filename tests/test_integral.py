@@ -22,7 +22,6 @@ from precint import (
     RationalFunction,
     ShiftSpace,
     ToySpace,
-    ZSpec,
     galois_norm_uniformizer,
     galois_trace_sum,
     global_integral_basis,
@@ -172,7 +171,7 @@ def test_every_update_preserves_the_span_on_random_operators(order):
         analysis = OrbitAnalysis.analyze(operator, AlgebraicPoint.from_rational(0))
         space = ShiftSpace(analysis)
         basis = BasisMatrix.standard(order)
-        points = worklist_points(analysis, ZSpec({"Z": analysis.right_edge()}))
+        points = worklist_points(analysis, {"Z": analysis.right_edge})
         assert points
         for n in points:
             point = analysis.orbit.shifted(n)
@@ -326,14 +325,14 @@ def test_every_carried_discriminant_is_a_fresh_elimination(text, bound,
     are built once per (point, row) with an update."""
     builds = _cofactor_builds(monkeypatch)
     operator = op(text)
-    zspec = ZSpec({"Z": bound})
+    bounds = {"Z": bound}
     basis = BasisMatrix.standard(operator.order)
     for orbit in detect_orbits(operator):
         analysis = OrbitAnalysis.analyze(operator, orbit)
         space = ShiftSpace(analysis)
-        for n in worklist_points(analysis, zspec):
+        for n in worklist_points(analysis, bounds):
             basis = _replay(space, basis, orbit.shifted(n))[1]
-    assert basis.rows == global_integral_basis(operator, zspec).basis.rows
+    assert basis.rows == global_integral_basis(operator, bounds).basis.rows
     rows_updated = {(u.point, u.row) for u in basis.provenance}
     assert rows_updated
     # the global run builds as many again as the replayed one
@@ -426,7 +425,7 @@ def test_the_cofactor_store_holds_one_key(monkeypatch):
             spaces.append(self)
 
     monkeypatch.setattr(integral, "ShiftSpace", Recorded)
-    global_integral_basis(op("(x+2)^2 + x*S^2 + (x+2)*S^3"), ZSpec({"Z": 10}))
+    global_integral_basis(op("(x+2)^2 + x*S^2 + (x+2)*S^3"), {"Z": 10})
     assert len(builds) > 10
     assert len(spaces) == 1
     key, cofactors = spaces[0]._cofactors
@@ -549,7 +548,7 @@ def test_discriminant_of_known_local_basis_is_nonnegative(cubic, orbit_z):
 
 
 def test_global_matches_known_basis_on_every_processed_point(cubic):
-    run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    run = global_integral_basis(cubic, {"Z": 0})
     assert [e.points for e in run.processed] == [(-2, -1, 0)]
     known = _known_global()
     for n in (-2, -1, 0):
@@ -565,15 +564,15 @@ def test_global_basis_ignores_constant_and_common_factors(cubic):
     or a common polynomial factor of the coefficients leaves the basis and
     its updates as they are.  The roots of a factor off the cubic's orbit
     add an orbit of no-op points to `processed`."""
-    zspec = ZSpec({"Z": 2})
-    expected = global_integral_basis(cubic, zspec)
+    bounds = {"Z": 2}
+    expected = global_integral_basis(cubic, bounds)
     updates = [(u.kind, u.point) for u in expected.basis.provenance]
     for factor, extra in ((2, []), (Poly([-1, 1]), []),
                           (Poly([-2, 0, 1]), [("-2+x^2", (0, 1, 2, 3))])):
-        run = global_integral_basis(cubic.scaled_left(factor), zspec)
+        run = global_integral_basis(cubic.scaled_left(factor), bounds)
         assert run.basis.rows == expected.basis.rows
         assert [(u.kind, u.point) for u in run.basis.provenance] == updates
-        assert [(e.orbit.orbit_key(), e.points) for e in run.processed] == \
+        assert [(e.analysis.orbit.orbit_key(), e.points) for e in run.processed] == \
             extra + [("Z", (-2, -1, 0, 1, 2))]
 
 
@@ -584,11 +583,11 @@ def test_global_without_singularities_returns_standard_basis():
 
 
 def test_global_is_safe_at_all_processed_points(cubic):
-    run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    run = global_integral_basis(cubic, {"Z": 0})
     for entry in run.processed:
         analysis = entry.analysis
         for n in entry.points:
-            point = entry.orbit.shifted(n)
+            point = entry.analysis.orbit.shifted(n)
             for row in run.basis.rows:
                 assert val_at(row, point, analysis) >= 0
 
@@ -596,7 +595,7 @@ def test_global_is_safe_at_all_processed_points(cubic):
 def test_global_algebraic_orbit_stays_over_the_rationals():
     operator = op("x^2 - 2 + S^2")
     orbit = AlgebraicPoint(Poly([-2, 0, 1]), 0)
-    run = global_integral_basis(operator, ZSpec({orbit.orbit_key(): 1}))
+    run = global_integral_basis(operator, {orbit.orbit_key(): 1})
     assert [e.points for e in run.processed] == [(0, 1)]
     for row in run.basis.rows:
         for c in row.coords:

@@ -29,7 +29,6 @@ from precint import (
     OreOperator,
     QuotientElement,
     RandomOperatorSpec,
-    ZSpec,
     cli,
     global_integral_basis,
     module_equal_at,
@@ -59,11 +58,11 @@ def test_global_basis_is_covariant_under_an_integer_shift(text, key, bound):
     signs, on an integer orbit and on orbits of degree 2 and 3."""
     modulus = op(text)
     key = parse_orbit(key).orbit_key()
-    basis = global_integral_basis(modulus, ZSpec({key: bound})).basis
+    basis = global_integral_basis(modulus, {key: bound}).basis
     assert basis.rows != BasisMatrix.standard(modulus.order).rows
     for c in (-3, -1, 1, 2, 5):
         shifted = OreOperator([f.shift(c) for f in modulus.coeffs]).normalized()
-        moved = global_integral_basis(shifted, ZSpec({key: bound - c})).basis
+        moved = global_integral_basis(shifted, {key: bound - c}).basis
         expected = [[f.shift(c) for f in row.coords] for row in basis.rows]
         assert [list(row.coords) for row in moved.rows] == expected, c
 
@@ -89,7 +88,7 @@ def test_global_basis_does_not_depend_on_the_orbit_name(capsys):
             operator = operator.normalized()
             text = operator_str(operator)
             orbits = detect_orbits(operator)
-            edges = [OrbitAnalysis.analyze(operator, o).right_edge() for o in orbits]
+            edges = [OrbitAnalysis.analyze(operator, o).right_edge for o in orbits]
             spellings = {tuple(_orbit_names(o)[i] for o in orbits) for i in range(4)}
             outputs = set()
             for keys in spellings:
@@ -128,13 +127,14 @@ def _gauged(modulus: OreOperator, c: Fraction) -> OreOperator:
 
 
 def _assert_gauge_covariance(modulus, gauged, c, key, bound):
-    zspec = ZSpec({parse_orbit(key).orbit_key(): bound})
-    run = global_integral_basis(modulus, zspec)
-    moved = global_integral_basis(gauged, zspec)
+    bounds = {parse_orbit(key).orbit_key(): bound}
+    run = global_integral_basis(modulus, bounds)
+    moved = global_integral_basis(gauged, bounds)
     mapped = BasisMatrix(tuple(
         QuotientElement(tuple(f * c ** (-i) for i, f in enumerate(row.coords)))
         for row in run.basis.rows))
-    points = [entry.orbit.shifted(n) for entry in run.processed for n in entry.points]
+    points = [entry.analysis.orbit.shifted(n)
+              for entry in run.processed for n in entry.points]
     assert points
     for point in points:
         assert module_equal_at(moved.basis, mapped, point), str(point)

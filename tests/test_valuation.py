@@ -17,15 +17,16 @@ from precint import (
     Poly,
     PrecintError,
     QuotientElement,
+    RandomOperatorSpec,
     RationalFunction,
     SolutionBasis,
-    ZSpec,
     apply_element_all,
     brute_val,
     galois_norm_uniformizer,
     nu_at_factor,
     nu_q,
     parse_operator,
+    random_operators,
     singular_points,
     val_at,
 )
@@ -106,7 +107,7 @@ def test_any_anchor_is_accepted_on_an_orbit_without_roots(orbit_z):
     one; the left edge is None, not the default anchor 0."""
     analysis = OrbitAnalysis.analyze(op("S^2 - 1"), orbit_z, anchor=3)
     assert (analysis.basis.anchor, analysis.growths) == (3, (0, 0))
-    assert analysis.left_edge() is None and analysis.right_edge() is None
+    assert analysis.left_edge is None and analysis.right_edge is None
 
 
 @pytest.mark.parametrize("operator_text,points", [
@@ -173,8 +174,8 @@ def test_growth_window_is_stable_under_extension(cubic, orbit_z):
 def points_of(operator, bound=None):
     """The orbits of the extreme coefficients' roots, each with the offsets
     the global pass treats there under an optional right bound on Z."""
-    zspec = ZSpec({} if bound is None else {"Z": bound})
-    return [(orbit, worklist_points(OrbitAnalysis.analyze(operator, orbit), zspec))
+    bounds = {} if bound is None else {"Z": bound}
+    return [(orbit, worklist_points(OrbitAnalysis.analyze(operator, orbit), bounds))
             for orbit in detect_orbits(operator)]
 
 
@@ -190,7 +191,7 @@ def test_worklist_empty_without_singularities(orbit_z):
     operator = op("S^2 - 1")
     assert detect_orbits(operator) == ()
     analysis = OrbitAnalysis.analyze(operator, orbit_z)
-    assert worklist_points(analysis, ZSpec({"Z": 5})) == []
+    assert worklist_points(analysis, {"Z": 5}) == []
 
 
 def test_orbits_come_by_descending_degree():
@@ -230,6 +231,32 @@ def test_worklist_respects_bound_even_with_zero_growth():
     assert clipped == [n for n in full if n <= -1]
 
 
+EDGE_OPERATORS = [
+    "(x^2-2)*(x^2-2*x-1) + x*S + (x^2-2*x-1)*S^2",
+    "(x^3-2)*(x^3-3*x^2+3*x-3) + x*S + (x^3-3*x^2+3*x-3)*S^2",
+    "x*(x^2-2)*(x^3-2) + S + (x^2-2)*(x^3-2)*S^2",
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_edges_match_the_roots_and_bound_the_worklist(order):
+    """On every orbit of the extreme coefficients' roots, the left edge is
+    the default anchor and the right edge the last singular offset, and a
+    right bound at the right edge makes the worklist run exactly from one
+    edge to the other."""
+    spec = RandomOperatorSpec(order=order, seed=3100 + order)
+    operators = random_operators(spec, 4) + [op(text) for text in EDGE_OPERATORS]
+    for operator in operators:
+        for orbit in detect_orbits(operator):
+            analysis = OrbitAnalysis.analyze(operator, orbit)
+            left, right = singular_points(operator, orbit)
+            assert analysis.left_edge == ore.default_anchor(operator, orbit)
+            assert analysis.right_edge == max(left + right)
+            bounds = {orbit.orbit_key(): analysis.right_edge}
+            assert worklist_points(analysis, bounds) == \
+                list(range(analysis.left_edge, analysis.right_edge + 1))
+
+
 # -- integrality off the singular orbits -------------------------------------------
 
 
@@ -244,7 +271,7 @@ def test_value_is_coordinate_minimum_on_clean_orbits(seed, orbit_z):
             RationalFunction.constant(rng.randint(1, 3)),
         )).normalized()
         analysis = OrbitAnalysis.analyze(operator, orbit_z)
-        assert not analysis.has_singularities
+        assert analysis.left_edge is None
         for n in (-2, 0, 3):
             point = orbit_z.shifted(n)
             pole = Poly([-Fraction(n), 1])
@@ -296,7 +323,7 @@ def test_val_at_agrees_with_brute_val(operator, orbit):
     orbit = pt(orbit).orbit()
     analysis = OrbitAnalysis.analyze(modulus, orbit)
     r = modulus.order
-    left, right = analysis.left_edge(), analysis.right_edge()
+    left, right = analysis.left_edge, analysis.right_edge
     window = r + right - left
     rng = random.Random(f"{operator}@{orbit}")
     for _ in range(4):

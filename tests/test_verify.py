@@ -25,7 +25,6 @@ from precint import (
     RationalFunction,
     ShiftSpace,
     SingularTransitionError,
-    ZSpec,
     brute_val,
     certificate,
     galois_norm_uniformizer,
@@ -402,7 +401,7 @@ def test_certificate_text_and_json_round(cubic):
 def test_certificate_at_algebraic_point():
     operator = op("x^2 - 2 + S^2")
     orbit = AlgebraicPoint(Poly([-2, 0, 1]), 0)
-    run = global_integral_basis(operator, ZSpec({orbit.orbit_key(): 1}))
+    run = global_integral_basis(operator, {orbit.orbit_key(): 1})
     for n in (0, 1):
         report = certificate(operator, run.basis, orbit.shifted(n),
                              samples=40, seed=3)
@@ -523,8 +522,8 @@ DIFFERENTIAL = {
 def test_certificate_agrees_with_the_loop_that_shifts_every_unit(name, monkeypatch):
     text, where, bounds, ties = DIFFERENTIAL[name]
     operator, point = op(text), pt(where)
-    run = global_integral_basis(operator, ZSpec(bounds))
-    assert point in [entry.orbit.shifted(n) for entry in run.processed
+    run = global_integral_basis(operator, bounds)
+    assert point in [entry.analysis.orbit.shifted(n) for entry in run.processed
                      for n in entry.points]
     reads = _counting(monkeypatch, "_lazy_order")
     plans = _counting(monkeypatch, "_plan")
@@ -567,8 +566,8 @@ def test_no_state_survives_a_certificate(cubic):
     root(x^2-2)+1, then the cubic at 0 with its global basis, whose plans
     and shifted units differ from the first call's."""
     sqrt2 = op("x^2 - 2 + S^2")
-    sqrt2_run = global_integral_basis(sqrt2, ZSpec({"-2+x^2": 1}))
-    cubic_run = global_integral_basis(cubic, ZSpec({"Z": 0}))
+    sqrt2_run = global_integral_basis(sqrt2, {"-2+x^2": 1})
+    cubic_run = global_integral_basis(cubic, {"Z": 0})
     calls = [(cubic, BasisMatrix.standard(3), pt("0"), 1),
              (sqrt2, BasisMatrix.standard(2), pt("root(x^2-2)+1"), 2),
              (sqrt2, sqrt2_run.basis, pt("root(x^2-2)+1"), 3),
@@ -649,7 +648,7 @@ def test_val_at_agrees_with_brute_val_on_wide_operators(shape):
     r = operator.order
     rng = random.Random(repr(shape))
     for analysis in analyses:
-        left, right = analysis.left_edge(), analysis.right_edge()
+        left, right = analysis.left_edge, analysis.right_edge
         for _ in range(3):
             point = analysis.orbit.shifted(rng.randint(left - 1, right + 1))
             norm = RationalFunction(galois_norm_uniformizer(point))
@@ -663,12 +662,12 @@ def test_val_at_agrees_with_brute_val_on_wide_operators(shape):
 @pytest.mark.parametrize("shape", sorted(WIDE), ids=lambda s: f"order{s[0]}")
 def test_certificates_pass_on_wide_global_bases(shape):
     operator, analyses = _wide(shape)
-    zspec = ZSpec({a.orbit.orbit_key(): a.right_edge() for a in analyses})
-    run = global_integral_basis(operator, zspec)
+    bounds = {a.orbit.orbit_key(): a.right_edge for a in analyses}
+    run = global_integral_basis(operator, bounds)
     assert len(run.processed) == 2
     for entry in run.processed:
         for n in entry.points:
-            point = entry.orbit.shifted(n)
+            point = entry.analysis.orbit.shifted(n)
             report = certificate(operator, run.basis, point, samples=20,
                                  seed=n)
             assert report.passed, (str(point), report.violations[:3])
@@ -716,12 +715,12 @@ ALGEBRAIC = {
 def test_certificates_pass_on_algebraic_global_bases(name):
     text, key, bound = ALGEBRAIC[name]
     operator = op(text)
-    run = global_integral_basis(operator, ZSpec({key: bound}))
+    run = global_integral_basis(operator, {key: bound})
     (entry,) = run.processed
-    assert entry.orbit.orbit_key() == key
+    assert entry.analysis.orbit.orbit_key() == key
     assert entry.points == tuple(range(bound + 1))
     for n in entry.points:
-        report = certificate(operator, run.basis, entry.orbit.shifted(n),
+        report = certificate(operator, run.basis, entry.analysis.orbit.shifted(n),
                              samples=10, seed=n)
         assert report.passed, (n, report.violations[:3])
 
@@ -733,7 +732,7 @@ def test_val_at_agrees_with_brute_val_on_algebraic_orbits(name):
     (orbit,) = detect_orbits(operator)
     analysis = OrbitAnalysis.analyze(operator, orbit)
     r = operator.order
-    left, right = analysis.left_edge(), analysis.right_edge()
+    left, right = analysis.left_edge, analysis.right_edge
     rng = random.Random(name)
     for offset in (left - 1, left, right + 1):
         point = analysis.orbit.shifted(offset)
@@ -812,7 +811,7 @@ def test_global_bases_of_random_operators_pass_the_sympy_check(monkeypatch, caps
             text = operator_str(operator)
             bounds = {}
             for orbit in detect_orbits(operator):
-                bounds[orbit.orbit_key()] = OrbitAnalysis.analyze(operator, orbit).right_edge()
+                bounds[orbit.orbit_key()] = OrbitAnalysis.analyze(operator, orbit).right_edge
                 degrees.add(orbit.degree)
             argv = ["global-basis", f"--operator={text}", "--format", "json"]
             argv += [f"--right-bound={key}={edge}" for key, edge in bounds.items()]
