@@ -1,11 +1,15 @@
 """Local and global integral bases over an abstract valued-space interface.
 
 A valued space supplies four things: its `dimension`, a value function
-`val(row, point)`, a residue map `residues(row, point)` whose vanishing on a
-row of value >= 0 means value > 0, and a `discriminant(rows, point)`.
-Everything else is generic: the improvement step (`_find_alpha`) solves for
-constants that cancel the residues, and the local loop rescales by the
-uniformizer norm and recombines with Galois traces.  Two instantiations
+`val(row, point)`, a residue map `residues(row, point)` that refuses a row
+of negative value and whose vanishing on a row of value >= 0 means value
+> 0, and a `discriminant(rows, point)`.  Everything else is generic: the
+improvement step (`_find_alpha`) solves for constants that cancel the
+residues, reading them as the integrality check of every row it takes,
+and the local loop reads each row's value once per point, rescales by the
+uniformizer norm and recombines with Galois traces, at most as many times
+as the discriminant of the rows rescaled to value zero (an exact bound:
+each combine takes one from it, and it ends >= 0).  Two instantiations
 live here.  ShiftSpace is the recurrence case: values come from
 q-valuations of anchored solutions, residues are the order-zero
 q-coefficients of the element's action on them.  ToySpace is the weighted
@@ -44,8 +48,6 @@ from .fields import (
 from .ore import OreOperator, QuotientElement, apply_element_all
 from .qvalues import ZERO, nu_q
 from .valuation import OrbitAnalysis, detect_orbits, val_at, worklist_points
-
-_CAP_MARGIN = 4
 
 # The orders at which ShiftSpace expands an update's discriminant along the
 # changed row.  Measured over every single-row update of global runs, one
@@ -108,16 +110,13 @@ def _find_alpha(space, prefix: Sequence[QuotientElement],
     combination, or None.
 
     One linear condition per residue coordinate: the space's residue vector
-    of the combination at the point must vanish.  Inputs of value >= 0 have
-    no terms below the residue layer, so this single layer of conditions is
-    exactly the improvement condition; the enclosing while loop of the
-    local algorithm supplies repetition.
+    of the combination at the point must vanish.  `residues` refuses a row
+    of negative value, so reading them is the integrality check of every
+    prefix row and of the candidate.  Inputs of value >= 0 have no terms
+    below the residue layer, so this single layer of conditions is exactly
+    the improvement condition; the enclosing while loop of the local
+    algorithm supplies repetition.
     """
-    for row in prefix:
-        if space.val(row, point) < 0:
-            raise PrecintError("prefix element is not integral at the point")
-    if space.val(candidate, point) < 0:
-        raise PrecintError("candidate must have nonnegative value")
     cols = [space.residues(row, point) for row in prefix]
     rhs = [-c for c in space.residues(candidate, point)]
     matrix = [[col[j] for col in cols] for j in range(len(rhs))]
@@ -159,7 +158,10 @@ class ShiftSpace:
 
     def residues(self, row: QuotientElement, point: AlgebraicPoint) -> List:
         """The order-zero q-coefficient of the row's action on each anchored
-        solution at the point."""
+        solution at the point; refuses a point off the analyzed orbit, as
+        `val` does."""
+        if not point.same_orbit(self.analysis.orbit):
+            raise PrecintError("point does not lie in the analyzed orbit")
         basis = self.analysis.basis
 
         def compute() -> List:
@@ -278,37 +280,24 @@ class ToySpace:
 # ---------------------------------------------------------------------------
 
 
-def _iteration_cap(space, rows: Sequence[QuotientElement],
-                   point: AlgebraicPoint) -> Tuple[int, int]:
-    """The cap on updates at the point, and the discriminant of `rows`.
-
-    Rescaling a row of value v to value zero moves the discriminant by
-    exactly -v, because the uniformizer norm has a simple zero at the
-    point, so `disc - sum(v)` is the discriminant of the rescaled rows,
-    which bounds the number of combines.  The local loop checks the move
-    of -v on every normalize it performs, independently of this cap.
-    """
-    shift = 0
-    for row in rows:
-        v = space.val(row, point)
-        if v is INFINITY:
-            raise PrecintError("basis contains the zero element")
-        shift += v
-    disc = space.discriminant(rows, point)
-    return max(disc - shift, 0) + _CAP_MARGIN, disc
-
-
 def local_integral_basis(space, basis: BasisMatrix,
                          point: AlgebraicPoint) -> BasisMatrix:
     """One local pass: make the basis a module basis of the integral
     elements at the point, touching nothing at other points' valuations.
 
-    Row d is first rescaled by a power of the uniformizer norm to value
-    zero, then repeatedly replaced by the Galois-summed combination
-    sum_i Tr(alpha_i/(x-z)) B_i as long as constants alpha exist that push
-    the value of the combination positive.  At a rational point that sum is
-    the combination itself divided by x - z.  Each such replacement lowers
-    the discriminant by exactly one, which bounds the loop.
+    Each row's value is read once, before any update: row d is untouched
+    until its turn, when it is rescaled by a power of the uniformizer norm
+    to value zero, then repeatedly replaced by the Galois-summed
+    combination sum_i Tr(alpha_i/(x-z)) B_i as long as constants alpha
+    exist that push the value of the combination positive.  At a rational
+    point that sum is the combination itself divided by x - z.
+
+    The cap on combines is exact.  Rescaling a row of value v moves the
+    discriminant by exactly -v (the uniformizer norm has a simple zero at
+    the point), so `disc - sum(v)` is the discriminant of the rows at value
+    zero; each combine takes exactly one from it, and rows of value >= 0
+    have a discriminant >= 0.  Every update checks its move of the
+    discriminant, and every combine the value of its new row.
 
     The discriminant is carried from one update to the next: each update
     starts from the previous update's result and computes only its own
@@ -323,14 +312,19 @@ def local_integral_basis(space, basis: BasisMatrix,
         raise PrecintError("basis size does not match the space dimension")
     point_key = str(point)
     log: List[UpdateRecord] = []
-    cap, disc = _iteration_cap(space, rows, point)
+    values = []
+    for row in rows:
+        v = space.val(row, point)
+        if v is INFINITY:
+            raise PrecintError("basis contains the zero element")
+        values.append(v)
+    disc = space.discriminant(rows, point)
+    cap = disc - sum(values)
     norm = RationalFunction(galois_norm_uniformizer(point))
     iterations = 0
-    for d in range(1, space.dimension + 1):
-        row = rows[d - 1]
-        v = space.val(row, point)
+    for d, v in enumerate(values, 1):
         if v != 0:
-            rows[d - 1] = row.scaled(norm ** (-v))
+            rows[d - 1] = rows[d - 1].scaled(norm ** (-v))
             disc_before, disc = disc, space.discriminant(rows, point)
             if disc != disc_before - v:
                 raise PrecintError(
@@ -344,10 +338,11 @@ def local_integral_basis(space, basis: BasisMatrix,
             if found is None:
                 break
             alphas, combo = found
+            unit = galois_trace_sum(Fraction(1), point)
             if point.is_rational:
-                new_row = combo.scaled(galois_trace_sum(Fraction(1), point))
+                new_row = combo.scaled(unit)
             else:
-                new_row = rows[d - 1].scaled(galois_trace_sum(Fraction(1), point))
+                new_row = rows[d - 1].scaled(unit)
                 for alpha, prev in zip(alphas, rows[:d - 1]):
                     if alpha == 0:
                         continue

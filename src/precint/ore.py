@@ -339,12 +339,13 @@ class SolutionBasis:
     """The r anchored solutions of a modulus on one orbit, extended lazily.
 
     Solution j takes the value delta_{i,j} at positions anchor + i - 1 for
-    i = 1..r; values elsewhere are filled on demand by solving the deformed
-    recurrence for the unknown end.  The anchor defaults to
-    `default_anchor(modulus, orbit)`.  The modulus is used as passed and
-    must have polynomial coefficients; a common polynomial factor cancels
-    from every row of the deformed recurrence, so it leaves the q-orders
-    unchanged, though its roots can move the default anchor left.
+    i = 1..r; values elsewhere are filled on demand, one position for all r
+    solutions at a time, by solving the deformed recurrence for the unknown
+    end.  The anchor defaults to `default_anchor(modulus, orbit)`.  The
+    modulus is used as passed and must have polynomial coefficients; a
+    common polynomial factor cancels from every row of the deformed
+    recurrence, so it leaves the q-orders unchanged, though its roots can
+    move the default anchor left.
 
     The table is fraction-free and exact: `_values[(j, p)]` holds a
     numerator N in K[q] over a denominator `_dens[p]` in K[q] shared by all
@@ -386,16 +387,13 @@ class SolutionBasis:
         self._series: Dict[Tuple[int, int], QSeries] = {}
         self._actions: Dict[Tuple[QuotientElement, int], Tuple[QSeries, ...]] = {}
         self.precision = START_PRECISION
-        self._lo: Dict[int, int] = {}
-        self._hi: Dict[int, int] = {}
+        self._lo = self.anchor
+        self._hi = self.anchor + self.order - 1
         one, zero = Poly.one(), Poly.zero()
         for i in range(1, self.order + 1):
             self._dens[self.anchor + i - 1] = one
-        for j in range(1, self.order + 1):
-            for i in range(1, self.order + 1):
+            for j in range(1, self.order + 1):
                 self._values[(j, self.anchor + i - 1)] = one if i == j else zero
-            self._lo[j] = self.anchor
-            self._hi[j] = self.anchor + self.order - 1
 
     def _ell_eval(self, i: int, w: int) -> Poly:
         """l_i(z + w + q) as a polynomial in q."""
@@ -415,43 +413,46 @@ class SolutionBasis:
             return self._ell_eval(0, p)
         return None
 
-    def _raised(self, acc: Poly, p: int) -> Poly:
-        step = self._step(p)
-        return acc if step is None else acc * step
+    def _fill(self, p: int) -> None:
+        """N[j, p] for every solution j, and D[p], at the position just past
+        either end of the table, which it extends.  The recurrence window
+        of p is summed from its far end in, brought to D[p] by Horner's
+        rule over `_step`."""
+        r = self.order
+        up = p > self._hi
+        w = p - r if up else p
+        far, *near = range(w, p) if up else range(p + r, p, -1)
+        vals = self._values
+        ell = self._ell_eval(far - w, w)
+        accs = [ell * vals[(j, far)] for j in range(1, r + 1)]
+        for t in near:
+            step, ell = self._step(t), self._ell_eval(t - w, w)
+            accs = [(acc if step is None else acc * step) + ell * vals[(j, t)]
+                    for j, acc in enumerate(accs, 1)]
+        for j, acc in enumerate(accs, 1):
+            vals[(j, p)] = -acc
+        self._dens[p] = self._dens[p - 1 if up else p + 1] * self._step(p)
+        if up:
+            self._hi = p
+        else:
+            self._lo = p
 
     def _numerator(self, j: int, n: int) -> Poly:
-        """N[j, n], growing solution j's table out to position n."""
+        """N[j, n], growing the table of all r solutions out to position n."""
         if not 1 <= j <= self.order:
             raise ValueError(f"solution index {j} out of range 1..{self.order}")
-        r = self.order
-        last = self.anchor + r - 1
+        last = self.anchor + self.order - 1
         if not self.anchor - MAX_TABLE_REACH <= n <= last + MAX_TABLE_REACH:
             raise PrecintError(
                 f"position {n} lies more than {MAX_TABLE_REACH} offsets outside "
                 f"the identity window {self.anchor}..{last} of the solution "
                 f"table anchored at {self.anchor}"
             )
-        vals, dens = self._values, self._dens
-        while self._hi[j] < n:
-            p = self._hi[j] + 1
-            w = p - r
-            acc = self._ell_eval(0, w) * vals[(j, w)]
-            for i in range(1, r):
-                acc = self._raised(acc, w + i) + self._ell_eval(i, w) * vals[(j, w + i)]
-            vals[(j, p)] = -acc
-            if p not in dens:
-                dens[p] = dens[p - 1] * self._step(p)
-            self._hi[j] = p
-        while self._lo[j] > n:
-            w = self._lo[j] - 1
-            acc = self._ell_eval(r, w) * vals[(j, w + r)]
-            for i in range(r - 1, 0, -1):
-                acc = self._raised(acc, w + i) + self._ell_eval(i, w) * vals[(j, w + i)]
-            vals[(j, w)] = -acc
-            if w not in dens:
-                dens[w] = dens[w + 1] * self._step(w)
-            self._lo[j] = w
-        return vals[(j, n)]
+        while self._hi < n:
+            self._fill(self._hi + 1)
+        while self._lo > n:
+            self._fill(self._lo - 1)
+        return self._values[(j, n)]
 
     def value(self, j: int, n: int) -> RationalFunction:
         """b_j at orbit position n in canonical form (memoized, grows the

@@ -31,7 +31,6 @@ from precint import (
     val_at,
 )
 from precint import _linalg, cli, integral
-from precint.integral import _CAP_MARGIN, _iteration_cap
 from precint.ore import apply_element_all
 from precint.qvalues import nu_q
 from precint.valuation import detect_orbits, worklist_points
@@ -189,17 +188,21 @@ def test_every_update_preserves_the_span_at_an_algebraic_point():
 
 
 class _EndlessSpace:
-    """A valued space that always offers an improvement and whose
-    discriminant drops by exactly 1 per call, so only the bound derived
-    from the discriminant stops the local loop."""
+    """A valued space whose standard rows have the given values and every
+    other row value zero, that always offers an improvement, and whose
+    discriminant starts at `disc` and moves as each update must: by -v on
+    the normalize of a row of value v, by -1 on a combine.  So only the
+    bound derived from the discriminant stops the local loop."""
 
     dimension = 2
 
-    def __init__(self, disc: int):
-        self.disc = disc + 1
+    def __init__(self, disc: int, values=(0, 0)):
+        self.start = dict(zip(BasisMatrix.standard(2).rows, values))
+        self.disc = disc
+        self.last = None
 
     def val(self, row, point):
-        return 0
+        return self.start.get(row, 0)
 
     def find_alpha(self, previous, row, point):
         combo = row
@@ -208,7 +211,10 @@ class _EndlessSpace:
         return [Fraction(1)] * len(previous), combo
 
     def discriminant(self, rows, point):
-        self.disc -= 1
+        if self.last is not None:
+            [old] = [a for a, b in zip(self.last, rows) if a is not b]
+            self.disc -= self.start.get(old) or 1
+        self.last = list(rows)
         return self.disc
 
 
@@ -217,27 +223,50 @@ def test_update_loop_stops_at_the_discriminant_bound(disc):
     space = _EndlessSpace(disc)
     with pytest.raises(PrecintError) as info:
         local_integral_basis(space, BasisMatrix.standard(2), pt("0"))
-    cap = disc + _CAP_MARGIN
-    assert str(info.value) == (f"exceeded the discriminant bound of {cap} "
+    assert str(info.value) == (f"exceeded the discriminant bound of {disc} "
                                "updates at 0")
-    # one discriminant for the bound, then one per combine until the cap
-    assert space.disc == disc - (cap + 1)
+    # one discriminant for the bound, then one per combine, one past the cap
+    assert space.disc == -1
 
 
 def test_iteration_cap_counts_from_the_rows_at_value_zero():
     """The cap is the discriminant of the rows rescaled to value zero, that
-    is the discriminant less the sum of the row values, plus the margin;
-    the discriminant itself is returned as it is."""
-    space = ToySpace([2, 1])
-    e1, e2 = BasisMatrix.standard(2).rows
-    x = RationalFunction.x()
-    assert _iteration_cap(space, (e1, e2), pt("0")) == (_CAP_MARGIN, 3)
-    rows = (e1.scaled(x), e1.scaled(x) + e2.scaled(x * x))
-    # values 3 and 3, det x^3 of valuation 3 plus the weights 3
-    assert _iteration_cap(space, rows, pt("0")) == (_CAP_MARGIN, 6)
-    space = ToySpace([0, 0])
-    # values 1 and 1, det x^3
-    assert _iteration_cap(space, rows, pt("0")) == (1 + _CAP_MARGIN, 3)
+    is the discriminant less the sum of the row values, with no margin: a
+    combine past it is refused."""
+    for values, disc, cap in [((2, 1), 3, 0), ((3, 3), 6, 0), ((1, 1), 3, 1)]:
+        space = _EndlessSpace(disc, values)
+        with pytest.raises(PrecintError) as info:
+            local_integral_basis(space, BasisMatrix.standard(2), pt("0"))
+        assert str(info.value) == (f"exceeded the discriminant bound of {cap} "
+                                   "updates at 0")
+        # the first row's normalize, then cap + 1 combines on it
+        assert space.disc == disc - values[0] - (cap + 1)
+
+
+def test_each_row_value_is_read_once_per_point(cubic, orbit_z, monkeypatch):
+    """One value read per row at the start of the point, one more per
+    combine for its new row, and one unit trace per combine; find_alpha
+    reads no value."""
+    reads, traces = [], []
+    real_val, real_trace = ShiftSpace.val, integral.galois_trace_sum
+
+    def counted_val(self, row, point):
+        reads.append(row)
+        return real_val(self, row, point)
+
+    def counted_trace(g, point):
+        traces.append(g)
+        return real_trace(g, point)
+
+    monkeypatch.setattr(ShiftSpace, "val", counted_val)
+    monkeypatch.setattr(integral, "galois_trace_sum", counted_trace)
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    result = local_integral_basis(space, BasisMatrix.standard(3), pt("0"))
+    kinds = [u.kind for u in result.provenance]
+    combines = kinds.count("combine")
+    assert "normalize" in kinds and combines > 0
+    assert len(reads) == 3 + combines
+    assert traces == [Fraction(1)] * combines
 
 
 def test_discriminant_is_carried_from_update_to_update(cubic, orbit_z,
@@ -460,6 +489,25 @@ def test_find_alpha_none_on_finished_basis(cubic, orbit_z):
     assert space.find_alpha(list(rows[:2]), rows[2], pt("0")) is None
 
 
+@pytest.mark.parametrize("prefix, candidate", [("S", "1"), ("1", "S")])
+def test_find_alpha_refuses_a_row_of_negative_value(cubic, orbit_z, prefix,
+                                                    candidate):
+    """S has value -1 at 0; its residues refuse it, in the prefix as well
+    as in the candidate."""
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    assert space.val(el("S", 3), pt("0")) == -1
+    with pytest.raises(PrecintError) as info:
+        space.find_alpha([el(prefix, 3)], el(candidate, 3), pt("0"))
+    assert str(info.value) == "order-zero extraction on an element of negative value"
+
+
+def test_find_alpha_refuses_a_point_off_the_orbit(cubic, orbit_z):
+    space = ShiftSpace(OrbitAnalysis.analyze(cubic, orbit_z))
+    with pytest.raises(PrecintError) as info:
+        space.find_alpha([el("1", 3)], el("x*S", 3), pt("root(x^2-2)"))
+    assert str(info.value) == "point does not lie in the analyzed orbit"
+
+
 # -- the weighted toy space --------------------------------------------------------
 
 
@@ -487,6 +535,21 @@ def test_toy_space_find_alpha_none_on_unit_basis():
     rows = [QuotientElement.standard(2, 0).scaled(x ** -1),
             QuotientElement.standard(2, 1)]
     assert space.find_alpha(rows[:1], rows[1], pt("0")) is None
+
+
+@pytest.mark.parametrize("negative_prefix", [True, False])
+def test_toy_space_find_alpha_refuses_a_row_of_negative_value(negative_prefix):
+    space = ToySpace((0, 0))
+    e1, e2 = BasisMatrix.standard(2).rows
+    pole = RationalFunction.x() ** -1
+    if negative_prefix:
+        prefix, candidate = e1.scaled(pole), e2
+    else:
+        prefix, candidate = e1, e2.scaled(pole)
+    assert min(space.val(prefix, pt("0")), space.val(candidate, pt("0"))) == -1
+    with pytest.raises(PrecintError) as info:
+        space.find_alpha([prefix], candidate, pt("0"))
+    assert str(info.value) == "element has a pole deeper than its weight allows"
 
 
 def test_toy_space_combines_at_a_rational_point():
