@@ -33,7 +33,11 @@ def _pivot_row(rows: Sequence[Sequence], start: int, col: int) -> Optional[int]:
     """The row at or below `start` holding the pivot of column `col`: the
     first nonzero entry, or over q-series the first of least valuation
     among the entries with a known leading term.  None when every entry is
-    exactly zero."""
+    exactly zero.
+
+    Unlike `qvalues.least_valuation`, an unknown entry below the chosen
+    pivot does not raise: any entry with a known leading term is a valid
+    pivot, and waiting for the least one would only add doublings."""
     best = None
     unknown = False
     for i in range(start, len(rows)):

@@ -1182,11 +1182,14 @@ def _orbit_normalize(min_poly: Poly) -> tuple:
 
 
 # The highest degree of a point, hence of the number field its orbit's
-# arithmetic runs in.  The cost climbs steeply with the degree: the orbit
-# of `(x^d-3) + x*S + (x^d-3)*S^2` at `x^d-3=3` takes about 2.5 s at d=8
-# and 18 s at d=12, and did not finish in 300 s at d=16 (one process on a
-# shared 2-vCPU VM).  A point named by the user or an orbit detected in an
-# operator of higher degree is refused at once, before any table is built.
+# arithmetic runs in.  `global-basis` no longer sets it: on the orbit of
+# `(x^d-3) + x*S + (x^d-3)*S^2` at `x^d-3=3` it takes about 0.15 s at d=8
+# and 0.2 s at d=12, where the working precision stays at its start.
+# `verify` does: its oracle takes 0.9 s at d=8, 3.4 s at d=12 and 9.7 s at
+# d=16 with 50 samples (one process on a shared 2-vCPU VM).  The limit
+# stays 12 until the oracle at algebraic points gets cheaper.  A point
+# named by the user or an orbit detected in an operator of higher degree
+# is refused at once, before any table is built.
 MAX_FIELD_DEGREE = 12
 
 

@@ -46,7 +46,7 @@ from .fields import (
     nu_at_factor,
 )
 from .ore import OreOperator, QuotientElement, apply_element_all
-from .qvalues import ZERO, nu_q
+from .qvalues import ZERO, least_valuation, nu_q
 from .valuation import OrbitAnalysis, detect_orbits, val_at, worklist_points
 
 # The orders at which ShiftSpace expands an update's discriminant along the
@@ -159,18 +159,17 @@ class ShiftSpace:
     def residues(self, row: QuotientElement, point: AlgebraicPoint) -> List:
         """The order-zero q-coefficient of the row's action on each anchored
         solution at the point; refuses a point off the analyzed orbit, as
-        `val` does."""
+        `val` does, and a row of negative value.  An entry O(q^P) reads as
+        0 when P >= 1; only P <= 0 asks for double precision."""
         if not point.same_orbit(self.analysis.orbit):
             raise PrecintError("point does not lie in the analyzed orbit")
         basis = self.analysis.basis
 
         def compute() -> List:
-            out = []
-            for v in apply_element_all(row, basis, point.offset):
-                if nu_q(v) < 0:
-                    raise PrecintError("order-zero extraction on an element of negative value")
-                out.append(v.coefficient(0))
-            return out
+            action = apply_element_all(row, basis, point.offset)
+            if least_valuation(action, 0) < 0:
+                raise PrecintError("order-zero extraction on an element of negative value")
+            return [v.coefficient(0) for v in action]
 
         return basis.with_enough_precision(compute)
 

@@ -530,9 +530,10 @@ def apply_element_all(element: QuotientElement, basis: SolutionBasis,
     n+1, ...
 
     An entry is exactly ZERO only when that is proven (see qvalues); one
-    that is zero to working precision makes nu_q and coefficient raise
-    PrecisionLoss, which `basis.with_enough_precision` answers by doubling
-    the precision.  Memoised on the solution basis under the key (element, n), so each row
+    that is zero to working precision, O(q^P), makes nu_q and coefficient
+    from q^P on raise PrecisionLoss, and `least_valuation` only when it
+    could hold the minimum; `basis.with_enough_precision` answers by
+    doubling the precision.  Memoised on the solution basis under the key (element, n), so each row
     is evaluated once per offset and precision for the lifetime of the
     basis (one analysis).
     """

@@ -29,11 +29,14 @@ term, computed once per expansion on ints.  A constant coordinate over Q
 stays a series over Q at an algebraic point too, and is lifted into the
 field only where a sum or product meets a series over K.
 
-A series that is zero to its precision has no valuation and no
-coefficients from its precision on; reading one raises `PrecisionLoss`,
-and the caller redoes that one computation at double precision (extension
-on demand, after van der Hoeven, *Relax, but don't be too lazy*, 2002).
-Such a series is never read as a large valuation.  What ends the doubling
+A series that is zero to its precision, O(q^P), has no known valuation
+and no coefficients from P on; it proves only that its valuation is at
+least P, and reads as that.  `least_valuation` takes the least valuation
+of several series from what they prove, so an O(q^P) entry that cannot
+hold the minimum is passed over.  Where the answer depends on an unknown
+entry, the read raises `PrecisionLoss`, and the caller redoes that one
+computation at double precision (extension on demand, after van der
+Hoeven, *Relax, but don't be too lazy*, 2002).  What ends the doubling
 is a proof: every series carries a height (dn, dd, od) saying that its
 exact value is P/D with deg P <= dn, deg D <= dd and ord_0 D >= od, so a
 nonzero exact value has valuation at most dn - od.  A result that is zero
@@ -290,6 +293,24 @@ def shifted_series(f: RationalFunction, z, terms: int) -> QSeries:
     b, den, den_den = _taylor(f.den, z, terms)
     return _quotient(num, num_den, den, den_den, a - b, terms,
                      (f.num.degree, f.den.degree, b))
+
+
+def least_valuation(series: Sequence[QSeries], cap: Valuation = INFINITY) -> Valuation:
+    """min(cap, the least valuation of `series`), read from what the
+    series prove: an entry that is O(q^P) has valuation at least P, so it
+    can lower the minimum only when P is below every known valuation and
+    below `cap`.  Raises PrecisionLoss in that case alone; a tie cannot
+    lower the minimum.  INFINITY when every entry is exactly zero."""
+    best = bound = cap
+    for s in series:
+        if s.nums:
+            if s.val < best:
+                best = s.val
+        elif s.prec < bound:
+            bound = s.prec
+    if bound < best:
+        raise PrecisionLoss(f"an entry O(q^{bound}) could hold the least valuation")
+    return best
 
 
 def nu_q(f) -> Valuation:

@@ -22,7 +22,7 @@ from .ore import (
     apply_element_all,
     root_offsets,
 )
-from .qvalues import nu_q
+from .qvalues import least_valuation
 
 # The most offsets one orbit's worklist may hold.  The work per point grows
 # with the distance from the anchor (on a shared 2-vCPU VM, the cubic of the
@@ -119,16 +119,17 @@ def _compute_growths(basis: SolutionBasis,
 def val_at(element: QuotientElement, point: AlgebraicPoint,
            analysis: OrbitAnalysis) -> Valuation:
     """Value of a residue class at a point of the analyzed orbit: the
-    minimum over the anchored solutions of nu_q((B . b_j)(point)), each
-    read exactly (a series zero to working precision is recomputed at
-    double precision, never read as a large valuation)."""
+    minimum over the anchored solutions of nu_q((B . b_j)(point)).  An
+    entry that is zero to working precision, O(q^P), reads as "at least
+    P": the value is recomputed at double precision only when such an
+    entry could hold the minimum (`qvalues.least_valuation`)."""
     if not point.same_orbit(analysis.orbit):
         raise PrecintError("point does not lie in the analyzed orbit")
     if element.is_zero:
         return INFINITY
     basis = analysis.basis
-    return basis.with_enough_precision(lambda: min(
-        nu_q(v) for v in apply_element_all(element, basis, point.offset)))
+    return basis.with_enough_precision(lambda: least_valuation(
+        apply_element_all(element, basis, point.offset)))
 
 
 def detect_orbits(modulus: OreOperator) -> Tuple[AlgebraicPoint, ...]:

@@ -45,6 +45,9 @@ HALF = "(2*x^2-1) + x*S + (2*x^2-1)*S^2"
 RATIONAL_HALF = "(2*x-1)*(x+3) + S + (2*x+5)*S^2"
 # three orbits, of degrees 3, 2 and 1
 THREE_ORBITS = "x*(x^2-2)*(x^3-2) + S + (x^2-2)*(x^3-2)*S^2"
+# orbits of degree 8 and 12, where arithmetic in the field dominates
+ALG_D8 = "(x^8-3) + x*S + (x^8-3)*S^2"
+ALG_D12 = "(x^12-3) + x*S + (x^12-3)*S^2"
 
 CASES = {
     "cubic-Z0": (CUBIC, "Z=0"),
@@ -57,6 +60,8 @@ CASES = {
     "cubic-field-2": (CUBIC_FIELD, "x^3-2=2"),
     "half-1": (HALF, "x^2-1/2=1"),
     "three-orbits-2": (THREE_ORBITS, "Z=2 x^2-2=1 x^3-2=1"),
+    "alg-d8-3": (ALG_D8, "x^8-3=3"),
+    "alg-d12-3": (ALG_D12, "x^12-3=3"),
 }
 
 

@@ -30,7 +30,7 @@ from precint import (
     nu_at_factor,
     val_at,
 )
-from precint import _linalg, cli, integral
+from precint import _linalg, cli, integral, ore
 from precint.ore import apply_element_all
 from precint.qvalues import nu_q
 from precint.valuation import detect_orbits, worklist_points
@@ -499,6 +499,35 @@ def test_find_alpha_refuses_a_row_of_negative_value(cubic, orbit_z, prefix,
     with pytest.raises(PrecintError) as info:
         space.find_alpha([el(prefix, 3)], el(candidate, 3), pt("0"))
     assert str(info.value) == "order-zero extraction on an element of negative value"
+
+
+def test_residues_read_zero_from_an_entry_known_to_vanish_at_order_zero(cubic, orbit_z):
+    """B = b_1(4)(x-3) - b_1(3)(x-3)*S annihilates b_1 at 3, and its action
+    there reads O(q^7) on b_1 at the starting precision: that proves the
+    order-zero coefficient 0, so the residues are read without doubling."""
+    analysis = OrbitAnalysis.analyze(cubic, orbit_z)
+    basis = analysis.basis
+    row = QuotientElement((basis.value(1, 4).shift(Fraction(-3)),
+                           -basis.value(1, 3).shift(Fraction(-3)), 0))
+    entry = apply_element_all(row, basis, 3)[0]
+    assert not entry.known and not entry.is_zero and entry.prec >= 1
+    assert ShiftSpace(analysis).residues(row, pt("3")) == [0, 0, 0]
+    assert basis.precision == ore.START_PRECISION
+
+
+@pytest.mark.parametrize("operator, bounds", [
+    ("(x+2)^2 + x*S^2 + (x+2)*S^3", {"Z": 4}),
+    (SPREAD4, {"Z": 7}),
+    ("(x^8-3) + x*S + (x^8-3)*S^2", {pt("root(x^8-3)").orbit_key(): 3}),
+])
+def test_global_runs_read_every_value_at_the_starting_precision(operator, bounds):
+    """No value, residue or discriminant these runs read depends on an
+    entry that is zero to the starting precision: no orbit's table doubles
+    its precision."""
+    run = global_integral_basis(op(operator).normalized(), bounds)
+    assert run.processed
+    for orbit in run.processed:
+        assert orbit.analysis.basis.precision == ore.START_PRECISION
 
 
 def test_find_alpha_refuses_a_point_off_the_orbit(cubic, orbit_z):

@@ -24,6 +24,7 @@ from precint import (
     q_series,
     shifted_series,
 )
+from precint.qvalues import ZERO, least_valuation
 from conftest import random_poly, random_rf
 
 Q = Poly.x()  # the same dense representation serves the variable q
@@ -239,6 +240,57 @@ def test_zero_exactly_up_to_the_degree_bound_stays_unknown():
         with pytest.raises(PrecisionLoss):
             nu_q(derived)
     assert nu_q(q_series(f, 6) - q_series(head, 6)) == 5
+
+
+# -- the least valuation of several series, from what they prove ----------------
+
+_H = (10, 0, 0)  # a height that proves no O(q^P) below q^11 exactly zero
+
+
+def _known(val: int) -> QSeries:
+    return QSeries(val, [1, 2], None, val + 2, _H)
+
+
+def _unknown(prec: int) -> QSeries:
+    return QSeries(prec, [], 1, prec, _H)
+
+
+def test_a_known_entry_below_an_unknown_one_decides_the_least_valuation():
+    assert least_valuation((_unknown(5), _known(2), _known(3))) == 2
+
+
+def test_an_unknown_entry_tied_with_the_least_known_one_reads_as_that():
+    assert least_valuation((_known(4), _unknown(4))) == 4
+
+
+def test_an_unknown_entry_below_every_known_one_asks_for_more_precision():
+    with pytest.raises(PrecisionLoss):
+        least_valuation((_known(4), _unknown(3), _known(6)))
+
+
+def test_entries_that_are_all_unknown_ask_for_more_precision():
+    with pytest.raises(PrecisionLoss):
+        least_valuation((_unknown(3), _unknown(7)))
+    with pytest.raises(PrecisionLoss):
+        least_valuation((ZERO, _unknown(7)))
+
+
+def test_entries_that_are_all_exactly_zero_read_as_infinity():
+    assert least_valuation((ZERO, ZERO)) is INFINITY
+    assert least_valuation(()) is INFINITY
+
+
+def test_a_cap_passes_over_unknown_entries_at_or_above_it():
+    """With a cap the read is min(cap, least valuation): O(q^1) below the
+    known q^3 asks for more precision only when the cap lies above 1."""
+    entries = (_known(3), _unknown(1))
+    assert least_valuation(entries, 0) == 0
+    assert least_valuation(entries, 1) == 1
+    with pytest.raises(PrecisionLoss):
+        least_valuation(entries, 2)
+    assert least_valuation((_known(-2), _unknown(-1)), 0) == -2
+    with pytest.raises(PrecisionLoss):
+        least_valuation((_known(0), _unknown(-1)), 0)
 
 
 @pytest.mark.parametrize("seed", [81, 82])

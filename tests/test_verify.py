@@ -822,3 +822,23 @@ def test_global_bases_of_random_operators_pass_the_sympy_check(monkeypatch, caps
             non_standard += payload["basis"] != standard
     assert non_standard >= 10
     assert 2 in degrees
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_global_bases_at_orbits_of_degree_3_and_4_pass_the_sympy_check(d, monkeypatch, capsys):
+    """`global-basis` of (x^d-3) + x*S + (x^d-3)*S^2 at x^d-3=1, checked by
+    `bench/sympycheck.py` over the field of degree d: the basis is not the
+    standard one, and it is integral and maximal at both points."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from sympycheck import check_global_basis
+
+    text = f"(x^{d}-3) + x*S + (x^{d}-3)*S^2"
+    bounds = {f"x^{d}-3": 1}
+    code = cli.main(["global-basis", "--operator", text, "--right-bound",
+                     f"x^{d}-3=1", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(payload["verified_points"]) == 2
+    assert payload["basis"] != [[{"num": str(int(i == j)), "den": "1"}
+                                 for j in range(2)] for i in range(2)]
+    assert check_global_basis(text, bounds, payload) == []
